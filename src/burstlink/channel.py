@@ -14,7 +14,7 @@ Sign convention: a positive frequency offset rotates samples by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,10 +35,11 @@ class ChannelProfile:
     ``snr_db`` and ``coherence_symbols`` accept ``math.inf`` for the
     noiseless / static cases. ``freq_walk_std_hz`` is the standard deviation
     of the per-coherence-epoch random-walk step added to the oscillator
-    frequency on top of the linear drift.
+    frequency on top of the linear drift. A field's config key and ``sim``
+    flag is its name unless its ``key`` metadata names it otherwise.
     """
 
-    delta_f_hz: float = 0.0
+    delta_f_hz: float = field(default=0.0, metadata={"key": "cfo_hz"})
     drift_hz_per_s: float = 0.0
     theta_in_rad: float = 0.0
     snr_db: float = math.inf
@@ -47,13 +48,17 @@ class ChannelProfile:
     rician_k: float = 10.0
     freq_walk_std_hz: float = 0.0
     delay_spread_s: float = 0.0
-    seed: int = 0
+    seed: int = field(default=0, metadata={"key": "channel_seed"})
 
     def __post_init__(self) -> None:
         if self.fading not in FADING_MODES:
             raise ValueError(f"fading must be one of {FADING_MODES}, got {self.fading!r}")
         if not self.coherence_symbols >= 1:
             raise ValueError("coherence_symbols must be >= 1")
+        if math.isfinite(self.coherence_symbols) and self.coherence_symbols % 1:
+            raise ValueError(
+                f"coherence_symbols must be a whole number or inf, got {self.coherence_symbols}"
+            )
         if self.fading == "block-rician" and self.rician_k < 0:
             raise ValueError("rician_k must be >= 0")
 

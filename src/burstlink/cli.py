@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
 
 from .channel import ChannelProfile
-from .config import load_sweep_config
+from .config import config_keys, load_sweep_config
 from .framing import FrameConfig
 from .harness import (
     emit_sigmf,
@@ -45,45 +44,20 @@ def _parse_modulation(text: str) -> int:
     return order
 
 
-def _parse_maybe_inf(text: str) -> float:
-    if text.lower() in ("inf", "infinite", "infinity"):
-        return math.inf
-    return float(text)
+def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
+    """One ``--key`` flag per config key of ``cls``, stored under the key so
+    that ``--channel-seed`` and ``--seed`` stay apart. Unset flags are left
+    out of the namespace, and the dataclass supplies their defaults."""
+    for key, (_, parse) in config_keys(cls).items():
+        parser.add_argument(
+            "--" + key.replace("_", "-"), dest=key, type=parse, default=argparse.SUPPRESS
+        )
 
 
-def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--snr-db", type=_parse_maybe_inf, default=math.inf)
-    parser.add_argument("--cfo-hz", type=float, default=0.0)
-    parser.add_argument("--drift-hz-per-s", type=float, default=0.0)
-    parser.add_argument("--theta-in-rad", type=float, default=0.0)
-    parser.add_argument("--coherence-symbols", type=_parse_maybe_inf, default=math.inf)
-    parser.add_argument(
-        "--fading", choices=("none", "block-rayleigh", "block-rician"), default="none"
-    )
-    parser.add_argument("--rician-k", type=float, default=10.0)
-    parser.add_argument("--freq-walk-std-hz", type=float, default=0.0)
-    parser.add_argument("--channel-seed", type=int, default=0)
-
-
-def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rho-threshold", type=float, default=0.7)
-    parser.add_argument("--mf-threshold-factor", type=float, default=0.5)
-
-
-def _profile_from_args(args: argparse.Namespace) -> ChannelProfile:
-    coherence = args.coherence_symbols
-    if math.isfinite(coherence):
-        coherence = int(coherence)
-    return ChannelProfile(
-        delta_f_hz=args.cfo_hz,
-        drift_hz_per_s=args.drift_hz_per_s,
-        theta_in_rad=args.theta_in_rad,
-        snr_db=args.snr_db,
-        coherence_symbols=coherence,
-        fading=args.fading,
-        rician_k=args.rician_k,
-        freq_walk_std_hz=args.freq_walk_std_hz,
-        seed=args.channel_seed,
+def _config_from_args(cls, args: argparse.Namespace):
+    values = vars(args)
+    return cls(
+        **{name: values[key] for key, (name, _) in config_keys(cls).items() if key in values}
     )
 
 
@@ -108,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--environment", default=None)
     sim.add_argument("--altitude-m", type=float, default=None)
     sim.add_argument("--link-distance-m", type=float, default=None)
-    _add_channel_flags(sim)
-    _add_detector_flags(sim)
+    _add_config_flags(sim, ChannelProfile)
+    _add_config_flags(sim, DetectorConfig)
 
     sweep = sub.add_parser("sweep", help="run a sweep grid from a config file")
     sweep.add_argument("--config", required=True)
@@ -153,10 +127,10 @@ def _emit_trial_sigmf(run, args, path: str) -> None:
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
-    profile = _profile_from_args(args)
-    detector = DetectorConfig(
-        rho_threshold=args.rho_threshold, mf_threshold_factor=args.mf_threshold_factor
-    )
+    if args.trials > 1 and (args.iq_out or args.sigmf_out):
+        raise ValueError("--iq-out and --sigmf-out record one trial; use --trials 1")
+    profile = _config_from_args(ChannelProfile, args)
+    detector = _config_from_args(DetectorConfig, args)
     cfg = FrameConfig(pilot_reps=args.pilot_reps, modulation=args.mod)
     runs = []
     for trial in range(args.trials):

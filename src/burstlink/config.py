@@ -3,13 +3,15 @@
 One flat namespace per file; ``#`` starts a comment. Lists are
 comma-separated, ``inf`` is accepted for the unbounded SNR and coherence
 settings. The same format serves frame configs, channel profiles, and whole
-sweep specifications.
+sweep specifications; the keys are the fields of the dataclasses they build
+(see ``config_keys``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable
 
 from .channel import ChannelProfile
 from .framing import FrameConfig
@@ -40,7 +42,7 @@ def format_kv(pairs: dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _as_float(value: str) -> float:
+def float_or_inf(value: str) -> float:
     if value.lower() in ("inf", "infinite", "infinity"):
         return math.inf
     return float(value)
@@ -50,75 +52,52 @@ def _as_int_list(value: str) -> tuple[int, ...]:
     return tuple(int(v.strip()) for v in value.split(",") if v.strip())
 
 
-_FRAME_KEYS = {
-    "pilot_reps": int,
-    "modulation": int,
-    "payload_symbols": int,
-    "pilot_block_len": int,
-    "training_rep_len": int,
-    "training_reps": int,
-    "golay_len": int,
-    "crc_bits": int,
-}
+# Text parser per field annotation. The config modules postpone annotation
+# evaluation, so ``Field.type`` is the annotation's source text. A field whose
+# annotation is not listed here (a nested config, say) has no config key.
+_PARSERS = {"int": int, "float": float_or_inf, "str": str, "tuple[int, ...]": _as_int_list}
 
-_CHANNEL_KEYS = {
-    "cfo_hz": ("delta_f_hz", _as_float),
-    "drift_hz_per_s": ("drift_hz_per_s", _as_float),
-    "theta_in_rad": ("theta_in_rad", _as_float),
-    "snr_db": ("snr_db", _as_float),
-    "coherence_symbols": ("coherence_symbols", _as_float),
-    "fading": ("fading", str),
-    "rician_k": ("rician_k", _as_float),
-    "freq_walk_std_hz": ("freq_walk_std_hz", _as_float),
-    "delay_spread_s": ("delay_spread_s", _as_float),
-    "channel_seed": ("seed", int),
-}
+
+def config_keys(cls) -> dict[str, tuple[str, Callable[[str], object]]]:
+    """External key -> (field name, text parser) for each keyed field of a
+    config dataclass. A field's key is its name unless its ``key`` metadata
+    says otherwise."""
+    return {
+        f.metadata.get("key", f.name): (f.name, _PARSERS[f.type])
+        for f in fields(cls)
+        if f.type in _PARSERS
+    }
+
+
+def _fields_from_kv(cls, kv: dict[str, str]) -> dict[str, object]:
+    return {
+        name: parse(kv[key]) for key, (name, parse) in config_keys(cls).items() if key in kv
+    }
+
+
+def _to_kv(obj) -> dict[str, object]:
+    return {key: getattr(obj, name) for key, (name, _) in config_keys(type(obj)).items()}
+
+
+# Frame keys a sweep takes from its grid rather than from its template.
+_GRID_FRAME_FIELDS = ("pilot_reps", "modulation")
 
 
 def frame_config_from_kv(kv: dict[str, str], defaults: FrameConfig | None = None) -> FrameConfig:
-    base = {
-        "pilot_reps": defaults.pilot_reps if defaults else 1,
-        "modulation": defaults.modulation if defaults else 4,
-    }
-    if defaults is not None:
-        for name in _FRAME_KEYS:
-            base[name] = getattr(defaults, name)
-    for name, conv in _FRAME_KEYS.items():
-        if name in kv:
-            base[name] = conv(kv[name])
-    return FrameConfig(**base)
+    base = defaults or FrameConfig(pilot_reps=1, modulation=4)
+    return replace(base, **_fields_from_kv(FrameConfig, kv))
 
 
 def frame_config_to_kv(cfg: FrameConfig) -> dict[str, object]:
-    return {name: getattr(cfg, name) for name in _FRAME_KEYS}
+    return _to_kv(cfg)
 
 
 def channel_profile_from_kv(kv: dict[str, str]) -> ChannelProfile:
-    args = {}
-    for key, (attr, conv) in _CHANNEL_KEYS.items():
-        if key in kv:
-            args[attr] = conv(kv[key])
-    profile = ChannelProfile(**args)
-    if math.isfinite(profile.coherence_symbols):
-        profile = ChannelProfile(
-            **{**args, "coherence_symbols": int(profile.coherence_symbols)}
-        )
-    return profile
+    return ChannelProfile(**_fields_from_kv(ChannelProfile, kv))
 
 
 def channel_profile_to_kv(profile: ChannelProfile) -> dict[str, object]:
-    return {
-        "cfo_hz": profile.delta_f_hz,
-        "drift_hz_per_s": profile.drift_hz_per_s,
-        "theta_in_rad": profile.theta_in_rad,
-        "snr_db": profile.snr_db,
-        "coherence_symbols": profile.coherence_symbols,
-        "fading": profile.fading,
-        "rician_k": profile.rician_k,
-        "freq_walk_std_hz": profile.freq_walk_std_hz,
-        "delay_spread_s": profile.delay_spread_s,
-        "channel_seed": profile.seed,
-    }
+    return _to_kv(profile)
 
 
 @dataclass(frozen=True)
@@ -145,19 +124,9 @@ class SweepSpec:
             raise ValueError("trials_per_cell must be >= 1")
 
     def frame_config(self, pilot_reps: int, modulation: int) -> FrameConfig:
-        base = self.frame_template
-        if base is None:
+        if self.frame_template is None:
             return FrameConfig(pilot_reps=pilot_reps, modulation=modulation)
-        return FrameConfig(
-            pilot_reps=pilot_reps,
-            modulation=modulation,
-            payload_symbols=base.payload_symbols,
-            pilot_block_len=base.pilot_block_len,
-            training_rep_len=base.training_rep_len,
-            training_reps=base.training_reps,
-            golay_len=base.golay_len,
-            crc_bits=base.crc_bits,
-        )
+        return replace(self.frame_template, pilot_reps=pilot_reps, modulation=modulation)
 
     @property
     def cell_count(self) -> int:
@@ -171,50 +140,27 @@ class SweepSpec:
 
 def sweep_spec_from_text(text: str) -> SweepSpec:
     kv = parse_kv_text(text)
-    profile = channel_profile_from_kv(kv)
+    template_kv = {k: v for k, v in kv.items() if k not in _GRID_FRAME_FIELDS}
     template = None
-    if any(k in kv for k in _FRAME_KEYS if k not in ("pilot_reps", "modulation")):
-        template = frame_config_from_kv(
-            {k: v for k, v in kv.items() if k not in ("pilot_reps", "modulation")},
-            defaults=FrameConfig(pilot_reps=1, modulation=4),
-        )
-    det_args = {}
-    if "rho_threshold" in kv:
-        det_args["rho_threshold"] = float(kv["rho_threshold"])
-    if "mf_threshold_factor" in kv:
-        det_args["mf_threshold_factor"] = float(kv["mf_threshold_factor"])
+    if _fields_from_kv(FrameConfig, template_kv):
+        template = frame_config_from_kv(template_kv)
     return SweepSpec(
-        lambda_list=_as_int_list(kv["lambda_list"]) if "lambda_list" in kv else (1, 2, 4, 6, 8),
-        modulations=_as_int_list(kv["modulations"]) if "modulations" in kv else (4, 8, 16, 64),
-        profiles=(profile,),
-        frames_per_trial=int(kv.get("frames_per_trial", 50)),
-        trials_per_cell=int(kv.get("trials_per_cell", 3)),
-        master_seed=int(kv.get("master_seed", 0)),
-        symbol_period_s=float(kv.get("symbol_period_s", 1e-6)),
+        **_fields_from_kv(SweepSpec, kv),
+        profiles=(channel_profile_from_kv(kv),),
         frame_template=template,
-        detector=DetectorConfig(**det_args),
+        detector=DetectorConfig(**_fields_from_kv(DetectorConfig, kv)),
     )
 
 
 def sweep_spec_to_text(spec: SweepSpec) -> str:
     if len(spec.profiles) != 1:
         raise ValueError("only single-profile sweeps serialize to one config file")
-    pairs: dict[str, object] = {
-        "lambda_list": spec.lambda_list,
-        "modulations": spec.modulations,
-        "frames_per_trial": spec.frames_per_trial,
-        "trials_per_cell": spec.trials_per_cell,
-        "master_seed": spec.master_seed,
-        "symbol_period_s": spec.symbol_period_s,
-    }
+    pairs = _to_kv(spec)
     pairs.update(channel_profile_to_kv(spec.profiles[0]))
     if spec.frame_template is not None:
         frame_kv = frame_config_to_kv(spec.frame_template)
-        frame_kv.pop("pilot_reps")
-        frame_kv.pop("modulation")
-        pairs.update(frame_kv)
-    pairs["rho_threshold"] = spec.detector.rho_threshold
-    pairs["mf_threshold_factor"] = spec.detector.mf_threshold_factor
+        pairs.update((k, v) for k, v in frame_kv.items() if k not in _GRID_FRAME_FIELDS)
+    pairs.update(_to_kv(spec.detector))
     return format_kv(pairs)
 
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .channel import ChannelProfile, apply_channel, with_seed
-from .config import SweepSpec
+from .config import SweepSpec, channel_profile_to_kv
 from .framing import FrameConfig, assemble_frame, compute_layout, crc_attach, default_tables
 from .metrics import FrameEvent, TrialResult, aggregate_events
 from .sync import DetectorConfig, receive_frame
@@ -63,6 +63,32 @@ class TrialRun:
     rx_stream: ComplexBuffer | None = None
 
 
+# The trial snapshot each result carries, in event-log column order, with the
+# type each value is stored as. Channel columns are the profile's config keys.
+# Numeric values are coerced so a snapshot round-tripped through the event log
+# serializes identically to a live one.
+SNAPSHOT_COLUMNS = {
+    "profile_index": int,
+    "modulation": int,
+    "pilot_reps": int,
+    "trial": int,
+    "frames": int,
+    "symbol_period_s": float,
+    "data_bytes_per_frame": int,
+    "data_symbols": int,
+    "bits_per_symbol": int,
+    "frame_airtime_s": float,
+    "snr_db": float,
+    "cfo_hz": float,
+    "drift_hz_per_s": float,
+    "theta_in_rad": float,
+    "coherence_symbols": float,
+    "fading": str,
+    "rician_k": float,
+    "freq_walk_std_hz": float,
+}
+
+
 def _config_snapshot(
     cfg: FrameConfig,
     profile: ChannelProfile,
@@ -71,28 +97,20 @@ def _config_snapshot(
     profile_index: int = 0,
     trial: int = 0,
 ) -> dict:
-    # Numeric fields are coerced to float so a snapshot round-tripped
-    # through the event log serializes identically to a live one.
-    return {
-        "profile_index": profile_index,
-        "modulation": cfg.modulation,
-        "pilot_reps": cfg.pilot_reps,
-        "trial": trial,
-        "frames": frames,
-        "symbol_period_s": float(symbol_period_s),
-        "data_bytes_per_frame": cfg.payload_bytes,
-        "data_symbols": cfg.data_symbols,
-        "bits_per_symbol": cfg.bits_per_symbol,
-        "frame_airtime_s": float(cfg.total_symbols * symbol_period_s),
-        "snr_db": float(profile.snr_db),
-        "cfo_hz": float(profile.delta_f_hz),
-        "drift_hz_per_s": float(profile.drift_hz_per_s),
-        "theta_in_rad": float(profile.theta_in_rad),
-        "coherence_symbols": float(profile.coherence_symbols),
-        "fading": profile.fading,
-        "rician_k": float(profile.rician_k),
-        "freq_walk_std_hz": float(profile.freq_walk_std_hz),
-    }
+    values = channel_profile_to_kv(profile)
+    values.update(
+        profile_index=profile_index,
+        modulation=cfg.modulation,
+        pilot_reps=cfg.pilot_reps,
+        trial=trial,
+        frames=frames,
+        symbol_period_s=symbol_period_s,
+        data_bytes_per_frame=cfg.payload_bytes,
+        data_symbols=cfg.data_symbols,
+        bits_per_symbol=cfg.bits_per_symbol,
+        frame_airtime_s=cfg.total_symbols * symbol_period_s,
+    )
+    return {column: kind(values[column]) for column, kind in SNAPSHOT_COLUMNS.items()}
 
 
 def run_trial_events(
@@ -279,38 +297,19 @@ RESULT_COLUMNS = (
     "freq_walk_std_hz",
 )
 
-EVENT_COLUMNS = (
-    "profile_index",
-    "modulation",
-    "pilot_reps",
-    "trial",
-    "seed",
-    "frames",
-    "symbol_period_s",
-    "data_bytes_per_frame",
-    "data_symbols",
-    "bits_per_symbol",
-    "frame_airtime_s",
-    "snr_db",
-    "cfo_hz",
-    "drift_hz_per_s",
-    "theta_in_rad",
-    "coherence_symbols",
-    "fading",
-    "rician_k",
-    "freq_walk_std_hz",
-    "frame_index",
-    "detected",
-    "crc_ok",
-    "failure",
-    "err_energy_tx",
-    "ref_energy_tx",
-    "err_energy_dec",
-    "sig_energy_dec",
-    "n_symbols",
-    "residual_freq_hz",
-    "residual_phase_deg",
+_EVENT_FIELDS = tuple(f.name for f in fields(FrameEvent))
+# Per-trial event-log columns: the snapshot with the trial seed after "trial".
+_TRIAL_COLUMNS = tuple(
+    c for col in SNAPSHOT_COLUMNS for c in ((col, "seed") if col == "trial" else (col,))
 )
+EVENT_COLUMNS = _TRIAL_COLUMNS + _EVENT_FIELDS
+
+_FIELD_PARSERS = {"int": int, "float": float, "str": str, "bool": lambda text: text == "1"}
+_COLUMN_PARSERS = {
+    **SNAPSHOT_COLUMNS,
+    "seed": int,
+    **{f.name: _FIELD_PARSERS[f.type] for f in fields(FrameEvent)},
+}
 
 _FAILURE_COLUMNS = {
     "fail_no_training": "no-training",
@@ -365,24 +364,11 @@ def write_results_csv(results: list[TrialResult], path: str) -> None:
 def events_to_csv(runs: list[TrialRun]) -> str:
     lines = [",".join(EVENT_COLUMNS)]
     for run in runs:
-        base = dict(run.result.config)
-        base["seed"] = run.result.seed
+        trial_row = dict(run.result.config, seed=run.result.seed)
+        prefix = ",".join(_cell_text(trial_row[c]) for c in _TRIAL_COLUMNS)
         for event in run.events:
-            row = dict(base)
-            row.update(
-                frame_index=event.frame_index,
-                detected=event.detected,
-                crc_ok=event.crc_ok,
-                failure=event.failure,
-                err_energy_tx=event.err_energy_tx,
-                ref_energy_tx=event.ref_energy_tx,
-                err_energy_dec=event.err_energy_dec,
-                sig_energy_dec=event.sig_energy_dec,
-                n_symbols=event.n_symbols,
-                residual_freq_hz=event.residual_freq_hz,
-                residual_phase_deg=event.residual_phase_deg,
-            )
-            lines.append(",".join(_cell_text(row[c]) for c in EVENT_COLUMNS))
+            cells = (_cell_text(getattr(event, name)) for name in _EVENT_FIELDS)
+            lines.append(prefix + "," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -391,40 +377,17 @@ def write_events_csv(runs: list[TrialRun], path: str) -> None:
         fh.write(events_to_csv(runs))
 
 
-def _parse_cell(column: str, text: str):
-    int_cols = {
-        "profile_index",
-        "modulation",
-        "pilot_reps",
-        "trial",
-        "seed",
-        "frames",
-        "data_bytes_per_frame",
-        "data_symbols",
-        "bits_per_symbol",
-        "frame_index",
-        "n_symbols",
-    }
-    if column in int_cols:
-        return int(text)
-    if column in ("detected", "crc_ok"):
-        return text == "1"
-    if column in ("failure", "fading"):
-        return text
-    return float(text)
-
-
 def read_events_csv(path: str) -> list[dict]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln]
     header = lines[0].split(",")
     if tuple(header) != EVENT_COLUMNS:
         raise ValueError("unrecognized event log header")
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        rows.append({c: _parse_cell(c, v) for c, v in zip(header, cells)})
-    return rows
+    parsers = [_COLUMN_PARSERS[c] for c in header]
+    return [
+        {c: parse(v) for c, parse, v in zip(header, parsers, line.split(","))}
+        for line in lines[1:]
+    ]
 
 
 def results_from_event_rows(rows: list[dict]) -> list[TrialResult]:
@@ -446,45 +409,8 @@ def results_from_event_rows(rows: list[dict]) -> list[TrialResult]:
     for key in order:
         group = sorted(groups[key], key=lambda r: r["frame_index"])
         first = group[0]
-        events = [
-            FrameEvent(
-                frame_index=r["frame_index"],
-                detected=r["detected"],
-                crc_ok=r["crc_ok"],
-                failure=r["failure"],
-                err_energy_tx=r["err_energy_tx"],
-                ref_energy_tx=r["ref_energy_tx"],
-                err_energy_dec=r["err_energy_dec"],
-                sig_energy_dec=r["sig_energy_dec"],
-                n_symbols=r["n_symbols"],
-                residual_freq_hz=r["residual_freq_hz"],
-                residual_phase_deg=r["residual_phase_deg"],
-            )
-            for r in group
-        ]
-        snapshot = {
-            c: first[c]
-            for c in (
-                "profile_index",
-                "modulation",
-                "pilot_reps",
-                "trial",
-                "frames",
-                "symbol_period_s",
-                "data_bytes_per_frame",
-                "data_symbols",
-                "bits_per_symbol",
-                "frame_airtime_s",
-                "snr_db",
-                "cfo_hz",
-                "drift_hz_per_s",
-                "theta_in_rad",
-                "coherence_symbols",
-                "fading",
-                "rician_k",
-                "freq_walk_std_hz",
-            )
-        }
+        events = [FrameEvent(**{name: r[name] for name in _EVENT_FIELDS}) for r in group]
+        snapshot = {c: first[c] for c in SNAPSHOT_COLUMNS}
         results.append(
             aggregate_events(
                 events,

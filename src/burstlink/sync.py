@@ -89,7 +89,6 @@ class ChannelEstimate:
     train_gain: complex | None = None
     train_position: float | None = None
     residual_freq_hz: float = 0.0
-    residual_phase_per_block_deg: tuple[float, ...] = ()
     mean_residual_phase_deg: float = 0.0
 
 
@@ -284,18 +283,12 @@ def residual_offset(
     is the absolute phase the drift accumulates over one correction spacing,
     in degrees.
     """
+    gains = list(est.h_blocks)
     positions = list(est.block_positions)
-    phases = [np.angle(h) for h in est.h_blocks]
     if est.train_gain is not None and est.train_position is not None:
+        gains = [est.train_gain] + gains
         positions = [est.train_position] + positions
-        phases = [np.angle(est.train_gain)] + phases
-    if len(positions) < 2:
-        return 0.0, 0.0
-    pos = np.asarray(positions, dtype=float) * symbol_period
-    ph = np.unwrap(np.asarray(phases, dtype=float))
-    pos_c = pos - pos.mean()
-    slope = float(np.dot(pos_c, ph - ph.mean()) / np.dot(pos_c, pos_c))
-    residual_freq = slope / (2.0 * math.pi)
+    residual_freq = _pilot_slope_hz(gains, positions, symbol_period)
     mean_phase = abs(
         2.0 * math.pi * residual_freq * est.block_spacing_symbols * symbol_period
     )
@@ -307,7 +300,7 @@ def _pilot_slope_hz(
     positions: list[float],
     symbol_period: float,
 ) -> float:
-    """Least-squares phase slope over the pilot blocks alone, in Hz."""
+    """Least-squares phase slope of block gains against position, in Hz."""
     if len(h_blocks) < 2:
         return 0.0
     pos = np.asarray(positions, dtype=float) * symbol_period
@@ -443,17 +436,8 @@ def receive_frame(
     )
     # Residual offset is measured before the fine stage corrects it.
     residual_freq, mean_phase = residual_offset(estimate, symbol_period)
-    per_block = tuple(
-        math.degrees(
-            abs(2.0 * math.pi * residual_freq * estimate.block_spacing_symbols * symbol_period)
-        )
-        for _ in h_blocks
-    )
     estimate = replace(
-        estimate,
-        residual_freq_hz=residual_freq,
-        residual_phase_per_block_deg=per_block,
-        mean_residual_phase_deg=mean_phase,
+        estimate, residual_freq_hz=residual_freq, mean_residual_phase_deg=mean_phase
     )
 
     # Fine frequency correction: de-rotate by the fitted residual, then

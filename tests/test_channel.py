@@ -12,6 +12,7 @@ from burstlink.channel import (
     apply_cfo_phase,
     apply_channel,
 )
+from burstlink.config import load_sweep_config
 from burstlink.sync import nco_correct
 from burstlink.waveform import ComplexBuffer
 
@@ -184,3 +185,20 @@ class TestCompositeChannel:
     def test_coherence_validation(self):
         with pytest.raises(ValueError, match="coherence"):
             ChannelProfile(coherence_symbols=0)
+
+    def test_fractional_coherence_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="coherence_symbols"):
+            ChannelProfile(coherence_symbols=100.5)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("coherence_symbols = 100.5\n")
+        with pytest.raises(ValueError, match="coherence_symbols"):
+            load_sweep_config(str(cfg))
+
+    def test_whole_and_infinite_coherence_accepted(self, tmp_path):
+        assert ChannelProfile(coherence_symbols=128.0).coherence_symbols == 128
+        assert math.isinf(ChannelProfile(coherence_symbols=math.inf).coherence_symbols)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("coherence_symbols = 128.0\n")
+        assert load_sweep_config(str(cfg)).profiles[0].coherence_symbols == 128
+        cfg.write_text("coherence_symbols = inf\n")
+        assert math.isinf(load_sweep_config(str(cfg)).profiles[0].coherence_symbols)

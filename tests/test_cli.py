@@ -123,3 +123,40 @@ def test_invalid_config_value_errors(capsys):
     code = main(["sim", "--mod", "32"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("capture", ["--iq-out", "--sigmf-out"])
+def test_multi_trial_capture_rejected(tmp_path, capsys, capture):
+    target = tmp_path / "capture"
+    code = main(["sim", "--mod", "4", "--pilot-reps", "1", "--frames", "2",
+                 "--trials", "2", capture, str(target)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+    assert not target.exists()
+
+
+def _sim_row(capsys, *flags):
+    argv = ["sim", "--mod", "16qam", "--pilot-reps", "4", "--snr-db", "20",
+            "--frames", "3", *flags]
+    assert main(argv) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    return dict(zip(header.split(","), row.split(",")))
+
+
+def test_channel_seed_is_its_own_flag(capsys):
+    base = _sim_row(capsys, "--seed", "5", "--channel-seed", "1")
+    same = _sim_row(capsys, "--seed", "5", "--channel-seed", "1")
+    other = _sim_row(capsys, "--seed", "5", "--channel-seed", "2")
+    assert same == base
+    assert other != base
+    # --channel-seed must not overwrite the trial seed that --seed sets.
+    assert base["seed"] == other["seed"] == "5"
+
+
+@pytest.mark.parametrize("flags", [["--fading", "bogus"], ["--delay-spread-s", "1e-6"]])
+def test_invalid_channel_flag_is_an_error(capsys, flags):
+    code = main(["sim", "--mod", "4", "--pilot-reps", "1", "--frames", "2", *flags])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
