@@ -24,7 +24,6 @@ from .harness import (
     emit_sigmf,
     generate_payload,
     run_sweep,
-    run_trial,
     run_trial_events,
     validate_sigmf,
 )

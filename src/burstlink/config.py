@@ -140,6 +140,14 @@ class SweepSpec:
 
 def sweep_spec_from_text(text: str) -> SweepSpec:
     kv = parse_kv_text(text)
+    known = {
+        key
+        for cls in (SweepSpec, ChannelProfile, FrameConfig, DetectorConfig)
+        for key in config_keys(cls)
+    }
+    unknown = [key for key in kv if key not in known]
+    if unknown:
+        raise ValueError("unknown config key(s): " + ", ".join(unknown))
     template_kv = {k: v for k, v in kv.items() if k not in _GRID_FRAME_FIELDS}
     template = None
     if _fields_from_kv(FrameConfig, template_kv):

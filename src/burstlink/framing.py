@@ -9,12 +9,19 @@ channel inside one frame, at the cost of data capacity.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .waveform import BITS_PER_SYMBOL, build_constellation, generate_golay_pair, map_bits
+from .waveform import (
+    BITS_PER_SYMBOL,
+    build_constellation,
+    generate_golay_pair,
+    map_bits,
+    read_only,
+)
 
 SUPPORTED_PILOT_REPS = (1, 2, 4, 6, 8)
 
@@ -145,6 +152,7 @@ class SymbolTables:
     preamble: np.ndarray  # Golay a||b as +/-1 BPSK
 
 
+@functools.cache
 def compute_layout(cfg: FrameConfig) -> FrameLayout:
     """Symbol spans for one frame: training, preamble, then pilot/data pairs.
 
@@ -177,9 +185,10 @@ def compute_layout(cfg: FrameConfig) -> FrameLayout:
 
 def _qpsk_table(length: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return _QPSK_POINTS[rng.integers(0, 4, length)]
+    return read_only(_QPSK_POINTS[rng.integers(0, 4, length)])
 
 
+@functools.cache
 def default_tables(cfg: FrameConfig) -> SymbolTables:
     """Training/pilot/preamble tables for a config, fixed by module seeds."""
     pair = generate_golay_pair(cfg.golay_len)
@@ -187,7 +196,7 @@ def default_tables(cfg: FrameConfig) -> SymbolTables:
     return SymbolTables(
         training=_qpsk_table(cfg.training_rep_len, _TRAINING_SEED),
         pilot=_qpsk_table(cfg.pilot_block_len, _PILOT_SEED),
-        preamble=preamble,
+        preamble=read_only(preamble),
     )
 
 
@@ -208,18 +217,12 @@ def _bits_to_bytes(bits: np.ndarray) -> bytes:
     return np.packbits(bits).tobytes()
 
 
-def assemble_frame(
-    payload: PacketPayload,
-    cfg: FrameConfig,
-    tables: SymbolTables | None = None,
-) -> np.ndarray:
+def assemble_frame(payload: PacketPayload, cfg: FrameConfig) -> np.ndarray:
     """Build one frame of symbols from a payload.
 
     The payload bytes plus the 4 CRC bytes must exactly fill the data symbol
     budget at the configured modulation.
     """
-    if tables is None:
-        tables = default_tables(cfg)
     if len(payload.data_bytes) != cfg.payload_bytes:
         raise ValueError(
             f"payload must be exactly {cfg.payload_bytes} bytes for this config "
@@ -231,6 +234,7 @@ def assemble_frame(
     constellation = build_constellation(cfg.modulation)
     data_syms = map_bits(_bytes_to_bits(wire), constellation)
 
+    tables = default_tables(cfg)
     layout = compute_layout(cfg)
     frame = np.empty(layout.total_symbols, dtype=complex)
     frame[slice(*layout.training_span)] = np.tile(tables.training, cfg.training_reps)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import ChannelProfile, apply_channel, with_seed
 from .config import SweepSpec, channel_profile_to_kv
-from .framing import FrameConfig, assemble_frame, compute_layout, crc_attach, default_tables
+from .framing import FrameConfig, assemble_frame, compute_layout, crc_attach
 from .metrics import FrameEvent, TrialResult, aggregate_events
 from .sync import DetectorConfig, receive_frame
 from .waveform import ComplexBuffer, PulseShapeConfig, shape_and_upsample
@@ -136,14 +136,13 @@ def run_trial_events(
         raise ValueError("frames must be >= 1")
     detector = detector or DetectorConfig()
     pulse = pulse or PulseShapeConfig()
-    tables = default_tables(cfg)
     layout = compute_layout(cfg)
 
     payloads = [
         generate_payload(cfg.payload_bytes, [seed, _PAYLOAD_STREAM, k])
         for k in range(frames)
     ]
-    frame_syms = [assemble_frame(crc_attach(p), cfg, tables) for p in payloads]
+    frame_syms = [assemble_frame(crc_attach(p), cfg) for p in payloads]
     tx = transmit_burst(frame_syms, pulse, symbol_period_s)
 
     n_signal = len(frame_syms) * cfg.total_symbols * pulse.interpolation
@@ -163,9 +162,7 @@ def run_trial_events(
     events: list[FrameEvent] = []
     for k in range(frames):
         window = rx.samples[k * span : (k + 1) * span + tail]
-        res = receive_frame(
-            ComplexBuffer(window, rx.sample_period), cfg, detector, pulse, tables
-        )
+        res = receive_frame(ComplexBuffer(window, rx.sample_period), cfg, detector, pulse)
         err_tx = ref_tx = err_dec = sig_dec = 0.0
         n_sym = 0
         if res.equalized is not None:
@@ -206,21 +203,6 @@ def run_trial_events(
         seed=seed,
     )
     return TrialRun(result=result, events=events, rx_stream=rx if capture_stream else None)
-
-
-def run_trial(
-    cfg: FrameConfig,
-    profile: ChannelProfile,
-    frames: int,
-    seed: int,
-    detector: DetectorConfig | None = None,
-    pulse: PulseShapeConfig | None = None,
-    symbol_period_s: float = 1e-6,
-) -> TrialResult:
-    """Aggregate-only variant of :func:`run_trial_events`."""
-    return run_trial_events(
-        cfg, profile, frames, seed, detector, pulse, symbol_period_s
-    ).result
 
 
 def _sweep_jobs(spec: SweepSpec) -> list[dict]:
@@ -378,16 +360,25 @@ def write_events_csv(runs: list[TrialRun], path: str) -> None:
 
 
 def read_events_csv(path: str) -> list[dict]:
+    """Parse an event log; a missing header or a row whose cell count differs
+    from the header's raises ``ValueError`` naming the line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    header = lines[0].split(",")
-    if tuple(header) != EVENT_COLUMNS:
-        raise ValueError("unrecognized event log header")
-    parsers = [_COLUMN_PARSERS[c] for c in header]
-    return [
-        {c: parse(v) for c, parse, v in zip(header, parsers, line.split(","))}
-        for line in lines[1:]
-    ]
+        lines = ((n, ln) for n, ln in enumerate(fh.read().splitlines(), 1) if ln)
+    header = next(lines, None)
+    if header is None:
+        raise ValueError(f"{path} line 1: empty event log, expected a header")
+    if tuple(header[1].split(",")) != EVENT_COLUMNS:
+        raise ValueError(f"{path} line {header[0]}: unrecognized event log header")
+    parsers = [_COLUMN_PARSERS[c] for c in EVENT_COLUMNS]
+    rows = []
+    for lineno, line in lines:
+        cells = line.split(",")
+        if len(cells) != len(EVENT_COLUMNS):
+            raise ValueError(
+                f"{path} line {lineno}: {len(cells)} cells, header has {len(EVENT_COLUMNS)}"
+            )
+        rows.append({c: parse(v) for c, parse, v in zip(EVENT_COLUMNS, parsers, cells)})
+    return rows
 
 
 def results_from_event_rows(rows: list[dict]) -> list[TrialResult]:

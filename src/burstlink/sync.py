@@ -17,7 +17,6 @@ import numpy as np
 from .framing import (
     FrameConfig,
     PacketPayload,
-    SymbolTables,
     TruncatedFrameError,
     compute_layout,
     crc_check,
@@ -33,7 +32,6 @@ from .waveform import (
     build_constellation,
     demap_symbols,
     generate_golay_pair,
-    hard_decisions,
     matched_filter_downsample,
 )
 
@@ -340,7 +338,6 @@ def receive_frame(
     cfg: FrameConfig,
     det: DetectorConfig | None = None,
     pulse: PulseShapeConfig | None = None,
-    tables: SymbolTables | None = None,
 ) -> FrameResult:
     """Run the full burst receive pipeline on a sample buffer.
 
@@ -349,7 +346,7 @@ def receive_frame(
     """
     det = det or DetectorConfig()
     pulse = pulse or PulseShapeConfig()
-    tables = tables if tables is not None else default_tables(cfg)
+    tables = default_tables(cfg)
     lag = cfg.training_rep_len
     symbol_period = buf.sample_period * pulse.interpolation
     delta_t = lag * symbol_period
@@ -357,11 +354,9 @@ def receive_frame(
     leveled = agc(
         buf, target_power=1.0, loop_gain=RX_AGC_LOOP_GAIN, freeze_after=AGC_FREEZE_SAMPLES
     )
-    streams = [
-        matched_filter_downsample(leveled, pulse, phase)
-        for phase in range(pulse.interpolation)
-    ]
-    choice = _choose_training_phase(streams, det, delta_t, lag)
+    choice = _choose_training_phase(
+        matched_filter_downsample(leveled, pulse), det, delta_t, lag
+    )
     if choice is None:
         return FrameResult(payload=None, failure="no-training")
     _, coarse, symbols = choice
@@ -468,9 +463,7 @@ def receive_frame(
             )
     equalized = np.concatenate(equalized_parts)
 
-    constellation = build_constellation(cfg.modulation)
-    bits = demap_symbols(equalized, constellation)
-    decisions = hard_decisions(equalized, constellation)
+    bits, decisions = demap_symbols(equalized, build_constellation(cfg.modulation))
     payload = unpack_wire_bytes(bits, cfg)
 
     return FrameResult(

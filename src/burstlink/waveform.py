@@ -2,11 +2,13 @@
 
 Constellations with Gray labeling, Golay complementary sequences for frame
 detection, square-root raised-cosine pulse shaping, matched filtering, and a
-square-law AGC loop. Everything here is a pure function of its inputs.
+square-law AGC loop. Everything here is a pure function of its inputs; the
+builders that depend only on a config are cached and return read-only arrays.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +30,6 @@ class Constellation:
     points: np.ndarray
     bits_per_symbol: int
     bit_labels: tuple[int, ...]
-
-    def symbol_for_group(self, group: int) -> complex:
-        return self.points[self.bit_labels[group]]
 
 
 @dataclass(frozen=True)
@@ -83,6 +82,13 @@ class ComplexBuffer:
         return len(self.samples)
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """Freeze an array a cached builder returns, so no caller can alter the
+    entry every later caller shares."""
+    array.flags.writeable = False
+    return array
+
+
 def _gray_to_index(code: int) -> int:
     """Decode a Gray code word to its sequential level index."""
     value = 0
@@ -123,6 +129,7 @@ def _grid_constellation(i_bits: int, q_bits: int) -> tuple[np.ndarray, tuple[int
     return points, tuple(labels)
 
 
+@functools.cache
 def build_constellation(order: int) -> Constellation:
     """Build the normalized constellation for a supported QAM order.
 
@@ -138,7 +145,9 @@ def build_constellation(order: int) -> Constellation:
     q_bits = bps // 2
     i_bits = bps - q_bits
     points, labels = _grid_constellation(i_bits, q_bits)
-    return Constellation(order=order, points=points, bits_per_symbol=bps, bit_labels=labels)
+    return Constellation(
+        order=order, points=read_only(points), bits_per_symbol=bps, bit_labels=labels
+    )
 
 
 def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
@@ -158,14 +167,18 @@ def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
     return constellation.points[labels[values]]
 
 
-def demap_symbols(symbols: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Hard-decide symbols to bits by nearest constellation point.
+def demap_symbols(
+    symbols: np.ndarray, constellation: Constellation
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hard-decide symbols by nearest constellation point.
 
-    Ties go to the lowest point index, which makes the decision deterministic.
+    Returns the decided bits (MSB first per symbol) and the decided points,
+    both from one distance matrix. Ties go to the lowest point index, which
+    makes the decision deterministic.
     """
     symbols = np.asarray(symbols, dtype=complex)
     if symbols.size == 0:
-        return np.empty(0, dtype=np.uint8)
+        return np.empty(0, dtype=np.uint8), np.empty(0, dtype=complex)
     d2 = np.abs(symbols[:, None] - constellation.points[None, :]) ** 2
     nearest = np.argmin(d2, axis=1)
 
@@ -177,18 +190,10 @@ def demap_symbols(symbols: np.ndarray, constellation: Constellation) -> np.ndarr
     bps = constellation.bits_per_symbol
     shifts = np.arange(bps - 1, -1, -1)
     bits = (values[:, None] >> shifts[None, :]) & 1
-    return bits.astype(np.uint8).ravel()
+    return bits.astype(np.uint8).ravel(), constellation.points[nearest]
 
 
-def hard_decisions(symbols: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Nearest constellation point for each symbol (same rule as demap)."""
-    symbols = np.asarray(symbols, dtype=complex)
-    if symbols.size == 0:
-        return np.empty(0, dtype=complex)
-    d2 = np.abs(symbols[:, None] - constellation.points[None, :]) ** 2
-    return constellation.points[np.argmin(d2, axis=1)]
-
-
+@functools.cache
 def generate_golay_pair(length: int) -> GolayPair:
     """Generate a +/-1 Golay complementary pair by recursive doubling.
 
@@ -201,7 +206,7 @@ def generate_golay_pair(length: int) -> GolayPair:
     b = np.array([1], dtype=np.int64)
     while len(a) < length:
         a, b = np.concatenate([a, b]), np.concatenate([a, -b])
-    return GolayPair(a=a, b=b, length=length)
+    return GolayPair(a=read_only(a), b=read_only(b), length=length)
 
 
 def complementary_autocorrelation(pair: GolayPair) -> np.ndarray:
@@ -215,6 +220,7 @@ def complementary_autocorrelation(pair: GolayPair) -> np.ndarray:
     return out
 
 
+@functools.cache
 def design_srrc(cfg: PulseShapeConfig) -> np.ndarray:
     """Unit-energy square-root raised-cosine taps from the closed form.
 
@@ -243,7 +249,7 @@ def design_srrc(cfg: PulseShapeConfig) -> np.ndarray:
     den = np.pi * tr * (1.0 - (4.0 * beta * tr) ** 2)
     taps[regular] = num / den
 
-    return taps / np.sqrt(np.sum(taps**2))
+    return read_only(taps / np.sqrt(np.sum(taps**2)))
 
 
 def shape_and_upsample(
@@ -267,26 +273,19 @@ def shape_and_upsample(
 
 
 def matched_filter_downsample(
-    buf: ComplexBuffer,
-    cfg: PulseShapeConfig,
-    phase_offset: int = 0,
-) -> np.ndarray:
-    """Matched-filter with the SRRC taps and decimate at a sampling phase.
+    buf: ComplexBuffer, cfg: PulseShapeConfig
+) -> list[np.ndarray]:
+    """Matched-filter with the SRRC taps once and decimate at every phase.
 
-    The combined group delay of the shaping/matched pair (tap_count - 1
-    samples) is trimmed, so for a buffer produced by ``shape_and_upsample``
-    the symbols sit at phase 0.
+    ``streams[p]`` holds the symbol-rate samples at sampling phase ``p``. The
+    combined group delay of the shaping/matched pair (tap_count - 1 samples)
+    is trimmed, so for a buffer produced by ``shape_and_upsample`` the
+    symbols sit at phase 0.
     """
-    if not 0 <= phase_offset < cfg.interpolation:
-        raise ValueError(
-            f"phase_offset must be in [0, {cfg.interpolation}), got {phase_offset}"
-        )
     if len(buf) == 0:
-        return np.empty(0, dtype=complex)
-    taps = design_srrc(cfg)
-    filtered = np.convolve(buf.samples, taps)
-    trimmed = filtered[cfg.tap_count - 1 :]
-    return trimmed[phase_offset :: cfg.interpolation]
+        return [np.empty(0, dtype=complex)] * cfg.interpolation
+    trimmed = np.convolve(buf.samples, design_srrc(cfg))[cfg.tap_count - 1 :]
+    return [trimmed[phase :: cfg.interpolation] for phase in range(cfg.interpolation)]
 
 
 def agc(

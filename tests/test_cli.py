@@ -5,6 +5,7 @@ import json
 import pytest
 
 from burstlink.cli import main
+from burstlink.harness import EVENT_COLUMNS
 
 SWEEP_CFG = """
 lambda_list = 1,4
@@ -160,3 +161,31 @@ def test_invalid_channel_flag_is_an_error(capsys, flags):
     code = main(["sim", "--mod", "4", "--pilot-reps", "1", "--frames", "2", *flags])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _report_error(tmp_path, capsys, text):
+    events = tmp_path / "events.csv"
+    events.write_text(text)
+    assert main(["report", str(events)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    return captured.err
+
+
+def test_report_on_empty_event_log_is_an_error(tmp_path, capsys):
+    assert "line 1: empty event log" in _report_error(tmp_path, capsys, "")
+
+
+def test_report_on_short_event_row_is_an_error(tmp_path, capsys):
+    # Line 2 is blank, so the short row is line 3 of the file.
+    text = ",".join(EVENT_COLUMNS) + "\n\n0,16,4\n"
+    assert "line 3: 3 cells" in _report_error(tmp_path, capsys, text)
+
+
+def test_sweep_with_unknown_config_key_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG.replace("snr_db = 25", "snr = 25"))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
+    assert "unknown config key(s): snr" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()

@@ -1,6 +1,7 @@
 """Tests for the plain-text key=value config format."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +13,15 @@ from burstlink.config import (
     frame_config_from_kv,
     frame_config_to_kv,
     format_kv,
+    load_sweep_config,
     parse_kv_text,
     sweep_spec_from_text,
     sweep_spec_to_text,
 )
 from burstlink.framing import FrameConfig
+from burstlink.sync import DetectorConfig
+
+EXAMPLE_SWEEP = Path(__file__).resolve().parent.parent / "configs" / "example_sweep.cfg"
 
 
 class TestKvText:
@@ -107,3 +112,16 @@ class TestSweepSpec:
         spec = sweep_spec_from_text("rho_threshold = 0.6\nmf_threshold_factor = 0.4\n")
         assert spec.detector.rho_threshold == 0.6
         assert spec.detector.mf_threshold_factor == 0.4
+
+    def test_unknown_keys_rejected_by_name(self):
+        # "snr" is not "snr_db": it must not run silently at the default inf.
+        with pytest.raises(ValueError, match="snr, bogus_key"):
+            sweep_spec_from_text("snr = 10\nlambda_list = 1\nbogus_key = 3\n")
+
+    def test_written_config_and_example_load(self):
+        spec = SweepSpec(
+            frame_template=FrameConfig(pilot_reps=1, modulation=4, pilot_block_len=8),
+            detector=DetectorConfig(rho_threshold=0.6),
+        )
+        assert sweep_spec_from_text(sweep_spec_to_text(spec)) == spec
+        assert load_sweep_config(str(EXAMPLE_SWEEP)).master_seed == 42

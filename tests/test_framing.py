@@ -15,7 +15,13 @@ from burstlink.framing import (
     parse_frame,
     unpack_wire_bytes,
 )
-from burstlink.waveform import build_constellation, demap_symbols
+from burstlink.waveform import (
+    PulseShapeConfig,
+    build_constellation,
+    demap_symbols,
+    design_srrc,
+    generate_golay_pair,
+)
 
 PILOT_DATA_TABLE = {1: (16, 240), 2: (32, 224), 4: (64, 192), 6: (96, 160), 8: (128, 128)}
 
@@ -129,7 +135,7 @@ class TestAssembleParse:
         for block in pilots:
             assert np.allclose(block, tables.pilot)
         constellation = build_constellation(mod)
-        bits = np.concatenate([demap_symbols(d, constellation) for d in datas])
+        bits = np.concatenate([demap_symbols(d, constellation)[0] for d in datas])
         payload = unpack_wire_bytes(bits, cfg)
         assert payload.data_bytes == data
         assert crc_check(payload)
@@ -154,3 +160,31 @@ class TestAssembleParse:
         assert np.array_equal(t1.preamble, t2.preamble)
         assert np.allclose(np.abs(t1.pilot), 1.0)
         assert np.allclose(np.abs(t1.training), 1.0)
+
+
+# Each cached builder, called on a freshly built argument, and the arrays in
+# its result.
+BUILDERS = {
+    "design_srrc": (lambda: design_srrc(PulseShapeConfig()), lambda taps: [taps]),
+    "build_constellation": (lambda: build_constellation(16), lambda c: [c.points]),
+    "generate_golay_pair": (lambda: generate_golay_pair(64), lambda p: [p.a, p.b]),
+    "default_tables": (
+        lambda: default_tables(FrameConfig(pilot_reps=4, modulation=16)),
+        lambda t: [t.training, t.pilot, t.preamble],
+    ),
+    "compute_layout": (lambda: compute_layout(FrameConfig(pilot_reps=4, modulation=16)), None),
+}
+
+
+class TestCachedBuilders:
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_second_call_returns_same_object(self, name):
+        build, _ = BUILDERS[name]
+        assert build() is build()
+
+    @pytest.mark.parametrize("name", [n for n in BUILDERS if n != "compute_layout"])
+    def test_cached_arrays_are_read_only(self, name):
+        build, arrays = BUILDERS[name]
+        for array in arrays(build()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0

@@ -1,7 +1,9 @@
 """Tests for trial execution, sweeps, persistence, and SigMF metadata."""
 
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from burstlink.harness import (
     results_to_csv,
     run_id,
     run_sweep,
-    run_trial,
     run_trial_events,
     sigmf_to_json,
     validate_sigmf,
@@ -60,7 +61,7 @@ CLEAN = ChannelProfile()
 class TestRunTrial:
     def test_loopback_all_pass(self):
         cfg = FrameConfig(pilot_reps=4, modulation=16)
-        result = run_trial(cfg, CLEAN, frames=5, seed=1)
+        result = run_trial_events(cfg, CLEAN, frames=5, seed=1).result
         assert result.crc_pass == result.frames_detected == result.frames_sent == 5
         assert result.evm_percent < 0.1
         assert result.duration_s == pytest.approx(5 * 448e-6)
@@ -69,17 +70,33 @@ class TestRunTrial:
     def test_same_seed_bit_identical(self):
         cfg = FrameConfig(pilot_reps=2, modulation=64)
         profile = ChannelProfile(delta_f_hz=1500.0, snr_db=18.0, seed=9)
-        a = run_trial(cfg, profile, frames=8, seed=3)
-        b = run_trial(cfg, profile, frames=8, seed=3)
+        a = run_trial_events(cfg, profile, frames=8, seed=3).result
+        b = run_trial_events(cfg, profile, frames=8, seed=3).result
         assert a == b
 
     def test_failures_counted_not_fatal(self):
         cfg = FrameConfig(pilot_reps=1, modulation=64)
         profile = ChannelProfile(snr_db=-5.0, seed=2)
-        result = run_trial(cfg, profile, frames=4, seed=5)
+        result = run_trial_events(cfg, profile, frames=4, seed=5).result
         assert result.frames_sent == 4
         assert result.crc_pass <= result.frames_detected <= 4
         assert sum(result.failure_counts.values()) == 4 - result.crc_pass
+
+    def test_seed42_rows_match_recorded_digests(self):
+        # Pins outputs byte for byte, not just run to run (criterion 08): the
+        # first seed-42 trial-impaired rows of the benchmark must hash to the
+        # digests it recorded.
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        bl = workloads.import_program()
+        expected = workloads.load_expected()
+        assert expected["seed"] == workloads.DEFAULT_SEED
+        for k, digest in enumerate(expected["trial-impaired"]["result_rows"][:8]):
+            run = workloads.run_trial(bl, workloads.DEFAULT_SEED, k)
+            row = workloads.trial_row_text(bl, run)
+            assert workloads.sha256_bytes(row.encode()) == digest, f"trial {k}: {row}"
 
     def test_events_match_aggregate(self):
         cfg = FrameConfig(pilot_reps=4, modulation=16)
@@ -96,8 +113,12 @@ class TestRunTrial:
             freq_walk_std_hz=150.0,
             seed=5,
         )
-        sparse = run_trial(FrameConfig(pilot_reps=1, modulation=64), profile, frames=20, seed=8)
-        dense = run_trial(FrameConfig(pilot_reps=6, modulation=64), profile, frames=20, seed=8)
+        sparse = run_trial_events(
+            FrameConfig(pilot_reps=1, modulation=64), profile, frames=20, seed=8
+        ).result
+        dense = run_trial_events(
+            FrameConfig(pilot_reps=6, modulation=64), profile, frames=20, seed=8
+        ).result
         assert dense.goodput_bps > sparse.goodput_bps
 
 
@@ -248,7 +269,7 @@ class TestPersistence:
 class TestSigmf:
     def _doc(self, **kwargs):
         cfg = FrameConfig(pilot_reps=4, modulation=16)
-        result = run_trial(cfg, CLEAN, frames=2, seed=1)
+        result = run_trial_events(cfg, CLEAN, frames=2, seed=1).result
         return emit_sigmf(result, cfg, sample_rate_hz=4e6, **kwargs), result
 
     def test_required_fields_present(self):

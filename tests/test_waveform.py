@@ -12,7 +12,6 @@ from burstlink.waveform import (
     demap_symbols,
     design_srrc,
     generate_golay_pair,
-    hard_decisions,
     map_bits,
     matched_filter_downsample,
     shape_and_upsample,
@@ -78,7 +77,8 @@ class TestMapDemap:
     def test_empty_input(self):
         c = build_constellation(16)
         assert map_bits(np.array([], dtype=np.uint8), c).size == 0
-        assert demap_symbols(np.array([], dtype=complex), c).size == 0
+        bits, decisions = demap_symbols(np.array([], dtype=complex), c)
+        assert bits.size == decisions.size == 0
 
     def test_64qam_closure(self):
         c = build_constellation(64)
@@ -99,7 +99,7 @@ class TestMapDemap:
         c = build_constellation(order)
         rng = np.random.default_rng(order)
         bits = rng.integers(0, 2, c.bits_per_symbol * 500).astype(np.uint8)
-        assert np.array_equal(demap_symbols(map_bits(bits, c), c), bits)
+        assert np.array_equal(demap_symbols(map_bits(bits, c), c)[0], bits)
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_small_perturbation_keeps_bits(self, order):
@@ -111,7 +111,7 @@ class TestMapDemap:
         dmin = np.min(d[d > 1e-9])
         angle = rng.uniform(0, 2 * np.pi, syms.size)
         perturbed = syms + 0.49 * dmin * np.exp(1j * angle)
-        assert np.array_equal(demap_symbols(perturbed, c), bits)
+        assert np.array_equal(demap_symbols(perturbed, c)[0], bits)
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_matches_brute_force_search_on_noisy_symbols(self, order):
@@ -130,8 +130,9 @@ class TestMapDemap:
         values = inverse[nearest]
         shifts = np.arange(c.bits_per_symbol - 1, -1, -1)
         expected = ((values[:, None] >> shifts[None, :]) & 1).astype(np.uint8).ravel()
-        assert np.array_equal(demap_symbols(noisy, c), expected)
-        assert np.array_equal(hard_decisions(noisy, c), c.points[nearest])
+        bits_out, decisions = demap_symbols(noisy, c)
+        assert np.array_equal(bits_out, expected)
+        assert np.array_equal(decisions, c.points[nearest])
 
 
 class TestGolay:
@@ -227,7 +228,7 @@ class TestShaping:
     def test_matched_filter_recovers_single_symbol_exactly(self):
         cfg = PulseShapeConfig()
         buf = shape_and_upsample(np.array([0.6 - 0.8j]), cfg)
-        rec = matched_filter_downsample(buf, cfg, 0)
+        rec = matched_filter_downsample(buf, cfg)[0]
         assert abs(rec[0] - (0.6 - 0.8j)) < 1e-12
 
     def test_matched_filter_round_trip_within_isi_floor(self):
@@ -237,7 +238,7 @@ class TestShaping:
         c = build_constellation(16)
         rng = np.random.default_rng(5)
         syms = map_bits(rng.integers(0, 2, 4 * 400).astype(np.uint8), c)
-        rec = matched_filter_downsample(shape_and_upsample(syms, cfg), cfg, 0)[: len(syms)]
+        rec = matched_filter_downsample(shape_and_upsample(syms, cfg), cfg)[0][: len(syms)]
         assert np.max(np.abs(rec - syms)) < 2e-3
 
     def test_wrong_phase_much_worse_than_aligned(self):
@@ -250,20 +251,29 @@ class TestShaping:
         def evm(rx):
             return np.sqrt(np.mean(np.abs(rx[: len(syms)] - syms) ** 2))
 
-        aligned = evm(matched_filter_downsample(buf, cfg, 0))
-        off = evm(matched_filter_downsample(buf, cfg, 1))
+        streams = matched_filter_downsample(buf, cfg)
+        aligned = evm(streams[0])
+        off = evm(streams[1])
         assert off >= 5 * aligned
 
     def test_all_zero_buffer(self):
         cfg = PulseShapeConfig()
         buf = ComplexBuffer(np.zeros(64, dtype=complex), 0.25e-6)
-        assert np.all(matched_filter_downsample(buf, cfg, 0) == 0)
+        streams = matched_filter_downsample(buf, cfg)
+        assert len(streams) == cfg.interpolation
+        assert all(np.all(s == 0) for s in streams)
 
-    def test_bad_phase_offset_rejected(self):
+    def test_streams_are_phase_slices_of_one_convolution(self):
+        # 203 samples: not a multiple of the interpolation factor, so the
+        # phases get streams of different lengths.
         cfg = PulseShapeConfig()
-        buf = shape_and_upsample(np.array([1.0 + 0j]), cfg)
-        with pytest.raises(ValueError, match="phase_offset"):
-            matched_filter_downsample(buf, cfg, cfg.interpolation)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=203) + 1j * rng.normal(size=203)
+        streams = matched_filter_downsample(ComplexBuffer(x, 0.25e-6), cfg)
+        full = np.convolve(x, design_srrc(cfg))[cfg.tap_count - 1 :]
+        assert [len(s) for s in streams] == [51, 51, 51, 50]
+        for phase, stream in enumerate(streams):
+            assert np.array_equal(stream, full[phase :: cfg.interpolation])
 
 
 class TestAgc:
