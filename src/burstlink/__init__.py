@@ -41,6 +41,7 @@ from .sync import (
     golay_frame_detect,
     nco_correct,
     receive_frame,
+    receive_frames,
     residual_offset,
 )
 from .waveform import (

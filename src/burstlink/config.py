@@ -79,8 +79,9 @@ def _to_kv(obj) -> dict[str, object]:
     return {key: getattr(obj, name) for key, (name, _) in config_keys(type(obj)).items()}
 
 
-# Frame keys a sweep takes from its grid rather than from its template.
-_GRID_FRAME_FIELDS = ("pilot_reps", "modulation")
+# Frame keys a sweep takes from its grid rather than from its template, each
+# with the grid key that sets it.
+_GRID_FRAME_FIELDS = {"pilot_reps": "lambda_list", "modulation": "modulations"}
 
 
 def frame_config_from_kv(kv: dict[str, str], defaults: FrameConfig | None = None) -> FrameConfig:
@@ -148,10 +149,14 @@ def sweep_spec_from_text(text: str) -> SweepSpec:
     unknown = [key for key in kv if key not in known]
     if unknown:
         raise ValueError("unknown config key(s): " + ", ".join(unknown))
-    template_kv = {k: v for k, v in kv.items() if k not in _GRID_FRAME_FIELDS}
+    for key, grid_key in _GRID_FRAME_FIELDS.items():
+        if key in kv:
+            raise ValueError(
+                f"config key {key} is set per sweep cell; use {grid_key} instead"
+            )
     template = None
-    if _fields_from_kv(FrameConfig, template_kv):
-        template = frame_config_from_kv(template_kv)
+    if _fields_from_kv(FrameConfig, kv):
+        template = frame_config_from_kv(kv)
     return SweepSpec(
         **_fields_from_kv(SweepSpec, kv),
         profiles=(channel_profile_from_kv(kv),),

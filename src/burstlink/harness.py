@@ -15,12 +15,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ChannelProfile, apply_channel, with_seed
 from .config import SweepSpec, channel_profile_to_kv
 from .framing import FrameConfig, assemble_frame, compute_layout, crc_attach
 from .metrics import FrameEvent, TrialResult, aggregate_events
-from .sync import DetectorConfig, receive_frame
+from .sync import DetectorConfig, receive_frames
 from .waveform import ComplexBuffer, PulseShapeConfig, shape_and_upsample
 
 _PAYLOAD_STREAM = 0x50
@@ -159,10 +160,13 @@ def run_trial_events(
         np.concatenate([syms[a:b] for a, b in layout.data_spans]) for syms in frame_syms
     ]
 
+    # Window k is rx.samples[k*span : (k+1)*span + tail], overlapping the next by
+    # the filter tail; the stream holds exactly frames*span + tail samples.
+    windows = sliding_window_view(rx.samples, span + tail)[::span]
+    received = receive_frames(ComplexBuffer(windows, rx.sample_period), cfg, detector, pulse)
+
     events: list[FrameEvent] = []
-    for k in range(frames):
-        window = rx.samples[k * span : (k + 1) * span + tail]
-        res = receive_frame(ComplexBuffer(window, rx.sample_period), cfg, detector, pulse)
+    for k, res in enumerate(received):
         err_tx = ref_tx = err_dec = sig_dec = 0.0
         n_sym = 0
         if res.equalized is not None:
@@ -360,8 +364,9 @@ def write_events_csv(runs: list[TrialRun], path: str) -> None:
 
 
 def read_events_csv(path: str) -> list[dict]:
-    """Parse an event log; a missing header or a row whose cell count differs
-    from the header's raises ``ValueError`` naming the line."""
+    """Parse an event log; a missing header, a row whose cell count differs
+    from the header's or a cell that does not parse raises ``ValueError``
+    naming the line (and the column, for a cell)."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = ((n, ln) for n, ln in enumerate(fh.read().splitlines(), 1) if ln)
     header = next(lines, None)
@@ -377,7 +382,15 @@ def read_events_csv(path: str) -> list[dict]:
             raise ValueError(
                 f"{path} line {lineno}: {len(cells)} cells, header has {len(EVENT_COLUMNS)}"
             )
-        rows.append({c: parse(v) for c, parse, v in zip(EVENT_COLUMNS, parsers, cells)})
+        try:
+            rows.append({c: parse(v) for c, parse, v in zip(EVENT_COLUMNS, parsers, cells)})
+        except ValueError:
+            for c, parse, v in zip(EVENT_COLUMNS, parsers, cells):
+                try:
+                    parse(v)
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {lineno}, column {c}: {exc}") from None
+            raise
     return rows
 
 

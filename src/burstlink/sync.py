@@ -333,27 +333,57 @@ def _choose_training_phase(
     return best
 
 
+def receive_frames(
+    windows: ComplexBuffer,
+    cfg: FrameConfig,
+    det: DetectorConfig | None = None,
+    pulse: PulseShapeConfig | None = None,
+) -> list[FrameResult]:
+    """Run the full burst receive pipeline on F frame windows at once.
+
+    ``windows.samples`` has shape ``(F, N)``, one window per row; a strided
+    view over one stream is fine, since it is only read. The AGC runs once
+    across all rows, then the later stages run on each leveled row, so each
+    result equals what the row would give alone. Stage failures come back
+    as a ``FrameResult`` with one of the FAILURE_KINDS set; the pipeline
+    never raises for link-quality reasons.
+    """
+    if windows.samples.ndim != 2:
+        raise ValueError(f"windows must have shape (F, N), got {windows.samples.shape}")
+    det = det or DetectorConfig()
+    pulse = pulse or PulseShapeConfig()
+    leveled = agc(
+        windows, target_power=1.0, loop_gain=RX_AGC_LOOP_GAIN, freeze_after=AGC_FREEZE_SAMPLES
+    )
+    return [
+        _receive_leveled(ComplexBuffer(row, windows.sample_period), cfg, det, pulse)
+        for row in leveled.samples
+    ]
+
+
 def receive_frame(
     buf: ComplexBuffer,
     cfg: FrameConfig,
     det: DetectorConfig | None = None,
     pulse: PulseShapeConfig | None = None,
 ) -> FrameResult:
-    """Run the full burst receive pipeline on a sample buffer.
+    """Receive one burst: ``receive_frames`` with F = 1."""
+    single = ComplexBuffer(buf.samples[np.newaxis], buf.sample_period)
+    return receive_frames(single, cfg, det, pulse)[0]
 
-    Stage failures come back as a ``FrameResult`` with one of the
-    FAILURE_KINDS set; the pipeline never raises for link-quality reasons.
-    """
-    det = det or DetectorConfig()
-    pulse = pulse or PulseShapeConfig()
+
+def _receive_leveled(
+    leveled: ComplexBuffer,
+    cfg: FrameConfig,
+    det: DetectorConfig,
+    pulse: PulseShapeConfig,
+) -> FrameResult:
+    """Every stage after the AGC, on one leveled frame window."""
     tables = default_tables(cfg)
     lag = cfg.training_rep_len
-    symbol_period = buf.sample_period * pulse.interpolation
+    symbol_period = leveled.sample_period * pulse.interpolation
     delta_t = lag * symbol_period
 
-    leveled = agc(
-        buf, target_power=1.0, loop_gain=RX_AGC_LOOP_GAIN, freeze_after=AGC_FREEZE_SAMPLES
-    )
     choice = _choose_training_phase(
         matched_filter_downsample(leveled, pulse), det, delta_t, lag
     )

@@ -301,6 +301,10 @@ def agc(
     With ``freeze_after`` set, the gain is held constant from that sample on,
     which is the burst-mode behavior the receiver uses: acquire on the
     training and preamble, then keep the payload scaling constant.
+
+    ``buf.samples`` may have shape ``(..., N)``: the loop runs along the last
+    axis with one gain per leading index, each step one array operation over
+    all of them, so every row comes out exactly as it would alone.
     """
     if target_power <= 0:
         raise ValueError("target_power must be positive")
@@ -308,13 +312,14 @@ def agc(
         raise ValueError("loop_gain must be in (0, 1)")
     x = buf.samples
     out = np.empty_like(x)
-    gain = 1.0
-    limit = len(x) if freeze_after is None else min(freeze_after, len(x))
-    for n in range(limit):
-        y = gain * x[n]
-        out[n] = y
+    n = x.shape[-1]
+    gain = np.ones(x.shape[:-1])
+    limit = n if freeze_after is None else min(freeze_after, n)
+    for k in range(limit):
+        y = gain * x[..., k]
+        out[..., k] = y
         err = (target_power - (y.real * y.real + y.imag * y.imag)) / target_power
-        gain = min(max(gain * (1.0 + loop_gain * err), 1e-6), 1e6)
-    if limit < len(x):
-        out[limit:] = gain * x[limit:]
+        gain = np.clip(gain * (1.0 + loop_gain * err), 1e-6, 1e6)
+    if limit < n:
+        out[..., limit:] = gain[..., None] * x[..., limit:]
     return ComplexBuffer(out, buf.sample_period)

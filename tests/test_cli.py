@@ -183,6 +183,22 @@ def test_report_on_short_event_row_is_an_error(tmp_path, capsys):
     assert "line 3: 3 cells" in _report_error(tmp_path, capsys, text)
 
 
+def test_report_on_unparseable_event_cell_is_an_error(tmp_path, capsys):
+    cells = ["0"] * len(EVENT_COLUMNS)
+    cells[EVENT_COLUMNS.index("frame_index")] = "abc"
+    text = ",".join(EVENT_COLUMNS) + "\n" + ",".join(cells) + "\n"
+    err = _report_error(tmp_path, capsys, text)
+    assert "line 2, column frame_index: invalid literal for int()" in err
+
+
+def test_sweep_with_grid_frame_key_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG + "pilot_reps = 4\nmodulation = 64\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
+    assert "pilot_reps is set per sweep cell; use lambda_list" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_sweep_with_unknown_config_key_is_an_error(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CFG.replace("snr_db = 25", "snr = 25"))

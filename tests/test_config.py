@@ -118,6 +118,14 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="snr, bogus_key"):
             sweep_spec_from_text("snr = 10\nlambda_list = 1\nbogus_key = 3\n")
 
+    @pytest.mark.parametrize(
+        "key,grid_key", [("pilot_reps", "lambda_list"), ("modulation", "modulations")]
+    )
+    def test_grid_frame_keys_rejected_by_name(self, key, grid_key):
+        # The grid sets these per cell, so a fixed value would be dropped.
+        with pytest.raises(ValueError, match=f"{key} is set per sweep cell; use {grid_key}"):
+            sweep_spec_from_text(f"{key} = 4\nlambda_list = 1,8\nmodulations = 4\n")
+
     def test_written_config_and_example_load(self):
         spec = SweepSpec(
             frame_template=FrameConfig(pilot_reps=1, modulation=4, pilot_block_len=8),

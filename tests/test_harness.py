@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from burstlink import sync
 from burstlink.channel import ChannelProfile
 from burstlink.config import SweepSpec
 from burstlink.framing import FrameConfig
@@ -97,6 +98,22 @@ class TestRunTrial:
             run = workloads.run_trial(bl, workloads.DEFAULT_SEED, k)
             row = workloads.trial_row_text(bl, run)
             assert workloads.sha256_bytes(row.encode()) == digest, f"trial {k}: {row}"
+
+    def test_agc_runs_once_per_trial(self, monkeypatch):
+        # The receiver levels all of a trial's frame windows in one AGC call.
+        shapes = []
+        real_agc = sync.agc
+
+        def counting_agc(buf, *args, **kwargs):
+            shapes.append(buf.samples.shape)
+            return real_agc(buf, *args, **kwargs)
+
+        monkeypatch.setattr(sync, "agc", counting_agc)
+        cfg = FrameConfig(pilot_reps=4, modulation=16)
+        run = run_trial_events(cfg, CLEAN, frames=3, seed=7)
+        assert len(run.events) == 3
+        assert len(shapes) == 1
+        assert shapes[0][0] == 3
 
     def test_events_match_aggregate(self):
         cfg = FrameConfig(pilot_reps=4, modulation=16)

@@ -19,6 +19,7 @@ from burstlink.sync import (
     golay_frame_detect,
     nco_correct,
     receive_frame,
+    receive_frames,
     residual_offset,
 )
 from burstlink.waveform import ComplexBuffer, PulseShapeConfig, generate_golay_pair, shape_and_upsample
@@ -400,6 +401,36 @@ class TestReceiveFrame:
         res = receive_frame(ComplexBuffer(samples, burst.sample_period), cfg)
         assert res.failure is None
         assert res.payload.data_bytes == data
+
+    def test_batch_matches_per_window_receiver(self):
+        cfg = FrameConfig(pilot_reps=4, modulation=16)
+        pulse = PulseShapeConfig()
+        rng = np.random.default_rng(16)
+        clean = tx_buffer(assemble_frame(crc_attach(rng.bytes(cfg.payload_bytes)), cfg), pulse)
+        impaired, _ = apply_channel(
+            tx_buffer(assemble_frame(crc_attach(rng.bytes(cfg.payload_bytes)), cfg), pulse),
+            ChannelProfile(snr_db=18.0, delta_f_hz=1500.0, theta_in_rad=0.4, seed=6),
+            samples_per_symbol=pulse.interpolation,
+        )
+        n = len(clean)
+        noise = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
+        windows = np.stack([clean.samples, noise, impaired.samples])
+        batch = receive_frames(ComplexBuffer(windows, clean.sample_period), cfg)
+        single = [receive_frame(ComplexBuffer(w, clean.sample_period), cfg) for w in windows]
+        assert [r.failure for r in batch] == [None, "no-training", None]
+        for b, s in zip(batch, single):
+            assert b.failure == s.failure
+            assert b.payload == s.payload
+            assert b.payload_start == s.payload_start
+            assert b.estimate == s.estimate
+            for name in ("equalized", "decisions"):
+                bv, sv = getattr(b, name), getattr(s, name)
+                assert (bv is None and sv is None) or np.array_equal(bv, sv)
+
+    def test_batch_needs_two_dimensional_windows(self):
+        cfg = FrameConfig(pilot_reps=1, modulation=4)
+        with pytest.raises(ValueError, match="shape"):
+            receive_frames(ComplexBuffer(np.ones(64, dtype=complex), 0.25e-6), cfg)
 
     def test_residual_measurement_under_linear_drift(self):
         cfg = FrameConfig(pilot_reps=8, modulation=4)

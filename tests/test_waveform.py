@@ -276,7 +276,46 @@ class TestShaping:
             assert np.array_equal(stream, full[phase :: cfg.interpolation])
 
 
+def scalar_agc(x, target_power, loop_gain, freeze_after):
+    """Reference: the per-sample AGC loop on one 1-D row, in plain Python."""
+    out = np.empty_like(x)
+    gain = 1.0
+    limit = len(x) if freeze_after is None else min(freeze_after, len(x))
+    for n in range(limit):
+        y = gain * x[n]
+        out[n] = y
+        err = (target_power - (y.real * y.real + y.imag * y.imag)) / target_power
+        gain = min(max(gain * (1.0 + loop_gain * err), 1e-6), 1e6)
+    if limit < len(x):
+        out[limit:] = gain * x[limit:]
+    return out
+
+
 class TestAgc:
+    @pytest.mark.parametrize("freeze_after", (None, 300, 5000))
+    def test_batch_matches_scalar_reference_bit_for_bit(self, freeze_after):
+        rng = np.random.default_rng(21)
+        noise = rng.normal(size=1200) + 1j * rng.normal(size=1200)
+        # Rows: plain noise, all zero, so weak that the gain climbs to the 1e6
+        # clamp, so strong that the first update hits the 1e-6 clamp.
+        x = np.stack([noise, np.zeros_like(noise), 1e-9 * noise, 1e4 * noise])
+        out = agc(ComplexBuffer(x, 1e-6), 1.0, 0.05, freeze_after=freeze_after).samples
+        ref = np.stack([scalar_agc(row, 1.0, 0.05, freeze_after) for row in x])
+        assert np.array_equal(out, ref)
+        assert np.max(np.abs(out[2] / x[2])) == pytest.approx(1e6)
+        assert np.min(np.abs(out[3] / x[3])) == pytest.approx(1e-6)
+
+    def test_changing_one_row_leaves_the_others_unchanged(self):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(4, 900)) + 1j * rng.normal(size=(4, 900))
+        base = agc(ComplexBuffer(x, 1e-6), 1.0, 0.05, freeze_after=512).samples
+        for row in range(len(x)):
+            changed = x.copy()
+            changed[row] *= 30.0
+            out = agc(ComplexBuffer(changed, 1e-6), 1.0, 0.05, freeze_after=512).samples
+            assert not np.array_equal(out[row], base[row])
+            assert np.array_equal(np.delete(out, row, axis=0), np.delete(base, row, axis=0))
+
     def test_input_at_target_stays_there(self):
         x = np.exp(1j * 0.37 * np.arange(1024))
         out = agc(ComplexBuffer(x, 1e-6), target_power=1.0, loop_gain=0.05)
