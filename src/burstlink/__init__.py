@@ -7,7 +7,7 @@ seedable impairment channel, and a sweep harness with CSV and SigMF output.
 """
 
 from .channel import ChannelProfile, apply_awgn, apply_block_fading, apply_cfo_phase, apply_channel
-from .config import SweepSpec, load_sweep_config, save_sweep_config
+from .config import SweepSpec, load_sweep_config
 from .framing import (
     FrameConfig,
     FrameLayout,
@@ -32,12 +32,12 @@ from .sync import (
     ChannelEstimate,
     CoarseSyncResult,
     DetectorConfig,
+    FrameBatch,
     FrameResult,
     autocorrelation_metric,
     detect_training,
     estimate_channel,
     estimate_coarse_cfo,
-    equalize_block,
     golay_frame_detect,
     nco_correct,
     receive_frame,

@@ -180,8 +180,3 @@ def sweep_spec_to_text(spec: SweepSpec) -> str:
 def load_sweep_config(path: str) -> SweepSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return sweep_spec_from_text(fh.read())
-
-
-def save_sweep_config(spec: SweepSpec, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(sweep_spec_to_text(spec))

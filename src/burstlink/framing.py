@@ -183,6 +183,21 @@ def compute_layout(cfg: FrameConfig) -> FrameLayout:
     )
 
 
+@functools.cache
+def block_indices(cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frame-relative symbol indices for gathering a frame's blocks at once.
+
+    Returns the pilot symbols of each block, shape (pilot_reps,
+    pilot_block_len); the data symbols in frame order, shape
+    (data_symbols,); and, per data symbol, the pilot block it follows.
+    """
+    layout = compute_layout(cfg)
+    pilots = np.array([np.arange(a, b) for a, b in layout.pilot_spans])
+    data = np.concatenate([np.arange(a, b) for a, b in layout.data_spans])
+    block = np.repeat(np.arange(cfg.pilot_reps), [b - a for a, b in layout.data_spans])
+    return read_only(pilots), read_only(data), read_only(block)
+
+
 def _qpsk_table(length: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return read_only(_QPSK_POINTS[rng.integers(0, 4, length)])
@@ -213,10 +228,6 @@ def _bytes_to_bits(data: bytes) -> np.ndarray:
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
 
 
-def _bits_to_bytes(bits: np.ndarray) -> bytes:
-    return np.packbits(bits).tobytes()
-
-
 def assemble_frame(payload: PacketPayload, cfg: FrameConfig) -> np.ndarray:
     """Build one frame of symbols from a payload.
 
@@ -236,16 +247,12 @@ def assemble_frame(payload: PacketPayload, cfg: FrameConfig) -> np.ndarray:
 
     tables = default_tables(cfg)
     layout = compute_layout(cfg)
+    pilots, data, _ = block_indices(cfg)
     frame = np.empty(layout.total_symbols, dtype=complex)
     frame[slice(*layout.training_span)] = np.tile(tables.training, cfg.training_reps)
     frame[slice(*layout.preamble_span)] = tables.preamble
-    used = 0
-    for pilot_span, data_span in zip(layout.pilot_spans, layout.data_spans):
-        frame[slice(*pilot_span)] = tables.pilot
-        seg = data_span[1] - data_span[0]
-        frame[slice(*data_span)] = data_syms[used : used + seg]
-        used += seg
-    assert used == len(data_syms)
+    frame[pilots] = tables.pilot
+    frame[data] = data_syms
     return frame
 
 
@@ -272,11 +279,21 @@ def parse_frame(
     return pilots, datas
 
 
-def unpack_wire_bytes(bits: np.ndarray, cfg: FrameConfig) -> PacketPayload:
-    """Inverse of the assemble-side bit packing: bytes then little-endian CRC."""
-    wire = _bits_to_bytes(np.asarray(bits, dtype=np.uint8))
-    if len(wire) != cfg.frame_bytes:
-        raise ValueError(f"expected {cfg.frame_bytes} wire bytes, got {len(wire)}")
-    data = wire[: cfg.payload_bytes]
-    crc = int.from_bytes(wire[cfg.payload_bytes :], "little")
-    return PacketPayload(data_bytes=data, crc=crc)
+def unpack_wire_bytes(
+    bits: np.ndarray, cfg: FrameConfig
+) -> PacketPayload | list[PacketPayload]:
+    """Inverse of the assemble-side bit packing: bytes then little-endian CRC.
+
+    ``bits`` of shape (F, data_bits) give a list of F payloads, one per row.
+    """
+    wire = np.packbits(np.asarray(bits, dtype=np.uint8), axis=-1)
+    if wire.shape[-1] != cfg.frame_bytes:
+        raise ValueError(f"expected {cfg.frame_bytes} wire bytes, got {wire.shape[-1]}")
+    payloads = [
+        PacketPayload(
+            data_bytes=row[: cfg.payload_bytes].tobytes(),
+            crc=int.from_bytes(row[cfg.payload_bytes :].tobytes(), "little"),
+        )
+        for row in wire.reshape(-1, cfg.frame_bytes)
+    ]
+    return payloads[0] if wire.ndim == 1 else payloads

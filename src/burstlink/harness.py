@@ -19,9 +19,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ChannelProfile, apply_channel, with_seed
 from .config import SweepSpec, channel_profile_to_kv
-from .framing import FrameConfig, assemble_frame, compute_layout, crc_attach
+from .framing import FrameConfig, assemble_frame, block_indices, crc_attach
 from .metrics import FrameEvent, TrialResult, aggregate_events
-from .sync import DetectorConfig, receive_frames
+from .sync import FAILURE_KINDS, DetectorConfig, receive_frames
 from .waveform import ComplexBuffer, PulseShapeConfig, shape_and_upsample
 
 _PAYLOAD_STREAM = 0x50
@@ -137,8 +137,6 @@ def run_trial_events(
         raise ValueError("frames must be >= 1")
     detector = detector or DetectorConfig()
     pulse = pulse or PulseShapeConfig()
-    layout = compute_layout(cfg)
-
     payloads = [
         generate_payload(cfg.payload_bytes, [seed, _PAYLOAD_STREAM, k])
         for k in range(frames)
@@ -154,45 +152,37 @@ def run_trial_events(
         tx, trial_profile, samples_per_symbol=pulse.interpolation, occupied=occupied
     )
 
-    span = cfg.total_symbols * pulse.interpolation
-    tail = pulse.tap_count - 1
-    tx_data = [
-        np.concatenate([syms[a:b] for a, b in layout.data_spans]) for syms in frame_syms
-    ]
-
     # Window k is rx.samples[k*span : (k+1)*span + tail], overlapping the next by
     # the filter tail; the stream holds exactly frames*span + tail samples.
-    windows = sliding_window_view(rx.samples, span + tail)[::span]
-    received = receive_frames(ComplexBuffer(windows, rx.sample_period), cfg, detector, pulse)
+    span = cfg.total_symbols * pulse.interpolation
+    windows = sliding_window_view(rx.samples, span + pulse.tap_count - 1)[::span]
+    batch = receive_frames(ComplexBuffer(windows, rx.sample_period), cfg, detector, pulse)
 
-    events: list[FrameEvent] = []
-    for k, res in enumerate(received):
-        err_tx = ref_tx = err_dec = sig_dec = 0.0
-        n_sym = 0
-        if res.equalized is not None:
-            ref = tx_data[k]
-            err_tx = float(np.sum(np.abs(res.equalized - ref) ** 2))
-            ref_tx = float(np.sum(np.abs(ref) ** 2))
-            err_dec = float(np.sum(np.abs(res.equalized - res.decisions) ** 2))
-            sig_dec = float(np.sum(np.abs(res.decisions) ** 2))
-            n_sym = len(res.equalized)
-        events.append(
-            FrameEvent(
-                frame_index=k,
-                detected=res.detected,
-                crc_ok=res.crc_ok,
-                failure=res.failure or "",
-                err_energy_tx=err_tx,
-                ref_energy_tx=ref_tx,
-                err_energy_dec=err_dec,
-                sig_energy_dec=sig_dec,
-                n_symbols=n_sym,
-                residual_freq_hz=res.estimate.residual_freq_hz if res.estimate else 0.0,
-                residual_phase_deg=res.estimate.mean_residual_phase_deg
-                if res.estimate
-                else 0.0,
-            )
+    # Energies are row sums over the (F, data_symbols) arrays; a frame that
+    # never reached the demapper logs zeros.
+    tx_data = np.take(np.stack(frame_syms), block_indices(cfg)[1], axis=1)
+    demapped = batch.demapped
+
+    def energy(z: np.ndarray) -> list[float]:
+        return np.where(demapped, np.sum(np.abs(z) ** 2, axis=-1), 0.0).tolist()
+
+    failures = ("",) + FAILURE_KINDS
+    events = [
+        FrameEvent(*cells)
+        for cells in zip(
+            range(frames),
+            batch.detected.tolist(),
+            batch.crc_ok.tolist(),
+            [failures[code] for code in batch.failure.tolist()],
+            energy(batch.equalized - tx_data),
+            energy(tx_data),
+            energy(batch.equalized - batch.decisions),
+            energy(batch.decisions),
+            np.where(demapped, cfg.data_symbols, 0).tolist(),
+            batch.estimate.residual_freq_hz.tolist(),
+            batch.estimate.mean_residual_phase_deg.tolist(),
         )
+    ]
 
     snapshot = _config_snapshot(
         cfg, profile, frames, symbol_period_s, profile_index, trial

@@ -4,24 +4,24 @@ The burst receiver works in stages: AGC, matched filtering, training-field
 detection by lag-M autocorrelation, coarse CFO estimation from the
 correlation phase, NCO de-rotation, Golay matched-filter frame detection,
 then per-pilot-block channel estimation and equalization before the symbols
-are demapped and the CRC checked.
+are demapped and the CRC checked. Each stage runs once over all the frame
+windows of a batch, along the last axis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .framing import (
     FrameConfig,
     PacketPayload,
-    TruncatedFrameError,
+    block_indices,
     compute_layout,
     crc_check,
     default_tables,
-    parse_frame,
     unpack_wire_bytes,
 )
 from .waveform import (
@@ -37,6 +37,10 @@ from .waveform import (
 
 FAILURE_KINDS = ("no-training", "no-frame", "truncated", "unequalizable", "crc-fail")
 
+# Row outcome codes of FrameBatch.failure: 0 for a decoded frame, otherwise
+# one plus the index of the failure in FAILURE_KINDS.
+DECODED, NO_TRAINING, NO_FRAME, TRUNCATED, UNEQUALIZABLE, CRC_FAIL = range(6)
+
 # Gain floor below which a block cannot be equalized without blowing up.
 H_MIN = 1e-6
 
@@ -44,6 +48,12 @@ H_MIN = 1e-6
 # the training+preamble region at the default interpolation factor.
 AGC_FREEZE_SAMPLES = 512
 RX_AGC_LOOP_GAIN = 0.05
+
+# Frames per training-detection and demap pass. Both build arrays several
+# times their input's size (autocorrelation sums of every phase stream, the
+# distance to every constellation point); a whole trial at once would only
+# raise peak memory.
+_ROW_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -78,7 +88,8 @@ class ChannelEstimate:
 
     ``train_gain``/``train_position`` anchor the residual-frequency fit at
     the training field, which is what makes the measurement defined for a
-    single pilot repetition.
+    single pilot repetition. ``residual_offset`` also takes the fields as
+    arrays with leading axes, one estimate per row.
     """
 
     h_blocks: tuple[complex, ...]
@@ -112,8 +123,75 @@ class FrameResult:
         return self.failure is None
 
 
-class UnequalizableBlockError(ValueError):
-    """Raised when a block's channel gain is too small to divide by."""
+@dataclass(frozen=True, eq=False)
+class FrameBatch:
+    """receive_frames' report on F frame windows: ``batch[k]`` is row k as
+    the ``FrameResult`` that ``receive_frame`` gives.
+
+    ``failure`` holds outcome codes. ``coarse`` and ``estimate`` carry their
+    fields as arrays with a leading frame axis (``train_position`` is NaN
+    without a training anchor); ``equalized`` and ``decisions`` have shape
+    (F, data_symbols). Stages a row never reached leave zeros, and
+    ``payload_start`` is -1 where no preamble was found.
+    """
+
+    failure: np.ndarray
+    payload_start: np.ndarray
+    coarse: CoarseSyncResult
+    estimate: ChannelEstimate
+    equalized: np.ndarray
+    decisions: np.ndarray
+    payloads: tuple[PacketPayload | None, ...]
+
+    def __len__(self) -> int:
+        return len(self.failure)
+
+    @property
+    def detected(self) -> np.ndarray:
+        return (self.failure == DECODED) | (self.failure >= UNEQUALIZABLE)
+
+    @property
+    def crc_ok(self) -> np.ndarray:
+        return self.failure == DECODED
+
+    @property
+    def demapped(self) -> np.ndarray:
+        """Rows with equalized symbols and decisions."""
+        return (self.failure == DECODED) | (self.failure == CRC_FAIL)
+
+    def __getitem__(self, k: int) -> FrameResult:
+        code = int(self.failure[k])
+        kind = FAILURE_KINDS[code - 1] if code else None
+        if code == NO_TRAINING:
+            return FrameResult(payload=None, failure=kind)
+        coarse = _row(self.coarse, k)
+        if code in (NO_FRAME, TRUNCATED):
+            return FrameResult(payload=None, failure=kind, coarse=coarse)
+        estimate = _row(self.estimate, k)
+        if math.isnan(estimate.train_position):
+            estimate = replace(estimate, train_gain=None, train_position=None)
+        demapped = code in (DECODED, CRC_FAIL)
+        return FrameResult(
+            payload=self.payloads[k],
+            failure=kind,
+            coarse=coarse,
+            estimate=estimate,
+            payload_start=int(self.payload_start[k]),
+            equalized=self.equalized[k] if demapped else None,
+            decisions=self.decisions[k] if demapped else None,
+        )
+
+
+def _row(batched, k: int):
+    """Row k of a dataclass whose array fields have a leading frame axis, in
+    Python values (a tuple for a row of blocks)."""
+    values = {}
+    for f in fields(batched):
+        column = getattr(batched, f.name)
+        if isinstance(column, np.ndarray):
+            value = column[k].tolist()
+            values[f.name] = tuple(value) if isinstance(value, list) else value
+    return replace(batched, **values)
 
 
 def autocorrelation_metric(
@@ -125,28 +203,28 @@ def autocorrelation_metric(
     samples ending at n; ``P[n]`` is the average of the two half-window
     energies, which bounds ``rho = |C| / P`` by 1 (Cauchy-Schwarz) for every
     input. Entries before the first full window are zero, and rho is defined
-    as 0 wherever P is 0.
+    as 0 wherever P is 0. Rows of ``x`` (..., n) are measured along the last axis.
     """
     x = np.asarray(x, dtype=complex)
-    n = len(x)
+    n = x.shape[-1]
     if n < 2 * lag:
         raise ValueError(f"need at least {2 * lag} samples, got {n}")
 
-    prod = x[lag:] * np.conj(x[:-lag])
+    prod = x[..., lag:] * np.conj(x[..., :-lag])
     power = np.abs(x) ** 2
 
-    c = np.zeros(n, dtype=complex)
-    p = np.zeros(n, dtype=float)
-    csum = np.concatenate([[0.0 + 0.0j], np.cumsum(prod)])
-    psum = np.concatenate([[0.0], np.cumsum(power)])
-    # Window ending at n covers k in [n-lag+1, n]; products exist from k=lag.
-    ends = np.arange(2 * lag - 1, n)
-    c[ends] = csum[ends - lag + 1] - csum[ends - 2 * lag + 1]
-    late = psum[ends + 1] - psum[ends - lag + 1]
-    early = psum[ends - lag + 1] - psum[ends - 2 * lag + 1]
-    p[ends] = 0.5 * (late + early)
+    zero = np.zeros(x.shape[:-1] + (1,))
+    csum = np.concatenate([zero.astype(complex), np.cumsum(prod, axis=-1)], axis=-1)
+    psum = np.concatenate([zero, np.cumsum(power, axis=-1)], axis=-1)
+    # Window ending at e covers k in [e-lag+1, e]; products exist from k=lag,
+    # so the ends run from 2*lag-1 to n-1.
+    c, p = np.zeros(x.shape, dtype=complex), np.zeros(x.shape)
+    c[..., 2 * lag - 1 :] = csum[..., lag:] - csum[..., : n - 2 * lag + 1]
+    late = psum[..., 2 * lag :] - psum[..., lag : n - lag + 1]
+    early = psum[..., lag : n - lag + 1] - psum[..., : n - 2 * lag + 1]
+    p[..., 2 * lag - 1 :] = 0.5 * (late + early)
 
-    rho = np.zeros(n, dtype=float)
+    rho = np.zeros(x.shape, dtype=float)
     nz = p > 0.0
     rho[nz] = np.abs(c[nz]) / p[nz]
     return c, p, rho
@@ -162,6 +240,31 @@ def estimate_coarse_cfo(c_peak: complex, delta_t: float) -> float:
     if c_peak == 0:
         raise ValueError("correlation peak is zero; phase undefined")
     return math.atan2(c_peak.imag, c_peak.real) / (2.0 * math.pi * delta_t)
+
+
+def _detect_rows(
+    rho: np.ndarray, c: np.ndarray, lengths: np.ndarray, cfg: DetectorConfig, lag: int
+) -> np.ndarray:
+    """``detect_training`` along the last axis: the detect index of each row,
+    or -1. Row entries at or past ``lengths`` (broadcast over the leading
+    axes) are padding and never count as a crossing."""
+    if cfg.rho_threshold > 0.0:
+        above = rho >= cfg.rho_threshold
+    else:
+        above = rho > 0.0
+    width = rho.shape[-1]
+    above &= np.arange(width) < lengths[..., None]
+    first = np.argmax(above, axis=-1)
+    window = first[..., None] + np.arange(lag + 1)
+    candidates = window < width
+    window = np.minimum(window, width - 1)
+    candidates &= np.take_along_axis(above, window, -1)
+    mags = np.abs(np.take_along_axis(c, window, -1))
+    peak = np.where(candidates, mags, -np.inf).max(axis=-1, keepdims=True)
+    keep = candidates & (mags >= peak * (1.0 - 1e-12))
+    idx = first + lag - np.argmax(keep[..., ::-1], axis=-1)
+    c_peak = np.take_along_axis(c, idx[..., None], -1)[..., 0]
+    return np.where(above.any(axis=-1) & (c_peak != 0), idx, -1)
 
 
 def detect_training(
@@ -180,22 +283,10 @@ def detect_training(
     """
     rho = np.asarray(rho)
     c = np.asarray(c)
-    if cfg.rho_threshold > 0.0:
-        above = rho >= cfg.rho_threshold
-    else:
-        above = rho > 0.0
-    crossings = np.nonzero(above)[0]
-    if len(crossings) == 0:
+    idx = int(_detect_rows(rho, c, np.array(len(rho)), cfg, lag))
+    if idx < 0:
         return None
-    first = int(crossings[0])
-    window = slice(first, min(first + lag + 1, len(rho)))
-    candidates = np.nonzero(above[window])[0]
-    mags = np.abs(c[window][candidates])
-    best = candidates[max(np.nonzero(mags >= mags.max() * (1.0 - 1e-12))[0])]
-    idx = first + int(best)
     c_peak = complex(c[idx])
-    if c_peak == 0:
-        return None
     return CoarseSyncResult(
         detect_index=idx,
         c_peak=c_peak,
@@ -205,107 +296,122 @@ def detect_training(
     )
 
 
-def nco_correct(buf: ComplexBuffer, freq_hz: float) -> ComplexBuffer:
-    """De-rotate by ``exp(-j*2*pi*f*n*T)``, n counted from the buffer start."""
-    if freq_hz == 0.0 or len(buf) == 0:
+def nco_correct(buf: ComplexBuffer, freq_hz: float | np.ndarray) -> ComplexBuffer:
+    """De-rotate by ``exp(-j*2*pi*f*n*T)``, n counted from the buffer start.
+
+    ``freq_hz`` may hold one frequency per leading index of ``buf.samples``;
+    rows whose frequency is zero pass through unchanged.
+    """
+    freq = np.asarray(freq_hz, dtype=float)
+    x = buf.samples
+    if not freq.any() or x.shape[-1] == 0:
         return buf
-    n = np.arange(len(buf))
-    rot = np.exp(-2j * np.pi * freq_hz * n * buf.sample_period)
-    return ComplexBuffer(buf.samples * rot, buf.sample_period)
+    n = np.arange(x.shape[-1])
+    rot = np.exp(-2j * np.pi * freq[..., None] * n * buf.sample_period)
+    out = x * rot
+    still = freq == 0.0
+    if still.any():
+        out[still] = x[still]
+    return ComplexBuffer(out, buf.sample_period)
 
 
 def golay_frame_detect(
     x: np.ndarray,
     pair: GolayPair,
     cfg: DetectorConfig,
-    search: tuple[int, int] | None = None,
-) -> int | None:
+    search: tuple | None = None,
+) -> int | None | np.ndarray:
     """Locate the payload start via the summed Golay correlator magnitudes.
 
     Correlates against the two halves of the a||b preamble at their own
     offsets and sums the aligned magnitudes; the peak reaches ``2 * length``
     for a unit channel. Returns the index of the first payload symbol when
-    the peak clears ``mf_threshold_factor * 2 * length``.
+    the peak clears ``mf_threshold_factor * 2 * length``; a NaN never wins.
+    Rows of ``x`` (..., n) take ``search`` bounds of the leading shape and
+    give an int array, -1 where nothing cleared. Only the search span is
+    correlated, row by row (``np.correlate`` has no batched form).
     """
     x = np.asarray(x, dtype=complex)
     n_g = pair.length
-    if len(x) < 2 * n_g:
-        return None
-    corr_a = np.abs(np.correlate(x, pair.a.astype(complex), mode="valid"))
-    corr_b = np.abs(np.correlate(x, pair.b.astype(complex), mode="valid"))
-    metric = corr_a[: len(corr_a) - n_g] + corr_b[n_g:]
+    n_metric = x.shape[-1] - 2 * n_g + 1
+    lo, hi = (0, n_metric) if search is None else search
+    lo = np.broadcast_to(np.maximum(0, lo), x.shape[:-1])
+    hi = np.broadcast_to(np.minimum(n_metric, hi), x.shape[:-1])
+    a, b = pair.a.astype(complex), pair.b.astype(complex)
+    threshold = cfg.mf_threshold_factor * 2.0 * n_g
+    starts = np.full(x.shape[:-1], -1, dtype=np.int64)
+    for row in np.ndindex(x.shape[:-1]):
+        first, stop = int(lo[row]), int(hi[row])
+        if first >= stop:
+            continue
+        span = x[row][first : stop + 2 * n_g - 1]
+        corr_a = np.abs(np.correlate(span, a, mode="valid"))
+        corr_b = np.abs(np.correlate(span, b, mode="valid"))
+        metric = corr_a[: stop - first] + corr_b[n_g:]
+        metric[np.isnan(metric)] = -np.inf
+        peak = int(np.argmax(metric))
+        if metric[peak] > threshold:
+            starts[row] = first + peak + 2 * n_g
+    if x.ndim == 1:
+        return int(starts) if starts >= 0 else None
+    return starts
 
-    lo, hi = 0, len(metric)
-    if search is not None:
-        lo = max(0, search[0])
-        hi = min(len(metric), search[1])
-        if lo >= hi:
-            return None
-    window = metric[lo:hi]
-    peak = int(np.argmax(window)) + lo
-    if metric[peak] <= cfg.mf_threshold_factor * 2.0 * n_g:
-        return None
-    return peak + 2 * n_g
 
-
-def estimate_channel(rx_pilot: np.ndarray, ref_pilot: np.ndarray) -> complex:
+def estimate_channel(rx_pilot: np.ndarray, ref_pilot: np.ndarray) -> complex | np.ndarray:
     """Single-tap channel estimate from one pilot block.
 
     The aligned correlation ``mean(rx * conj(ref))`` is unbiased for
-    unit-magnitude reference pilots.
+    unit-magnitude reference pilots. ``rx_pilot`` may have leading axes,
+    one block per row; the estimates then come back as an array.
     """
     rx_pilot = np.asarray(rx_pilot)
     ref_pilot = np.asarray(ref_pilot)
-    if rx_pilot.shape != ref_pilot.shape:
+    if rx_pilot.shape[-1:] != ref_pilot.shape:
         raise ValueError(
             f"pilot length mismatch: {rx_pilot.shape} vs {ref_pilot.shape}"
         )
-    return complex(np.mean(rx_pilot * np.conj(ref_pilot)))
+    h = np.mean(rx_pilot * np.conj(ref_pilot), axis=-1)
+    return complex(h) if h.ndim == 0 else h
 
 
-def equalize_block(data: np.ndarray, h: complex, h_min: float = H_MIN) -> np.ndarray:
-    """Divide a block by its channel estimate."""
-    if abs(h) <= h_min:
-        raise UnequalizableBlockError(f"|H| = {abs(h):.3e} at or below {h_min}")
-    return np.asarray(data) / h
-
-
-def residual_offset(
-    est: ChannelEstimate, symbol_period: float
-) -> tuple[float, float]:
+def residual_offset(est: ChannelEstimate, symbol_period: float) -> tuple:
     """Residual frequency and mean per-gap phase drift from block estimates.
 
     The residual frequency is the least-squares slope of the unwrapped block
     phases against block position (the training anchor, when present, joins
     the fit; without it a single block yields zero). The mean residual phase
     is the absolute phase the drift accumulates over one correction spacing,
-    in degrees.
+    in degrees. Array fields with leading axes give arrays, one per row.
     """
-    gains = list(est.h_blocks)
-    positions = list(est.block_positions)
+    gains = np.asarray(est.h_blocks)
+    positions = np.asarray(est.block_positions, dtype=float)
     if est.train_gain is not None and est.train_position is not None:
-        gains = [est.train_gain] + gains
-        positions = [est.train_position] + positions
+        gains = np.concatenate([np.asarray(est.train_gain)[..., None], gains], axis=-1)
+        positions = np.concatenate(
+            [np.asarray(est.train_position, dtype=float)[..., None], positions], axis=-1
+        )
     residual_freq = _pilot_slope_hz(gains, positions, symbol_period)
-    mean_phase = abs(
+    mean_phase = np.abs(
         2.0 * math.pi * residual_freq * est.block_spacing_symbols * symbol_period
     )
-    return residual_freq, math.degrees(mean_phase)
+    return residual_freq, np.degrees(mean_phase)
 
 
-def _pilot_slope_hz(
-    h_blocks: list[complex],
-    positions: list[float],
-    symbol_period: float,
-) -> float:
-    """Least-squares phase slope of block gains against position, in Hz."""
-    if len(h_blocks) < 2:
-        return 0.0
-    pos = np.asarray(positions, dtype=float) * symbol_period
-    ph = np.unwrap(np.angle(np.asarray(h_blocks)))
-    pos_c = pos - pos.mean()
-    slope = float(np.dot(pos_c, ph - ph.mean()) / np.dot(pos_c, pos_c))
-    return slope / (2.0 * math.pi)
+def _pilot_slope_hz(h_blocks, positions, symbol_period: float) -> float | np.ndarray:
+    """Least-squares phase slope of block gains against position, in Hz,
+    along the last axis (a float for one row of blocks)."""
+    h_blocks = np.asarray(h_blocks)
+    slope = np.zeros(h_blocks.shape[:-1])
+    if h_blocks.shape[-1] >= 2:
+        pos = np.asarray(positions, dtype=float) * symbol_period
+        ph = np.unwrap(np.angle(h_blocks), axis=-1)
+        pos_c = pos - pos.mean(axis=-1, keepdims=True)
+        ph_c = ph - ph.mean(axis=-1, keepdims=True)
+        # Row-vector matmuls sum like a per-row np.dot, bit for bit.
+        num = (pos_c[..., None, :] @ ph_c[..., :, None])[..., 0, 0]
+        den = (pos_c[..., None, :] @ pos_c[..., :, None])[..., 0, 0]
+        slope = num / den / (2.0 * math.pi)
+    return slope if slope.ndim else float(slope)
 
 
 def _choose_training_phase(
@@ -313,24 +419,43 @@ def _choose_training_phase(
     det: DetectorConfig,
     delta_t: float,
     lag: int,
-) -> tuple[int, CoarseSyncResult, np.ndarray] | None:
-    """Run training detection on every decimation phase.
+) -> tuple[np.ndarray, np.ndarray, CoarseSyncResult]:
+    """Run training detection on every decimation phase of every row.
 
     The training repeats at every phase, so rho alone cannot tell the
     phases apart; the correlation magnitude can, because sample power
     concentrates at the true symbol instants after matched filtering.
+
+    ``streams[p]`` is phase p of every row, (F, n_p); they are searched as
+    zero-padded (rows, P, M) blocks, each over its own n_p samples. Returns
+    each row's chosen stream (padded to M), its length, and the coarse
+    results as arrays, ``detect_index`` -1 where no phase found training.
     """
-    best = None
-    for phase, syms in enumerate(streams):
-        if len(syms) < 2 * lag:
-            continue
-        c, _, rho = autocorrelation_metric(syms, lag)
-        result = detect_training(rho, c, det, delta_t, lag)
-        if result is None:
-            continue
-        if best is None or abs(result.c_peak) > abs(best[1].c_peak):
-            best = (phase, result, syms)
-    return best
+    lengths = np.array([s.shape[-1] for s in streams])
+    n_rows, width = streams[0].shape[0], int(lengths.max())
+    symbols = np.zeros((n_rows, width), dtype=complex)
+    phase = np.zeros(n_rows, dtype=np.int64)
+    zeros = np.zeros(n_rows)
+    coarse = CoarseSyncResult(np.full(n_rows, -1), zeros + 0j, zeros.copy(), zeros.copy(), delta_t)
+    for r0 in range(0, n_rows if width >= 2 * lag else 0, _ROW_CHUNK):
+        rows = np.arange(r0, min(r0 + _ROW_CHUNK, n_rows))
+        block = np.zeros((len(rows), len(streams), width), dtype=complex)
+        for p, stream in enumerate(streams):
+            block[:, p, : lengths[p]] = stream[rows]
+        c, _, rho = autocorrelation_metric(block, lag)
+        idx = _detect_rows(rho, c, lengths, det, lag)
+        hit, at = idx >= 0, np.maximum(idx, 0)[..., None]
+        peaks = np.where(hit, np.take_along_axis(c, at, -1)[..., 0], 0)
+        best = np.argmax(np.where(hit, np.abs(peaks), -np.inf), axis=-1)
+        pick = np.arange(len(rows)), best
+        symbols[rows], phase[rows], coarse.detect_index[rows] = block[pick], best, idx[pick]
+        coarse.c_peak[rows] = peaks[pick]
+        coarse.rho_peak[rows] = np.where(hit, np.take_along_axis(rho, at, -1)[..., 0], 0)[pick]
+    found = coarse.detect_index >= 0
+    coarse.delta_f_est_hz[found] = [
+        estimate_coarse_cfo(c, delta_t) for c in coarse.c_peak[found].tolist()
+    ]
+    return symbols, lengths[phase], coarse
 
 
 def receive_frames(
@@ -338,27 +463,149 @@ def receive_frames(
     cfg: FrameConfig,
     det: DetectorConfig | None = None,
     pulse: PulseShapeConfig | None = None,
-) -> list[FrameResult]:
+) -> FrameBatch:
     """Run the full burst receive pipeline on F frame windows at once.
 
     ``windows.samples`` has shape ``(F, N)``, one window per row; a strided
-    view over one stream is fine, since it is only read. The AGC runs once
-    across all rows, then the later stages run on each leveled row, so each
-    result equals what the row would give alone. Stage failures come back
-    as a ``FrameResult`` with one of the FAILURE_KINDS set; the pipeline
-    never raises for link-quality reasons.
+    view over one stream is fine, since it is only read. Each stage runs
+    once over the rows still in play, along the last axis, so each row
+    equals what its window would give alone. A row that fails a stage gets
+    its failure code and leaves the later stages; the pipeline never raises
+    for link-quality reasons.
     """
     if windows.samples.ndim != 2:
         raise ValueError(f"windows must have shape (F, N), got {windows.samples.shape}")
     det = det or DetectorConfig()
     pulse = pulse or PulseShapeConfig()
+    n_frames = windows.samples.shape[0]
+    tables, layout = default_tables(cfg), compute_layout(cfg)
+    pilot_index, data_index, data_block = block_indices(cfg)
+    lag = cfg.training_rep_len
+    period = windows.sample_period * pulse.interpolation
+
     leveled = agc(
         windows, target_power=1.0, loop_gain=RX_AGC_LOOP_GAIN, freeze_after=AGC_FREEZE_SAMPLES
     )
-    return [
-        _receive_leveled(ComplexBuffer(row, windows.sample_period), cfg, det, pulse)
-        for row in leveled.samples
+    symbols, lengths, coarse = _choose_training_phase(
+        matched_filter_downsample(leveled, pulse), det, lag * period, lag
+    )
+    failure = np.where(coarse.detect_index < 0, NO_TRAINING, DECODED).astype(np.int8)
+    rows = np.flatnonzero(failure == DECODED)
+    corrected = nco_correct(ComplexBuffer(symbols, period), coarse.delta_f_est_hz).samples
+
+    # With more than two training repetitions the detector may sit anywhere
+    # on the correlation plateau, so the forward search spans the remaining
+    # repetitions; it stops where each row's own stream ends.
+    expected = coarse.detect_index[rows] + 1
+    start = np.full(n_frames, -1, dtype=np.int64)
+    start[rows] = golay_frame_detect(
+        corrected[rows],
+        generate_golay_pair(cfg.golay_len),
+        det,
+        search=(
+            expected - lag,
+            np.minimum(expected + cfg.training_reps * lag, lengths[rows] - 2 * cfg.golay_len + 1),
+        ),
+    )
+    failure[rows[start[rows] < 0]] = NO_FRAME
+    rows = rows[start[rows] >= 0]
+
+    # The Golay peak pins frame timing exactly; re-derive the coarse estimate
+    # from the last full-overlap training window of the uncorrected stream.
+    # That frees the frequency estimate from plateau-pick ambiguity and from
+    # AGC-settling tilt across the training field.
+    exact_end = start - cfg.preamble_symbols - 1
+    redo = rows[exact_end[rows] >= 2 * lag - 1]
+    window = exact_end[redo, None] + np.arange(1 - lag, 1)
+    c_exact = np.sum(
+        symbols[redo[:, None], window] * np.conj(symbols[redo[:, None], window - lag]), axis=-1
+    )
+    redo, c_exact = redo[c_exact != 0], c_exact[c_exact != 0]
+    coarse.detect_index[redo] = exact_end[redo]
+    coarse.c_peak[redo] = c_exact
+    coarse.delta_f_est_hz[redo] = [
+        estimate_coarse_cfo(c, coarse.delta_t_s) for c in c_exact.tolist()
     ]
+    corrected[redo] = nco_correct(
+        ComplexBuffer(symbols[redo], period), coarse.delta_f_est_hz[redo]
+    ).samples
+
+    short = start[rows] + cfg.payload_symbols > lengths[rows]
+    failure[rows[short]] = TRUNCATED
+    rows = rows[~short]
+
+    # Training, pilot and data symbols are gathered by frame-relative index.
+    spacing = cfg.payload_symbols / cfg.pilot_reps
+    est = ChannelEstimate(
+        h_blocks=np.zeros((n_frames, cfg.pilot_reps), dtype=complex),
+        block_positions=np.zeros((n_frames, cfg.pilot_reps)),
+        block_spacing_symbols=spacing,
+        train_gain=np.zeros(n_frames, dtype=complex),
+        train_position=np.full(n_frames, np.nan),
+        residual_freq_hz=np.zeros(n_frames),
+        mean_residual_phase_deg=np.zeros(n_frames),
+    )
+    origin = start[rows] - layout.payload_start
+    t_start, t_stop = origin + layout.training_span[0], origin + layout.training_span[1]
+    anchored = (t_start >= 0) & (t_stop <= lengths[rows])
+    anchor_rows = rows[anchored]
+    est.train_gain[anchor_rows] = estimate_channel(
+        corrected[anchor_rows[:, None], np.arange(*layout.training_span) + origin[anchored, None]],
+        np.tile(tables.training, cfg.training_reps),
+    )
+    est.train_position[anchor_rows] = 0.5 * (t_start + t_stop - 1)[anchored]
+    pilot_at = origin[:, None, None] + pilot_index
+    est.h_blocks[rows] = estimate_channel(corrected[rows[:, None, None], pilot_at], tables.pilot)
+    centers = np.array([0.5 * (a + b - 1) for a, b in layout.pilot_spans])
+    est.block_positions[rows] = origin[:, None] + centers
+
+    # Residual offset is measured before the fine stage corrects it; the
+    # training anchor joins the fit on the rows where it lies in the window.
+    for group, anchor in ((rows[anchored], True), (rows[~anchored], False)):
+        if len(group):
+            est.residual_freq_hz[group], est.mean_residual_phase_deg[group] = residual_offset(
+                ChannelEstimate(
+                    h_blocks=est.h_blocks[group],
+                    block_positions=est.block_positions[group],
+                    block_spacing_symbols=spacing,
+                    train_gain=est.train_gain[group] if anchor else None,
+                    train_position=est.train_position[group] if anchor else None,
+                ),
+                period,
+            )
+
+    # Fine frequency correction: de-rotate by the fitted residual, then
+    # re-estimate each block so equalization sees the corrected pilots.
+    # With several pilots the fit uses only their phases; with one pilot the
+    # training anchor is the only second point available.
+    fine_freq = est.residual_freq_hz[rows]
+    if cfg.pilot_reps >= 2:
+        fine_freq = _pilot_slope_hz(est.h_blocks[rows], est.block_positions[rows], period)
+    refined = nco_correct(ComplexBuffer(corrected[rows], period), fine_freq).samples
+    local = np.arange(len(rows))[:, None]
+    gains = estimate_channel(refined[local[..., None], pilot_at], tables.pilot)
+    flat = (np.abs(gains) <= H_MIN).any(axis=-1)
+    failure[rows[flat]] = UNEQUALIZABLE
+
+    demapped = rows[~flat]
+    equalized = np.zeros((n_frames, cfg.data_symbols), dtype=complex)
+    decisions = np.zeros_like(equalized)
+    equalized[demapped] = (
+        refined[local[~flat], origin[~flat, None] + data_index] / gains[~flat][:, data_block]
+    )
+    constellation = build_constellation(cfg.modulation)
+    bits = np.empty((len(demapped), cfg.data_bits), dtype=np.uint8)
+    for r0 in range(0, len(demapped), _ROW_CHUNK):
+        chunk = demapped[r0 : r0 + _ROW_CHUNK]
+        bits[r0 : r0 + _ROW_CHUNK], decisions[chunk] = demap_symbols(
+            equalized[chunk], constellation
+        )
+    payloads: list[PacketPayload | None] = [None] * n_frames
+    for k, payload in zip(demapped.tolist(), unpack_wire_bytes(bits, cfg)):
+        payloads[k] = payload
+        if not crc_check(payload):
+            failure[k] = CRC_FAIL
+    return FrameBatch(failure, start, coarse, est, equalized, decisions, tuple(payloads))
 
 
 def receive_frame(
@@ -370,138 +617,3 @@ def receive_frame(
     """Receive one burst: ``receive_frames`` with F = 1."""
     single = ComplexBuffer(buf.samples[np.newaxis], buf.sample_period)
     return receive_frames(single, cfg, det, pulse)[0]
-
-
-def _receive_leveled(
-    leveled: ComplexBuffer,
-    cfg: FrameConfig,
-    det: DetectorConfig,
-    pulse: PulseShapeConfig,
-) -> FrameResult:
-    """Every stage after the AGC, on one leveled frame window."""
-    tables = default_tables(cfg)
-    lag = cfg.training_rep_len
-    symbol_period = leveled.sample_period * pulse.interpolation
-    delta_t = lag * symbol_period
-
-    choice = _choose_training_phase(
-        matched_filter_downsample(leveled, pulse), det, delta_t, lag
-    )
-    if choice is None:
-        return FrameResult(payload=None, failure="no-training")
-    _, coarse, symbols = choice
-
-    corrected = nco_correct(
-        ComplexBuffer(symbols, symbol_period), coarse.delta_f_est_hz
-    ).samples
-
-    # With more than two training repetitions the detector may sit anywhere
-    # on the correlation plateau, so the forward search spans the remaining
-    # repetitions.
-    pair = generate_golay_pair(cfg.golay_len)
-    expected_preamble = coarse.detect_index + 1
-    payload_start = golay_frame_detect(
-        corrected,
-        pair,
-        det,
-        search=(expected_preamble - lag, expected_preamble + cfg.training_reps * lag),
-    )
-    if payload_start is None:
-        return FrameResult(payload=None, failure="no-frame", coarse=coarse)
-
-    # The Golay peak pins frame timing exactly; re-derive the coarse estimate
-    # from the last full-overlap training window of the uncorrected stream.
-    # That frees the frequency estimate from plateau-pick ambiguity and from
-    # AGC-settling tilt across the training field.
-    exact_end = payload_start - cfg.preamble_symbols - 1
-    if exact_end >= 2 * lag - 1:
-        window = symbols[exact_end - lag + 1 : exact_end + 1]
-        earlier = symbols[exact_end - 2 * lag + 1 : exact_end - lag + 1]
-        c_exact = complex(np.sum(window * np.conj(earlier)))
-        if c_exact != 0:
-            coarse = replace(
-                coarse,
-                detect_index=exact_end,
-                c_peak=c_exact,
-                delta_f_est_hz=estimate_coarse_cfo(c_exact, delta_t),
-            )
-            corrected = nco_correct(
-                ComplexBuffer(symbols, symbol_period), coarse.delta_f_est_hz
-            ).samples
-
-    try:
-        pilot_blocks, data_blocks = parse_frame(corrected, cfg, payload_start)
-    except TruncatedFrameError:
-        return FrameResult(payload=None, failure="truncated", coarse=coarse)
-
-    layout = compute_layout(cfg)
-    frame_origin = payload_start - layout.payload_start
-
-    # Training-field channel estimate anchors the residual-frequency fit.
-    train_gain = None
-    train_position = None
-    t_start = frame_origin + layout.training_span[0]
-    t_stop = frame_origin + layout.training_span[1]
-    if t_start >= 0 and t_stop <= len(corrected):
-        full_training = np.tile(tables.training, cfg.training_reps)
-        train_gain = estimate_channel(corrected[t_start:t_stop], full_training)
-        train_position = 0.5 * (t_start + t_stop - 1)
-
-    h_blocks = [estimate_channel(blk, tables.pilot) for blk in pilot_blocks]
-    positions = [
-        frame_origin + 0.5 * (a + b - 1) for a, b in layout.pilot_spans
-    ]
-
-    estimate = ChannelEstimate(
-        h_blocks=tuple(h_blocks),
-        block_positions=tuple(positions),
-        block_spacing_symbols=cfg.payload_symbols / cfg.pilot_reps,
-        train_gain=train_gain,
-        train_position=train_position,
-    )
-    # Residual offset is measured before the fine stage corrects it.
-    residual_freq, mean_phase = residual_offset(estimate, symbol_period)
-    estimate = replace(
-        estimate, residual_freq_hz=residual_freq, mean_residual_phase_deg=mean_phase
-    )
-
-    # Fine frequency correction: de-rotate by the fitted residual, then
-    # re-estimate each block so equalization sees the corrected pilots.
-    # With several pilots the fit uses only their phases; with one pilot the
-    # training anchor is the only second point available.
-    fine_freq = residual_freq
-    if cfg.pilot_reps >= 2:
-        fine_freq = _pilot_slope_hz(h_blocks, positions, symbol_period)
-    if fine_freq != 0.0:
-        refined = nco_correct(
-            ComplexBuffer(corrected, symbol_period), fine_freq
-        ).samples
-        pilot_blocks, data_blocks = parse_frame(refined, cfg, payload_start)
-        h_blocks = [estimate_channel(blk, tables.pilot) for blk in pilot_blocks]
-
-    equalized_parts = []
-    for h, blk in zip(h_blocks, data_blocks):
-        try:
-            equalized_parts.append(equalize_block(blk, h))
-        except UnequalizableBlockError:
-            return FrameResult(
-                payload=None,
-                failure="unequalizable",
-                coarse=coarse,
-                estimate=estimate,
-                payload_start=payload_start,
-            )
-    equalized = np.concatenate(equalized_parts)
-
-    bits, decisions = demap_symbols(equalized, build_constellation(cfg.modulation))
-    payload = unpack_wire_bytes(bits, cfg)
-
-    return FrameResult(
-        payload=payload,
-        failure=None if crc_check(payload) else "crc-fail",
-        coarse=coarse,
-        estimate=estimate,
-        payload_start=payload_start,
-        equalized=equalized,
-        decisions=decisions,
-    )

@@ -174,13 +174,12 @@ def demap_symbols(
 
     Returns the decided bits (MSB first per symbol) and the decided points,
     both from one distance matrix. Ties go to the lowest point index, which
-    makes the decision deterministic.
+    makes the decision deterministic. ``symbols`` of shape (..., D) give
+    bits of shape (..., D * bits_per_symbol) and decisions of shape (..., D).
     """
     symbols = np.asarray(symbols, dtype=complex)
-    if symbols.size == 0:
-        return np.empty(0, dtype=np.uint8), np.empty(0, dtype=complex)
-    d2 = np.abs(symbols[:, None] - constellation.points[None, :]) ** 2
-    nearest = np.argmin(d2, axis=1)
+    d2 = np.abs(symbols[..., None] - constellation.points) ** 2
+    nearest = np.argmin(d2, axis=-1)
 
     labels = np.asarray(constellation.bit_labels)
     inverse = np.empty_like(labels)
@@ -189,8 +188,8 @@ def demap_symbols(
 
     bps = constellation.bits_per_symbol
     shifts = np.arange(bps - 1, -1, -1)
-    bits = (values[:, None] >> shifts[None, :]) & 1
-    return bits.astype(np.uint8).ravel(), constellation.points[nearest]
+    bits = ((values[..., None] >> shifts) & 1).astype(np.uint8)
+    return bits.reshape(symbols.shape[:-1] + (-1,)), constellation.points[nearest]
 
 
 @functools.cache
@@ -280,12 +279,17 @@ def matched_filter_downsample(
     ``streams[p]`` holds the symbol-rate samples at sampling phase ``p``. The
     combined group delay of the shaping/matched pair (tap_count - 1 samples)
     is trimmed, so for a buffer produced by ``shape_and_upsample`` the
-    symbols sit at phase 0.
+    symbols sit at phase 0. ``buf.samples`` may have shape (..., N): each
+    row is filtered on its own (``np.convolve`` is 1-D) and every stream
+    keeps the leading axes.
     """
-    if len(buf) == 0:
-        return [np.empty(0, dtype=complex)] * cfg.interpolation
-    trimmed = np.convolve(buf.samples, design_srrc(cfg))[cfg.tap_count - 1 :]
-    return [trimmed[phase :: cfg.interpolation] for phase in range(cfg.interpolation)]
+    x = buf.samples
+    taps = design_srrc(cfg)
+    trimmed = np.zeros(x.shape, dtype=np.result_type(x, taps))
+    for row in np.ndindex(x.shape[:-1]):
+        if x.shape[-1]:
+            trimmed[row] = np.convolve(x[row], taps)[cfg.tap_count - 1 :]
+    return [trimmed[..., phase :: cfg.interpolation] for phase in range(cfg.interpolation)]
 
 
 def agc(

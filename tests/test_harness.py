@@ -1,5 +1,6 @@
 """Tests for trial execution, sweeps, persistence, and SigMF metadata."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 
 from burstlink import sync
 from burstlink.channel import ChannelProfile
-from burstlink.config import SweepSpec
+from burstlink.config import SweepSpec, load_sweep_config
 from burstlink.framing import FrameConfig
 from burstlink.harness import (
     EVENT_COLUMNS,
@@ -58,6 +59,31 @@ class TestPayload:
 
 CLEAN = ChannelProfile()
 
+# SHA-256 of results_to_csv + events_to_csv for one 5-frame seed-42 trial per
+# (lambda, modulation) cell of configs/example_sweep.cfg.
+GRID_CELL_DIGESTS = {
+    (1, 4): "99ba9c668ca9103d81bbe702b85d4960d3ae463f4e517ed6c6a5a7b8d796dfa2",
+    (1, 8): "16a46d50c4e4e5059e022abb872d4edd60c2337b9f517c5465796e59be7ea469",
+    (1, 16): "6eb6dc3bf549fb0c8cc3ec34af414c279e6b61bacc0b214549c356a08b6ccb52",
+    (1, 64): "5def12cc181fe5064d2a02dbac47bb99c512ac407b3ea01b84516d9120cafa58",
+    (2, 4): "402441e99e96ce677551d9e8034f717122184555f68f3e6327150b3093dd677b",
+    (2, 8): "6f17b08ff6f7840f814daea89e5e25d42689b86d610bfbcc09c9f3051e9eb45d",
+    (2, 16): "7a78926d4277c074f1123dbb050cd028aa9ca515f27f6a18339400de5225410f",
+    (2, 64): "4fc1d8954ffcf846a9517ed5aecf2a6f2bdc43b834395b787c3e14b38e398d81",
+    (4, 4): "739fd801f14b9973c0a43a1040445fcb7549c6542a51fd8fc946d78796de4149",
+    (4, 8): "b92f313f58cb810113eb1afb1637b5bc6a212ee19f6eda24ffdd5ab69f05404f",
+    (4, 16): "5530af5dfb491d5257d362e870209a665e834906765670b2064ded8fd0c5ca54",
+    (4, 64): "0bb53748c358e4f8fcd6467b8891d70841e3dd1b3efc5d92d4325e8800cf35bb",
+    (6, 4): "303de0a8243eff7901c0e467e8c31b8bce772bcaf619d2624e7a794449e0c240",
+    (6, 8): "fe872825506af240bfd54458b26de065d3566a99c5cc13f72860a5b9ee218a1e",
+    (6, 16): "2bebedeef879d8fdae02769b4ff8462de906011ed325563c587af32f99859841",
+    (6, 64): "4966d7f8db1c57d0bab3bc1c69790cb7432e3975ea890b0df9b43c5bbad98315",
+    (8, 4): "53b1004720c067fbe518f9e5b492b96db0591558d7df887f895cf47f15642f58",
+    (8, 8): "664956e31e17669a88a43de7dfaf130c9d531c618fd377679a26a98a894f727f",
+    (8, 16): "eb2c7b5ba1771636771d49899ef0884d859690c2c2e03c26df3b1375350f82f8",
+    (8, 64): "ce90a4c3d539ede363e7630aa0a71d354d31d72d7bfc8118aefe25b10b889f76",
+}
+
 
 class TestRunTrial:
     def test_loopback_all_pass(self):
@@ -98,6 +124,23 @@ class TestRunTrial:
             run = workloads.run_trial(bl, workloads.DEFAULT_SEED, k)
             row = workloads.trial_row_text(bl, run)
             assert workloads.sha256_bytes(row.encode()) == digest, f"trial {k}: {row}"
+
+    def test_seed42_trial_per_grid_cell_matches_pinned_digest(self):
+        # One 5-frame seed-42 trial per lambda x modulation cell of the example
+        # sweep, so a receive-path change that alters any cell's outputs
+        # (results row or event rows) fails here byte for byte.
+        root = Path(__file__).resolve().parent.parent
+        spec = load_sweep_config(str(root / "configs" / "example_sweep.cfg"))
+        assert {(lam, mod) for lam in spec.lambda_list for mod in spec.modulations} == set(
+            GRID_CELL_DIGESTS
+        )
+        for (lam, mod), digest in GRID_CELL_DIGESTS.items():
+            run = run_trial_events(
+                spec.frame_config(lam, mod), spec.profiles[0], 5, 42,
+                spec.detector, spec.pulse, spec.symbol_period_s,
+            )
+            text = results_to_csv([run.result]) + events_to_csv([run])
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (lam, mod)
 
     def test_agc_runs_once_per_trial(self, monkeypatch):
         # The receiver levels all of a trial's frame windows in one AGC call.

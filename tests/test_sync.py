@@ -10,10 +10,8 @@ from burstlink.framing import FrameConfig, assemble_frame, compute_layout, crc_a
 from burstlink.sync import (
     ChannelEstimate,
     DetectorConfig,
-    UnequalizableBlockError,
     autocorrelation_metric,
     detect_training,
-    equalize_block,
     estimate_channel,
     estimate_coarse_cfo,
     golay_frame_detect,
@@ -74,6 +72,15 @@ class TestAutocorrelationMetric:
             _, _, rho = autocorrelation_metric(x, M)
             assert np.all(rho <= 1.0 + 1e-9)
             assert np.all(rho >= 0.0)
+
+    def test_rows_match_one_row_calls(self):
+        # (F, P, M) phase streams, as the receiver passes them.
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(3, 4, 150)) + 1j * rng.normal(size=(3, 4, 150))
+        batched = autocorrelation_metric(x, M)
+        for row in np.ndindex(3, 4):
+            for got, want in zip(batched, autocorrelation_metric(x[row], M)):
+                assert np.array_equal(got[row], want)
 
     def test_short_input_rejected(self):
         with pytest.raises(ValueError, match="at least"):
@@ -213,18 +220,6 @@ class TestEstimateChannel:
         assert var == pytest.approx(sigma2 / n_p, rel=0.1)
 
 
-class TestEqualize:
-    def test_identity_and_inverse(self):
-        data = np.array([1 + 1j, -2 + 0.5j])
-        assert np.allclose(equalize_block(data, 1.0), data)
-        h = 0.8 * np.exp(1j * 1.1)
-        assert np.max(np.abs(equalize_block(h * data, h) - data)) < 1e-12
-
-    def test_zero_gain_rejected(self):
-        with pytest.raises(UnequalizableBlockError):
-            equalize_block(np.ones(4, dtype=complex), 0.0)
-
-
 class TestResidualOffset:
     def test_equal_estimates_zero(self):
         est = ChannelEstimate(
@@ -277,6 +272,59 @@ class TestResidualOffset:
 def tx_buffer(frame_symbols, pulse):
     shaped = shape_and_upsample(frame_symbols, pulse, T_SYM)
     return ComplexBuffer(shaped.samples * np.sqrt(pulse.interpolation), shaped.sample_period)
+
+
+def outcome_windows(cfg, pulse, n, seed):
+    """One n-sample window per receiver outcome; returns the (6, n) windows
+    and the expected failures, ``None`` for the decoded row."""
+    rng = np.random.default_rng(seed)
+    layout = compute_layout(cfg)
+    sps = pulse.interpolation
+
+    def frame():
+        return assemble_frame(crc_attach(rng.bytes(cfg.payload_bytes)), cfg)
+
+    def faint(count):
+        return 0.02 * (rng.normal(size=count) + 1j * rng.normal(size=count))
+
+    clean = tx_buffer(frame(), pulse).samples
+    # A constant in place of the Golay preamble keeps the power the AGC sees
+    # but correlates with neither sequence.
+    no_preamble = frame()
+    no_preamble[slice(*layout.preamble_span)] = 1.0
+    dead = tx_buffer(frame(), pulse).samples.copy()
+    a, b = layout.pilot_spans[-1]
+    dead[a * sps : b * sps + pulse.tap_count] = 0
+    corrupt = frame()
+    a = layout.data_spans[0][0]
+    corrupt[a + 5 : a + 9] = -corrupt[a + 5 : a + 9]
+    impaired, _ = apply_channel(
+        tx_buffer(corrupt, pulse),
+        ChannelProfile(snr_db=25.0, delta_f_hz=1500.0, theta_in_rad=0.4, seed=seed),
+        samples_per_symbol=sps,
+    )
+    rows = {
+        None: clean,
+        "no-training": (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2),
+        "no-frame": tx_buffer(no_preamble, pulse).samples,
+        # Starts 60 symbols late, so the payload runs past the window's end.
+        "truncated": np.concatenate([faint(60 * sps), clean]),
+        "unequalizable": dead,
+        # Two samples early: off the decimation grid, so phase 2 wins.
+        "crc-fail": np.concatenate([impaired.samples[2:], faint(8)]),
+    }
+    return np.stack([x[:n] for x in rows.values()]), list(rows)
+
+
+def assert_same_result(got, want):
+    assert got.failure == want.failure
+    assert got.payload == want.payload
+    assert got.payload_start == want.payload_start
+    assert got.coarse == want.coarse
+    assert got.estimate == want.estimate
+    for name in ("equalized", "decisions"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g is None and w is None) or np.array_equal(g, w)
 
 
 class TestReceiveFrame:
@@ -426,6 +474,64 @@ class TestReceiveFrame:
             for name in ("equalized", "decisions"):
                 bv, sv = getattr(b, name), getattr(s, name)
                 assert (bv is None and sv is None) or np.array_equal(bv, sv)
+
+    # lambda=1 fits through the training anchor only. A frame's windows hold
+    # 1888 samples; 1887 give phase streams of 472 and 471 symbols.
+    @pytest.mark.parametrize("reps,n", [(1, 1888), (8, 1888), (4, 1887)])
+    def test_every_outcome_in_one_batch_matches_single_windows(self, reps, n):
+        cfg = FrameConfig(pilot_reps=reps, modulation=16)
+        pulse = PulseShapeConfig()
+        first, kinds = outcome_windows(cfg, pulse, n, seed=30 + reps)
+        second, _ = outcome_windows(cfg, pulse, n, seed=40 + reps)
+        # Twelve rows, so the chunked stages see a full and a partial chunk.
+        windows = np.concatenate([first, second])
+        period = 1e-6 / pulse.interpolation
+        batch = receive_frames(ComplexBuffer(windows, period), cfg)
+        singles = [receive_frame(ComplexBuffer(w, period), cfg) for w in windows]
+        assert [r.failure for r in singles] == kinds + kinds
+        assert len(batch) == len(windows)
+        for k, single in enumerate(singles):
+            assert_same_result(batch[k], single)
+        assert batch.detected.tolist() == [r.detected for r in singles]
+        assert batch.crc_ok.tolist() == [r.crc_ok for r in singles]
+
+        # Swapping the decoded row for noise changes that row alone.
+        changed = windows.copy()
+        changed[0] = windows[1]
+        again = receive_frames(ComplexBuffer(changed, period), cfg)
+        assert again[0].failure == "no-training"
+        for k in range(1, len(windows)):
+            assert_same_result(again[k], batch[k])
+
+    def test_each_phase_stream_keeps_its_own_length(self):
+        # Without its first sample the frame sits on phase 3. In 1787 samples
+        # phase 3 holds 446 symbols, one short of the payload's end, while
+        # the other phases hold 447; one more sample completes the payload.
+        cfg = FrameConfig(pilot_reps=4, modulation=16)
+        rng = np.random.default_rng(50)
+        frame = assemble_frame(crc_attach(rng.bytes(cfg.payload_bytes)), cfg)
+        buf = tx_buffer(frame, PulseShapeConfig())
+        short = receive_frame(ComplexBuffer(buf.samples[1:1788], buf.sample_period), cfg)
+        assert short.failure == "truncated"
+        full = receive_frame(ComplexBuffer(buf.samples[1:1789], buf.sample_period), cfg)
+        assert full.detected
+        assert full.payload_start == 191
+
+    def test_nan_sample_never_wins_the_golay_peak(self):
+        # One NaN at sample 1000 reaches symbols 226..250 through the matched
+        # filter: data symbols after the preamble, but inside the Golay
+        # search span. The frame is still located; its data fail the CRC.
+        cfg = FrameConfig(pilot_reps=4, modulation=16)
+        rng = np.random.default_rng(21)
+        frame = assemble_frame(crc_attach(rng.bytes(cfg.payload_bytes)), cfg)
+        buf = tx_buffer(frame, PulseShapeConfig())
+        assert receive_frame(buf, cfg).payload_start == 192
+        samples = buf.samples.copy()
+        samples[1000] = np.nan
+        res = receive_frame(ComplexBuffer(samples, buf.sample_period), cfg)
+        assert res.payload_start == 192
+        assert res.detected
+        assert res.failure == "crc-fail"
 
     def test_batch_needs_two_dimensional_windows(self):
         cfg = FrameConfig(pilot_reps=1, modulation=4)
