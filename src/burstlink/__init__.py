@@ -18,7 +18,6 @@ from .framing import (
     crc_attach,
     crc_check,
     default_tables,
-    parse_frame,
 )
 from .harness import (
     emit_sigmf,
@@ -33,14 +32,12 @@ from .sync import (
     CoarseSyncResult,
     DetectorConfig,
     FrameBatch,
-    FrameResult,
     autocorrelation_metric,
     detect_training,
     estimate_channel,
     estimate_coarse_cfo,
     golay_frame_detect,
     nco_correct,
-    receive_frame,
     receive_frames,
     residual_offset,
 )

@@ -14,7 +14,7 @@ Sign convention: a positive frequency offset rotates samples by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -203,8 +203,3 @@ def apply_channel(
     out = apply_cfo_phase(out, profile, samples_per_symbol)
     out = apply_awgn(out, profile.snr_db, profile.seed, occupied)
     return out, gains
-
-
-def with_seed(profile: ChannelProfile, seed: int) -> ChannelProfile:
-    """Copy of the profile with a different random seed."""
-    return replace(profile, seed=seed)

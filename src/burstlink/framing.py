@@ -35,10 +35,6 @@ _PILOT_SEED = 0x70696C74
 _QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
 
-class TruncatedFrameError(ValueError):
-    """Raised when a symbol stream ends before the payload section does."""
-
-
 @dataclass(frozen=True)
 class FrameConfig:
     """All frame-structure parameters.
@@ -256,32 +252,7 @@ def assemble_frame(payload: PacketPayload, cfg: FrameConfig) -> np.ndarray:
     return frame
 
 
-def parse_frame(
-    symbols: np.ndarray,
-    cfg: FrameConfig,
-    start_index: int,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Split a symbol stream into pilot and data blocks.
-
-    ``start_index`` marks the first payload-section symbol. Returns one pilot
-    block and one data block per pilot repetition, in frame order.
-    """
-    symbols = np.asarray(symbols)
-    if start_index < 0 or start_index + cfg.payload_symbols > len(symbols):
-        raise TruncatedFrameError(
-            f"need {cfg.payload_symbols} payload symbols from index {start_index}, "
-            f"stream has {len(symbols)}"
-        )
-    layout = compute_layout(cfg)
-    offset = start_index - layout.payload_start
-    pilots = [symbols[a + offset : b + offset] for a, b in layout.pilot_spans]
-    datas = [symbols[a + offset : b + offset] for a, b in layout.data_spans]
-    return pilots, datas
-
-
-def unpack_wire_bytes(
-    bits: np.ndarray, cfg: FrameConfig
-) -> PacketPayload | list[PacketPayload]:
+def unpack_wire_bytes(bits: np.ndarray, cfg: FrameConfig) -> list[PacketPayload]:
     """Inverse of the assemble-side bit packing: bytes then little-endian CRC.
 
     ``bits`` of shape (F, data_bits) give a list of F payloads, one per row.
@@ -296,4 +267,4 @@ def unpack_wire_bytes(
         )
         for row in wire.reshape(-1, cfg.frame_bytes)
     ]
-    return payloads[0] if wire.ndim == 1 else payloads
+    return payloads

@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import ChannelProfile, apply_channel, with_seed
+from .channel import ChannelProfile, apply_channel
 from .config import SweepSpec, channel_profile_to_kv
 from .framing import FrameConfig, assemble_frame, block_indices, crc_attach
 from .metrics import FrameEvent, TrialResult, aggregate_events
@@ -147,7 +147,7 @@ def run_trial_events(
     n_signal = len(frame_syms) * cfg.total_symbols * pulse.interpolation
     half_delay = (pulse.tap_count - 1) // 2
     occupied = slice(half_delay, half_delay + n_signal)
-    trial_profile = with_seed(profile, _derive_seed([profile.seed, seed]))
+    trial_profile = replace(profile, seed=_derive_seed([profile.seed, seed]))
     rx, _ = apply_channel(
         tx, trial_profile, samples_per_symbol=pulse.interpolation, occupied=occupied
     )

@@ -11,7 +11,7 @@ windows of a batch, along the last axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,62 +71,41 @@ class DetectorConfig:
             raise ValueError("mf_threshold_factor must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoarseSyncResult:
-    """Training detection outcome and coarse frequency estimate."""
+    """Training detection outcome and coarse frequency estimate, one entry
+    per row; ``detect_index`` is -1 (and the other entries 0) where nothing
+    crossed the threshold."""
 
-    detect_index: int
-    c_peak: complex
-    rho_peak: float
-    delta_f_est_hz: float
+    detect_index: np.ndarray
+    c_peak: np.ndarray
+    rho_peak: np.ndarray
+    delta_f_est_hz: np.ndarray
     delta_t_s: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelEstimate:
-    """Per-pilot-block channel estimates and residual-offset measurements.
+    """Per-pilot-block channel estimates and residual-offset measurements,
+    rows along the leading axes and blocks along the last.
 
     ``train_gain``/``train_position`` anchor the residual-frequency fit at
     the training field, which is what makes the measurement defined for a
-    single pilot repetition. ``residual_offset`` also takes the fields as
-    arrays with leading axes, one estimate per row.
+    single pilot repetition; ``None`` leaves the anchor out of the fit.
     """
 
-    h_blocks: tuple[complex, ...]
-    block_positions: tuple[float, ...]
+    h_blocks: np.ndarray
+    block_positions: np.ndarray
     block_spacing_symbols: float
-    train_gain: complex | None = None
-    train_position: float | None = None
-    residual_freq_hz: float = 0.0
-    mean_residual_phase_deg: float = 0.0
-
-
-@dataclass(frozen=True)
-class FrameResult:
-    """Everything receive_frame can report about one burst."""
-
-    payload: PacketPayload | None
-    failure: str | None
-    coarse: CoarseSyncResult | None = None
-    estimate: ChannelEstimate | None = None
-    payload_start: int | None = None
-    equalized: np.ndarray | None = None
-    decisions: np.ndarray | None = None
-
-    @property
-    def detected(self) -> bool:
-        """True once frame timing was acquired (payload located and parsed)."""
-        return self.failure not in ("no-training", "no-frame", "truncated")
-
-    @property
-    def crc_ok(self) -> bool:
-        return self.failure is None
+    train_gain: np.ndarray | None = None
+    train_position: np.ndarray | None = None
+    residual_freq_hz: np.ndarray | float = 0.0
+    mean_residual_phase_deg: np.ndarray | float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
 class FrameBatch:
-    """receive_frames' report on F frame windows: ``batch[k]`` is row k as
-    the ``FrameResult`` that ``receive_frame`` gives.
+    """receive_frames' report on F frame windows, one row per window.
 
     ``failure`` holds outcome codes. ``coarse`` and ``estimate`` carry their
     fields as arrays with a leading frame axis (``train_position`` is NaN
@@ -148,6 +127,7 @@ class FrameBatch:
 
     @property
     def detected(self) -> np.ndarray:
+        """Rows whose frame timing was acquired (payload located in the window)."""
         return (self.failure == DECODED) | (self.failure >= UNEQUALIZABLE)
 
     @property
@@ -158,40 +138,6 @@ class FrameBatch:
     def demapped(self) -> np.ndarray:
         """Rows with equalized symbols and decisions."""
         return (self.failure == DECODED) | (self.failure == CRC_FAIL)
-
-    def __getitem__(self, k: int) -> FrameResult:
-        code = int(self.failure[k])
-        kind = FAILURE_KINDS[code - 1] if code else None
-        if code == NO_TRAINING:
-            return FrameResult(payload=None, failure=kind)
-        coarse = _row(self.coarse, k)
-        if code in (NO_FRAME, TRUNCATED):
-            return FrameResult(payload=None, failure=kind, coarse=coarse)
-        estimate = _row(self.estimate, k)
-        if math.isnan(estimate.train_position):
-            estimate = replace(estimate, train_gain=None, train_position=None)
-        demapped = code in (DECODED, CRC_FAIL)
-        return FrameResult(
-            payload=self.payloads[k],
-            failure=kind,
-            coarse=coarse,
-            estimate=estimate,
-            payload_start=int(self.payload_start[k]),
-            equalized=self.equalized[k] if demapped else None,
-            decisions=self.decisions[k] if demapped else None,
-        )
-
-
-def _row(batched, k: int):
-    """Row k of a dataclass whose array fields have a leading frame axis, in
-    Python values (a tuple for a row of blocks)."""
-    values = {}
-    for f in fields(batched):
-        column = getattr(batched, f.name)
-        if isinstance(column, np.ndarray):
-            value = column[k].tolist()
-            values[f.name] = tuple(value) if isinstance(value, list) else value
-    return replace(batched, **values)
 
 
 def autocorrelation_metric(
@@ -242,18 +188,27 @@ def estimate_coarse_cfo(c_peak: complex, delta_t: float) -> float:
     return math.atan2(c_peak.imag, c_peak.real) / (2.0 * math.pi * delta_t)
 
 
-def _detect_rows(
-    rho: np.ndarray, c: np.ndarray, lengths: np.ndarray, cfg: DetectorConfig, lag: int
-) -> np.ndarray:
-    """``detect_training`` along the last axis: the detect index of each row,
-    or -1. Row entries at or past ``lengths`` (broadcast over the leading
-    axes) are padding and never count as a crossing."""
+def detect_training(
+    rho: np.ndarray,
+    c: np.ndarray,
+    cfg: DetectorConfig,
+    delta_t: float,
+    lag: int,
+) -> CoarseSyncResult:
+    """First threshold crossing of rho, refined within the next ``lag`` samples.
+
+    Among the above-threshold indices in the refinement window the detector
+    keeps the largest ``|C|`` (latest on a tie). The unnormalized correlation
+    peaks at full training overlap, which is where the frequency estimate is
+    valid; rho itself can wobble off-peak under ISI or noise. Rows of
+    ``rho`` and ``c`` (..., n) are searched along the last axis.
+    """
+    rho, c = np.asarray(rho), np.asarray(c)
     if cfg.rho_threshold > 0.0:
         above = rho >= cfg.rho_threshold
     else:
         above = rho > 0.0
     width = rho.shape[-1]
-    above &= np.arange(width) < lengths[..., None]
     first = np.argmax(above, axis=-1)
     window = first[..., None] + np.arange(lag + 1)
     candidates = window < width
@@ -262,36 +217,16 @@ def _detect_rows(
     mags = np.abs(np.take_along_axis(c, window, -1))
     peak = np.where(candidates, mags, -np.inf).max(axis=-1, keepdims=True)
     keep = candidates & (mags >= peak * (1.0 - 1e-12))
-    idx = first + lag - np.argmax(keep[..., ::-1], axis=-1)
-    c_peak = np.take_along_axis(c, idx[..., None], -1)[..., 0]
-    return np.where(above.any(axis=-1) & (c_peak != 0), idx, -1)
-
-
-def detect_training(
-    rho: np.ndarray,
-    c: np.ndarray,
-    cfg: DetectorConfig,
-    delta_t: float,
-    lag: int,
-) -> CoarseSyncResult | None:
-    """First threshold crossing of rho, refined within the next ``lag`` samples.
-
-    Among the above-threshold indices in the refinement window the detector
-    keeps the largest ``|C|`` (latest on a tie). The unnormalized correlation
-    peaks at full training overlap, which is where the frequency estimate is
-    valid; rho itself can wobble off-peak under ISI or noise.
-    """
-    rho = np.asarray(rho)
-    c = np.asarray(c)
-    idx = int(_detect_rows(rho, c, np.array(len(rho)), cfg, lag))
-    if idx < 0:
-        return None
-    c_peak = complex(c[idx])
+    idx = (first + lag - np.argmax(keep[..., ::-1], axis=-1))[..., None]
+    c_peak = np.take_along_axis(c, idx, -1)[..., 0]
+    found = above.any(axis=-1) & (c_peak != 0)
+    delta_f = np.zeros(found.shape)
+    delta_f[found] = [estimate_coarse_cfo(v, delta_t) for v in c_peak[found].tolist()]
     return CoarseSyncResult(
-        detect_index=idx,
-        c_peak=c_peak,
-        rho_peak=float(rho[idx]),
-        delta_f_est_hz=estimate_coarse_cfo(c_peak, delta_t),
+        detect_index=np.where(found, idx[..., 0], -1),
+        c_peak=np.where(found, c_peak, 0),
+        rho_peak=np.where(found, np.take_along_axis(rho, idx, -1)[..., 0], 0.0),
+        delta_f_est_hz=delta_f,
         delta_t_s=delta_t,
     )
 
@@ -320,15 +255,15 @@ def golay_frame_detect(
     pair: GolayPair,
     cfg: DetectorConfig,
     search: tuple | None = None,
-) -> int | None | np.ndarray:
+) -> np.ndarray:
     """Locate the payload start via the summed Golay correlator magnitudes.
 
     Correlates against the two halves of the a||b preamble at their own
     offsets and sums the aligned magnitudes; the peak reaches ``2 * length``
-    for a unit channel. Returns the index of the first payload symbol when
-    the peak clears ``mf_threshold_factor * 2 * length``; a NaN never wins.
-    Rows of ``x`` (..., n) take ``search`` bounds of the leading shape and
-    give an int array, -1 where nothing cleared. Only the search span is
+    for a unit channel. Returns, per row of ``x`` (..., n), the index of the
+    first payload symbol where the peak clears ``mf_threshold_factor * 2 *
+    length`` and -1 where nothing cleared; a NaN never wins. ``search``
+    bounds broadcast over the leading shape. Only the search span is
     correlated, row by row (``np.correlate`` has no batched form).
     """
     x = np.asarray(x, dtype=complex)
@@ -352,17 +287,14 @@ def golay_frame_detect(
         peak = int(np.argmax(metric))
         if metric[peak] > threshold:
             starts[row] = first + peak + 2 * n_g
-    if x.ndim == 1:
-        return int(starts) if starts >= 0 else None
     return starts
 
 
-def estimate_channel(rx_pilot: np.ndarray, ref_pilot: np.ndarray) -> complex | np.ndarray:
-    """Single-tap channel estimate from one pilot block.
+def estimate_channel(rx_pilot: np.ndarray, ref_pilot: np.ndarray) -> np.ndarray:
+    """Single-tap channel estimate of each pilot block along the last axis.
 
     The aligned correlation ``mean(rx * conj(ref))`` is unbiased for
-    unit-magnitude reference pilots. ``rx_pilot`` may have leading axes,
-    one block per row; the estimates then come back as an array.
+    unit-magnitude reference pilots.
     """
     rx_pilot = np.asarray(rx_pilot)
     ref_pilot = np.asarray(ref_pilot)
@@ -370,8 +302,7 @@ def estimate_channel(rx_pilot: np.ndarray, ref_pilot: np.ndarray) -> complex | n
         raise ValueError(
             f"pilot length mismatch: {rx_pilot.shape} vs {ref_pilot.shape}"
         )
-    h = np.mean(rx_pilot * np.conj(ref_pilot), axis=-1)
-    return complex(h) if h.ndim == 0 else h
+    return np.mean(rx_pilot * np.conj(ref_pilot), axis=-1)
 
 
 def residual_offset(est: ChannelEstimate, symbol_period: float) -> tuple:
@@ -381,7 +312,7 @@ def residual_offset(est: ChannelEstimate, symbol_period: float) -> tuple:
     phases against block position (the training anchor, when present, joins
     the fit; without it a single block yields zero). The mean residual phase
     is the absolute phase the drift accumulates over one correction spacing,
-    in degrees. Array fields with leading axes give arrays, one per row.
+    in degrees. Both come back with one entry per row of blocks.
     """
     gains = np.asarray(est.h_blocks)
     positions = np.asarray(est.block_positions, dtype=float)
@@ -397,9 +328,9 @@ def residual_offset(est: ChannelEstimate, symbol_period: float) -> tuple:
     return residual_freq, np.degrees(mean_phase)
 
 
-def _pilot_slope_hz(h_blocks, positions, symbol_period: float) -> float | np.ndarray:
+def _pilot_slope_hz(h_blocks, positions, symbol_period: float) -> np.ndarray:
     """Least-squares phase slope of block gains against position, in Hz,
-    along the last axis (a float for one row of blocks)."""
+    along the last axis."""
     h_blocks = np.asarray(h_blocks)
     slope = np.zeros(h_blocks.shape[:-1])
     if h_blocks.shape[-1] >= 2:
@@ -411,7 +342,7 @@ def _pilot_slope_hz(h_blocks, positions, symbol_period: float) -> float | np.nda
         num = (pos_c[..., None, :] @ ph_c[..., :, None])[..., 0, 0]
         den = (pos_c[..., None, :] @ pos_c[..., :, None])[..., 0, 0]
         slope = num / den / (2.0 * math.pi)
-    return slope if slope.ndim else float(slope)
+    return slope
 
 
 def _choose_training_phase(
@@ -433,6 +364,7 @@ def _choose_training_phase(
     """
     lengths = np.array([s.shape[-1] for s in streams])
     n_rows, width = streams[0].shape[0], int(lengths.max())
+    padding = np.arange(width) >= lengths[:, None]
     symbols = np.zeros((n_rows, width), dtype=complex)
     phase = np.zeros(n_rows, dtype=np.int64)
     zeros = np.zeros(n_rows)
@@ -443,18 +375,15 @@ def _choose_training_phase(
         for p, stream in enumerate(streams):
             block[:, p, : lengths[p]] = stream[rows]
         c, _, rho = autocorrelation_metric(block, lag)
-        idx = _detect_rows(rho, c, lengths, det, lag)
-        hit, at = idx >= 0, np.maximum(idx, 0)[..., None]
-        peaks = np.where(hit, np.take_along_axis(c, at, -1)[..., 0], 0)
-        best = np.argmax(np.where(hit, np.abs(peaks), -np.inf), axis=-1)
+        # A zero rho never crosses, so the padding cannot be detected.
+        rho[:, padding] = 0.0
+        found = detect_training(rho, c, det, delta_t, lag)
+        hit = found.detect_index >= 0
+        best = np.argmax(np.where(hit, np.abs(found.c_peak), -np.inf), axis=-1)
         pick = np.arange(len(rows)), best
-        symbols[rows], phase[rows], coarse.detect_index[rows] = block[pick], best, idx[pick]
-        coarse.c_peak[rows] = peaks[pick]
-        coarse.rho_peak[rows] = np.where(hit, np.take_along_axis(rho, at, -1)[..., 0], 0)[pick]
-    found = coarse.detect_index >= 0
-    coarse.delta_f_est_hz[found] = [
-        estimate_coarse_cfo(c, delta_t) for c in coarse.c_peak[found].tolist()
-    ]
+        symbols[rows], phase[rows] = block[pick], best
+        for name in ("detect_index", "c_peak", "rho_peak", "delta_f_est_hz"):
+            getattr(coarse, name)[rows] = getattr(found, name)[pick]
     return symbols, lengths[phase], coarse
 
 
@@ -558,6 +487,12 @@ def receive_frames(
     est.h_blocks[rows] = estimate_channel(corrected[rows[:, None, None], pilot_at], tables.pilot)
     centers = np.array([0.5 * (a + b - 1) for a, b in layout.pilot_spans])
     est.block_positions[rows] = origin[:, None] + centers
+    # A non-finite estimate (a NaN or inf sample under a pilot block or the
+    # training anchor) cannot be fitted or divided by.
+    finite = np.isfinite(est.h_blocks[rows]).all(axis=-1) & np.isfinite(est.train_gain[rows])
+    failure[rows[~finite]] = UNEQUALIZABLE
+    rows, origin, anchored = rows[finite], origin[finite], anchored[finite]
+    pilot_at = pilot_at[finite]
 
     # Residual offset is measured before the fine stage corrects it; the
     # training anchor joins the fit on the rows where it lies in the window.
@@ -607,13 +542,3 @@ def receive_frames(
             failure[k] = CRC_FAIL
     return FrameBatch(failure, start, coarse, est, equalized, decisions, tuple(payloads))
 
-
-def receive_frame(
-    buf: ComplexBuffer,
-    cfg: FrameConfig,
-    det: DetectorConfig | None = None,
-    pulse: PulseShapeConfig | None = None,
-) -> FrameResult:
-    """Receive one burst: ``receive_frames`` with F = 1."""
-    single = ComplexBuffer(buf.samples[np.newaxis], buf.sample_period)
-    return receive_frames(single, cfg, det, pulse)[0]

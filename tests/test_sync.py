@@ -1,13 +1,22 @@
 """Tests for synchronization, channel estimation, and the RX pipeline."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from burstlink.channel import ChannelProfile, apply_channel
 from burstlink.framing import FrameConfig, assemble_frame, compute_layout, crc_attach, default_tables
 from burstlink.sync import (
+    CRC_FAIL,
+    DECODED,
+    FAILURE_KINDS,
+    NO_TRAINING,
+    TRUNCATED,
+    UNEQUALIZABLE,
     ChannelEstimate,
     DetectorConfig,
     autocorrelation_metric,
@@ -16,7 +25,6 @@ from burstlink.sync import (
     estimate_coarse_cfo,
     golay_frame_detect,
     nco_correct,
-    receive_frame,
     receive_frames,
     residual_offset,
 )
@@ -95,7 +103,6 @@ class TestDetectTraining:
         x = np.concatenate([lead, two_rep_burst()])
         c, _, rho = autocorrelation_metric(x, M)
         res = detect_training(rho, c, DetectorConfig(), DELTA_T, M)
-        assert res is not None
         assert res.detect_index == offset + 2 * M - 1
         assert res.rho_peak <= 1.0 + 1e-9
 
@@ -103,16 +110,32 @@ class TestDetectTraining:
         rng = np.random.default_rng(5)
         x = (rng.normal(size=10_000) + 1j * rng.normal(size=10_000)) / np.sqrt(2)
         c, _, rho = autocorrelation_metric(x, M)
-        assert detect_training(rho, c, DetectorConfig(rho_threshold=0.7), DELTA_T, M) is None
+        res = detect_training(rho, c, DetectorConfig(rho_threshold=0.7), DELTA_T, M)
+        assert res.detect_index == -1
+        assert res.c_peak == 0 and res.rho_peak == 0 and res.delta_f_est_hz == 0
 
     def test_zero_threshold_detects_earliest_energy(self):
         x = np.concatenate([np.zeros(50, dtype=complex), two_rep_burst()])
         c, p, rho = autocorrelation_metric(x, M)
         det = DetectorConfig(rho_threshold=0.0)
         res = detect_training(rho, c, det, DELTA_T, M)
-        assert res is not None
         first_energy = np.nonzero(rho > 0)[0][0]
         assert first_energy <= res.detect_index <= first_energy + M
+
+    def test_rows_match_one_row_calls(self):
+        rng = np.random.default_rng(8)
+        noise = (rng.normal(size=200) + 1j * rng.normal(size=200)) / np.sqrt(2)
+        late = np.concatenate([noise[:40], two_rep_burst(tail_symbols=96)])
+        x = np.stack([np.concatenate([two_rep_burst(), noise[:72]]), noise, late])
+        c, _, rho = autocorrelation_metric(x, M)
+        batched = detect_training(rho, c, DetectorConfig(), DELTA_T, M)
+        assert batched.detect_index.tolist() == [2 * M - 1, -1, 40 + 2 * M - 1]
+        for k in range(len(x)):
+            one = detect_training(rho[k], c[k], DetectorConfig(), DELTA_T, M)
+            for f in fields(one):
+                got = getattr(batched, f.name)
+                got = got[k] if isinstance(got, np.ndarray) else got
+                assert np.array_equal(got, getattr(one, f.name))
 
 
 class TestEstimateCoarseCfo:
@@ -170,20 +193,20 @@ class TestGolayDetect:
         assert golay_frame_detect(x, pair, DetectorConfig()) == t0 + 128
         # Gain below the threshold factor drops the frame.
         x_small = np.concatenate([np.zeros(t0), 0.4 * preamble, np.zeros(40)])
-        assert golay_frame_detect(x_small, pair, DetectorConfig()) is None
+        assert golay_frame_detect(x_small, pair, DetectorConfig()) == -1
 
     def test_noise_only_not_found(self):
         pair = generate_golay_pair(64)
         rng = np.random.default_rng(6)
         for seed in range(5):
             x = (rng.normal(size=10_000) + 1j * rng.normal(size=10_000)) / np.sqrt(2)
-            assert golay_frame_detect(x, pair, DetectorConfig()) is None
+            assert golay_frame_detect(x, pair, DetectorConfig()) == -1
 
     def test_search_window_restricts_peak(self):
         pair = generate_golay_pair(64)
         preamble = np.concatenate([pair.a, pair.b]).astype(complex)
         x = np.concatenate([np.zeros(100), preamble, np.zeros(100)])
-        assert golay_frame_detect(x, pair, DetectorConfig(), search=(0, 50)) is None
+        assert golay_frame_detect(x, pair, DetectorConfig(), search=(0, 50)) == -1
         assert golay_frame_detect(x, pair, DetectorConfig(), search=(60, 140)) == 228
 
 
@@ -223,8 +246,8 @@ class TestEstimateChannel:
 class TestResidualOffset:
     def test_equal_estimates_zero(self):
         est = ChannelEstimate(
-            h_blocks=(1 + 0j, 1 + 0j, 1 + 0j),
-            block_positions=(10.0, 100.0, 190.0),
+            h_blocks=np.array([1 + 0j, 1 + 0j, 1 + 0j]),
+            block_positions=np.array([10.0, 100.0, 190.0]),
             block_spacing_symbols=90.0,
         )
         freq, phase = residual_offset(est, T_SYM)
@@ -233,10 +256,9 @@ class TestResidualOffset:
 
     def test_linear_phase_slope(self):
         # pi/18 per 128 symbols at 1 us symbols -> 217.01 Hz.
-        positions = (0.0, 128.0, 256.0, 384.0)
-        phases = [np.exp(1j * (np.pi / 18) * k) for k in range(4)]
+        positions = np.array([0.0, 128.0, 256.0, 384.0])
         est = ChannelEstimate(
-            h_blocks=tuple(phases),
+            h_blocks=np.exp(1j * (np.pi / 18) * np.arange(4)),
             block_positions=positions,
             block_spacing_symbols=128.0,
         )
@@ -247,19 +269,19 @@ class TestResidualOffset:
 
     def test_single_block_without_anchor_is_zero(self):
         est = ChannelEstimate(
-            h_blocks=(np.exp(1j * 0.5),),
-            block_positions=(50.0,),
+            h_blocks=np.array([np.exp(1j * 0.5)]),
+            block_positions=np.array([50.0]),
             block_spacing_symbols=256.0,
         )
         assert residual_offset(est, T_SYM) == (0.0, 0.0)
 
     def test_single_block_with_training_anchor(self):
         est = ChannelEstimate(
-            h_blocks=(np.exp(1j * 0.2),),
-            block_positions=(232.0,),
+            h_blocks=np.array([np.exp(1j * 0.2)]),
+            block_positions=np.array([232.0]),
             block_spacing_symbols=256.0,
-            train_gain=1.0 + 0j,
-            train_position=32.0,
+            train_gain=np.array(1.0 + 0j),
+            train_position=np.array(32.0),
         )
         freq, phase_deg = residual_offset(est, T_SYM)
         expected = 0.2 / (2 * np.pi * 200e-6)
@@ -316,15 +338,20 @@ def outcome_windows(cfg, pulse, n, seed):
     return np.stack([x[:n] for x in rows.values()]), list(rows)
 
 
-def assert_same_result(got, want):
-    assert got.failure == want.failure
-    assert got.payload == want.payload
-    assert got.payload_start == want.payload_start
-    assert got.coarse == want.coarse
-    assert got.estimate == want.estimate
-    for name in ("equalized", "decisions"):
-        g, w = getattr(got, name), getattr(want, name)
-        assert (g is None and w is None) or np.array_equal(g, w)
+def receive_one(buf, cfg):
+    """``receive_frames`` on a single window, passed as a (1, N) buffer."""
+    return receive_frames(ComplexBuffer(buf.samples[np.newaxis], buf.sample_period), cfg)
+
+
+def assert_same_row(batch, k, single):
+    """Row k of ``batch`` equals the one row of ``single``, array for array."""
+    assert batch.payloads[k] == single.payloads[0]
+    pairs = (batch, single), (batch.coarse, single.coarse), (batch.estimate, single.estimate)
+    for got, want in pairs:
+        for f in fields(got):
+            g, w = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(g, np.ndarray):
+                np.testing.assert_array_equal(g[k], w[0], err_msg=f.name)
 
 
 class TestReceiveFrame:
@@ -334,9 +361,9 @@ class TestReceiveFrame:
         rng = np.random.default_rng(reps + mod)
         data = rng.bytes(cfg.payload_bytes)
         frame = assemble_frame(crc_attach(data), cfg)
-        res = receive_frame(tx_buffer(frame, PulseShapeConfig()), cfg)
-        assert res.failure is None
-        assert res.payload.data_bytes == data
+        res = receive_one(tx_buffer(frame, PulseShapeConfig()), cfg)
+        assert res.failure[0] == DECODED
+        assert res.payloads[0].data_bytes == data
 
     @pytest.mark.parametrize("reps,mod", [(4, 16), (1, 64), (8, 4), (2, 8)])
     def test_cfo_and_phase_recovered(self, reps, mod):
@@ -348,10 +375,10 @@ class TestReceiveFrame:
         df = 0.3 / (2 * DELTA_T)
         profile = ChannelProfile(delta_f_hz=df, theta_in_rad=1.0, seed=2)
         rx, _ = apply_channel(tx_buffer(frame, pulse), profile, samples_per_symbol=pulse.interpolation)
-        res = receive_frame(rx, cfg)
-        assert res.failure is None
-        assert res.payload.data_bytes == data
-        assert res.coarse.delta_f_est_hz == pytest.approx(df, rel=1e-3)
+        res = receive_one(rx, cfg)
+        assert res.failure[0] == DECODED
+        assert res.payloads[0].data_bytes == data
+        assert res.coarse.delta_f_est_hz[0] == pytest.approx(df, rel=1e-3)
 
     @pytest.mark.parametrize("reps", (3, 4))
     def test_longer_training_fields_decode(self, reps):
@@ -361,9 +388,9 @@ class TestReceiveFrame:
         rng = np.random.default_rng(60 + reps)
         data = rng.bytes(cfg.payload_bytes)
         frame = assemble_frame(crc_attach(data), cfg)
-        res = receive_frame(tx_buffer(frame, PulseShapeConfig()), cfg)
-        assert res.failure is None
-        assert res.payload.data_bytes == data
+        res = receive_one(tx_buffer(frame, PulseShapeConfig()), cfg)
+        assert res.failure[0] == DECODED
+        assert res.payloads[0].data_bytes == data
 
     def test_nondefault_geometry_decodes(self):
         cfg = FrameConfig(
@@ -376,22 +403,22 @@ class TestReceiveFrame:
         rng = np.random.default_rng(61)
         data = rng.bytes(cfg.payload_bytes)
         frame = assemble_frame(crc_attach(data), cfg)
-        res = receive_frame(tx_buffer(frame, PulseShapeConfig()), cfg)
-        assert res.failure is None
-        assert res.payload.data_bytes == data
+        res = receive_one(tx_buffer(frame, PulseShapeConfig()), cfg)
+        assert res.failure[0] == DECODED
+        assert res.payloads[0].data_bytes == data
 
     def test_tiny_buffer_reports_no_training(self):
         cfg = FrameConfig(pilot_reps=1, modulation=4)
-        res = receive_frame(ComplexBuffer(np.ones(10, dtype=complex), 0.25e-6), cfg)
-        assert res.failure == "no-training"
+        res = receive_one(ComplexBuffer(np.ones(10, dtype=complex), 0.25e-6), cfg)
+        assert res.failure[0] == NO_TRAINING
 
     def test_pure_noise_reports_no_training(self):
         cfg = FrameConfig(pilot_reps=4, modulation=16)
         rng = np.random.default_rng(11)
         noise = (rng.normal(size=4096) + 1j * rng.normal(size=4096)) / np.sqrt(2)
-        res = receive_frame(ComplexBuffer(noise, 0.25e-6), cfg)
-        assert res.failure == "no-training"
-        assert not res.detected
+        res = receive_one(ComplexBuffer(noise, 0.25e-6), cfg)
+        assert res.failure[0] == NO_TRAINING
+        assert not res.detected[0]
 
     def test_truncated_buffer_reported(self):
         cfg = FrameConfig(pilot_reps=2, modulation=4)
@@ -400,8 +427,8 @@ class TestReceiveFrame:
         pulse = PulseShapeConfig()
         buf = tx_buffer(frame, pulse)
         cut = ComplexBuffer(buf.samples[: len(buf) - 60 * pulse.interpolation], buf.sample_period)
-        res = receive_frame(cut, cfg)
-        assert res.failure == "truncated"
+        res = receive_one(cut, cfg)
+        assert res.failure[0] == TRUNCATED
 
     def test_dead_pilot_block_reports_unequalizable(self):
         cfg = FrameConfig(pilot_reps=2, modulation=4)
@@ -416,9 +443,9 @@ class TestReceiveFrame:
         lo = a * pulse.interpolation
         hi = b * pulse.interpolation + pulse.tap_count
         samples[lo:hi] = 0
-        res = receive_frame(ComplexBuffer(samples, buf.sample_period), cfg)
-        assert res.failure == "unequalizable"
-        assert res.detected
+        res = receive_one(ComplexBuffer(samples, buf.sample_period), cfg)
+        assert res.failure[0] == UNEQUALIZABLE
+        assert res.detected[0]
 
     def test_corrupted_data_reports_crc_fail(self):
         cfg = FrameConfig(pilot_reps=1, modulation=4)
@@ -428,10 +455,10 @@ class TestReceiveFrame:
         bad = frame.copy()
         a, _ = layout.data_spans[0]
         bad[a + 5 : a + 9] = -bad[a + 5 : a + 9]
-        res = receive_frame(tx_buffer(bad, PulseShapeConfig()), cfg)
-        assert res.failure == "crc-fail"
-        assert res.detected
-        assert not res.crc_ok
+        res = receive_one(tx_buffer(bad, PulseShapeConfig()), cfg)
+        assert res.failure[0] == CRC_FAIL
+        assert res.detected[0]
+        assert not res.crc_ok[0]
 
     @pytest.mark.parametrize("offset", (203, 450, 77))
     def test_frame_at_arbitrary_sample_offset(self, offset):
@@ -446,9 +473,9 @@ class TestReceiveFrame:
         lead = 0.02 * (rng.normal(size=offset) + 1j * rng.normal(size=offset))
         tail = 0.02 * (rng.normal(size=160) + 1j * rng.normal(size=160))
         samples = np.concatenate([lead, burst.samples, tail])
-        res = receive_frame(ComplexBuffer(samples, burst.sample_period), cfg)
-        assert res.failure is None
-        assert res.payload.data_bytes == data
+        res = receive_one(ComplexBuffer(samples, burst.sample_period), cfg)
+        assert res.failure[0] == DECODED
+        assert res.payloads[0].data_bytes == data
 
     def test_batch_matches_per_window_receiver(self):
         cfg = FrameConfig(pilot_reps=4, modulation=16)
@@ -464,16 +491,9 @@ class TestReceiveFrame:
         noise = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
         windows = np.stack([clean.samples, noise, impaired.samples])
         batch = receive_frames(ComplexBuffer(windows, clean.sample_period), cfg)
-        single = [receive_frame(ComplexBuffer(w, clean.sample_period), cfg) for w in windows]
-        assert [r.failure for r in batch] == [None, "no-training", None]
-        for b, s in zip(batch, single):
-            assert b.failure == s.failure
-            assert b.payload == s.payload
-            assert b.payload_start == s.payload_start
-            assert b.estimate == s.estimate
-            for name in ("equalized", "decisions"):
-                bv, sv = getattr(b, name), getattr(s, name)
-                assert (bv is None and sv is None) or np.array_equal(bv, sv)
+        assert batch.failure.tolist() == [DECODED, NO_TRAINING, DECODED]
+        for k, w in enumerate(windows):
+            assert_same_row(batch, k, receive_one(ComplexBuffer(w, clean.sample_period), cfg))
 
     # lambda=1 fits through the training anchor only. A frame's windows hold
     # 1888 samples; 1887 give phase streams of 472 and 471 symbols.
@@ -483,25 +503,25 @@ class TestReceiveFrame:
         pulse = PulseShapeConfig()
         first, kinds = outcome_windows(cfg, pulse, n, seed=30 + reps)
         second, _ = outcome_windows(cfg, pulse, n, seed=40 + reps)
-        # Twelve rows, so the chunked stages see a full and a partial chunk.
-        windows = np.concatenate([first, second])
+        pool = np.concatenate([first, second])
         period = 1e-6 / pulse.interpolation
-        batch = receive_frames(ComplexBuffer(windows, period), cfg)
-        singles = [receive_frame(ComplexBuffer(w, period), cfg) for w in windows]
-        assert [r.failure for r in singles] == kinds + kinds
-        assert len(batch) == len(windows)
-        for k, single in enumerate(singles):
-            assert_same_result(batch[k], single)
-        assert batch.detected.tolist() == [r.detected for r in singles]
-        assert batch.crc_ok.tolist() == [r.crc_ok for r in singles]
+        singles = [receive_frames(ComplexBuffer(w[np.newaxis], period), cfg) for w in pool]
+        codes = [DECODED if kind is None else 1 + FAILURE_KINDS.index(kind) for kind in kinds]
+        assert [int(s.failure[0]) for s in singles] == codes + codes
 
-        # Swapping the decoded row for noise changes that row alone.
-        changed = windows.copy()
-        changed[0] = windows[1]
-        again = receive_frames(ComplexBuffer(changed, period), cfg)
-        assert again[0].failure == "no-training"
-        for k in range(1, len(windows)):
-            assert_same_result(again[k], batch[k])
+        # Any stack of pool rows, in any order and with repeats, gives each
+        # row what its window gives alone. The whole pool in order is twelve
+        # rows, so the chunked stages see a full and a partial chunk.
+        @settings(max_examples=25, deadline=None)
+        @given(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=len(pool)))
+        @example(list(range(len(pool))))
+        def stack_matches_single_windows(picks):
+            batch = receive_frames(ComplexBuffer(pool[picks], period), cfg)
+            assert len(batch) == len(picks)
+            for k, i in enumerate(picks):
+                assert_same_row(batch, k, singles[i])
+
+        stack_matches_single_windows()
 
     def test_each_phase_stream_keeps_its_own_length(self):
         # Without its first sample the frame sits on phase 3. In 1787 samples
@@ -511,11 +531,11 @@ class TestReceiveFrame:
         rng = np.random.default_rng(50)
         frame = assemble_frame(crc_attach(rng.bytes(cfg.payload_bytes)), cfg)
         buf = tx_buffer(frame, PulseShapeConfig())
-        short = receive_frame(ComplexBuffer(buf.samples[1:1788], buf.sample_period), cfg)
-        assert short.failure == "truncated"
-        full = receive_frame(ComplexBuffer(buf.samples[1:1789], buf.sample_period), cfg)
-        assert full.detected
-        assert full.payload_start == 191
+        short = receive_one(ComplexBuffer(buf.samples[1:1788], buf.sample_period), cfg)
+        assert short.failure[0] == TRUNCATED
+        full = receive_one(ComplexBuffer(buf.samples[1:1789], buf.sample_period), cfg)
+        assert full.detected[0]
+        assert full.payload_start[0] == 191
 
     def test_nan_sample_never_wins_the_golay_peak(self):
         # One NaN at sample 1000 reaches symbols 226..250 through the matched
@@ -525,13 +545,32 @@ class TestReceiveFrame:
         rng = np.random.default_rng(21)
         frame = assemble_frame(crc_attach(rng.bytes(cfg.payload_bytes)), cfg)
         buf = tx_buffer(frame, PulseShapeConfig())
-        assert receive_frame(buf, cfg).payload_start == 192
+        assert receive_one(buf, cfg).payload_start[0] == 192
         samples = buf.samples.copy()
         samples[1000] = np.nan
-        res = receive_frame(ComplexBuffer(samples, buf.sample_period), cfg)
-        assert res.payload_start == 192
-        assert res.detected
-        assert res.failure == "crc-fail"
+        res = receive_one(ComplexBuffer(samples, buf.sample_period), cfg)
+        assert res.payload_start[0] == 192
+        assert res.detected[0]
+        assert res.failure[0] == CRC_FAIL
+
+    def test_nan_in_a_pilot_block_reports_unequalizable(self):
+        # One NaN at sample 1368 reaches symbols 318..342 through the matched
+        # filter, which covers pilot block 2 (symbols 320..335). Its estimate
+        # is NaN, so the row stops before the residual fit and logs zero
+        # residuals, like any row that stopped at an earlier stage.
+        cfg = FrameConfig(pilot_reps=4, modulation=16)
+        rng = np.random.default_rng(21)
+        frame = assemble_frame(crc_attach(rng.bytes(cfg.payload_bytes)), cfg)
+        buf = tx_buffer(frame, PulseShapeConfig())
+        samples = buf.samples.copy()
+        samples[1368] = np.nan
+        res = receive_one(ComplexBuffer(samples, buf.sample_period), cfg)
+        assert res.payload_start[0] == 192
+        assert res.failure[0] == UNEQUALIZABLE
+        assert np.isnan(res.estimate.h_blocks[0, 2])
+        assert res.estimate.residual_freq_hz[0] == 0.0
+        assert res.estimate.mean_residual_phase_deg[0] == 0.0
+        assert not res.demapped[0]
 
     def test_batch_needs_two_dimensional_windows(self):
         cfg = FrameConfig(pilot_reps=1, modulation=4)
@@ -545,8 +584,8 @@ class TestReceiveFrame:
         pulse = PulseShapeConfig()
         profile = ChannelProfile(delta_f_hz=2000.0, drift_hz_per_s=3e5, seed=4)
         rx, _ = apply_channel(tx_buffer(frame, pulse), profile, samples_per_symbol=pulse.interpolation)
-        res = receive_frame(rx, cfg)
-        assert res.failure is None
+        res = receive_one(rx, cfg)
+        assert res.failure[0] == DECODED
         # Drift leaves a positive measured residual frequency.
-        assert res.estimate.residual_freq_hz > 10.0
-        assert res.estimate.mean_residual_phase_deg > 0.0
+        assert res.estimate.residual_freq_hz[0] > 10.0
+        assert res.estimate.mean_residual_phase_deg[0] > 0.0
