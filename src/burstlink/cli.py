@@ -106,27 +106,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_trial_sigmf(run, args, path: str) -> None:
-    cfg = FrameConfig(
-        pilot_reps=run.result.config["pilot_reps"],
-        modulation=run.result.config["modulation"],
-    )
-    sample_rate = (
-        1.0 / run.rx_stream.sample_period if run.rx_stream is not None else 4e6
-    )
+def _write_trial_sigmf(result, args, path: str, sample_rate_hz: float, sample_count=None):
     doc = emit_sigmf(
-        run.result,
-        cfg,
-        sample_rate_hz=sample_rate,
-        environment=args.environment,
-        altitude_m=args.altitude_m,
-        link_distance_m=args.link_distance_m,
-        sample_count=len(run.rx_stream) if run.rx_stream is not None else None,
+        result,
+        sample_rate_hz,
+        args.environment,
+        args.altitude_m,
+        args.link_distance_m,
+        sample_count,
     )
     write_sigmf(doc, path)
 
 
+def _write_results(results, path: str | None) -> None:
+    if path:
+        write_results_csv(results, path)
+    else:
+        sys.stdout.write(results_to_csv(results))
+
+
 def _cmd_sim(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
     if args.trials > 1 and (args.iq_out or args.sigmf_out):
         raise ValueError("--iq-out and --sigmf-out record one trial; use --trials 1")
     profile = _config_from_args(ChannelProfile, args)
@@ -147,18 +148,16 @@ def _cmd_sim(args: argparse.Namespace) -> int:
                 capture_stream=bool(args.iq_out or args.sigmf_out),
             )
         )
-    csv_text = results_to_csv([r.result for r in runs])
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write_results([r.result for r in runs], args.out)
     if args.events_out:
         write_events_csv(runs, args.events_out)
+    stream = runs[0].rx_stream
     if args.iq_out:
-        write_cf32(runs[0].rx_stream.samples, args.iq_out)
+        write_cf32(stream.samples, args.iq_out)
     if args.sigmf_out:
-        _emit_trial_sigmf(runs[0], args, args.sigmf_out)
+        _write_trial_sigmf(
+            runs[0].result, args, args.sigmf_out, 1.0 / stream.sample_period, len(stream)
+        )
     return 0
 
 
@@ -174,32 +173,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         os.makedirs(args.sigmf_out, exist_ok=True)
         sample_rate = spec.pulse.interpolation / spec.symbol_period_s
         for run in runs:
-            cfg = spec.frame_config(
-                run.result.config["pilot_reps"], run.result.config["modulation"]
-            )
-            doc = emit_sigmf(
-                run.result,
-                cfg,
-                sample_rate_hz=sample_rate,
-                environment=args.environment,
-                altitude_m=args.altitude_m,
-                link_distance_m=args.link_distance_m,
-            )
-            write_sigmf(
-                doc, os.path.join(args.sigmf_out, run_id(run.result) + ".sigmf-meta")
-            )
+            path = os.path.join(args.sigmf_out, run_id(run.result) + ".sigmf-meta")
+            _write_trial_sigmf(run.result, args, path, sample_rate)
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    rows = read_events_csv(args.events)
-    results = results_from_event_rows(rows)
-    csv_text = results_to_csv(results)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write_results(results_from_event_rows(read_events_csv(args.events)), args.out)
     return 0
 
 

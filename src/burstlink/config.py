@@ -33,15 +33,6 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
-def format_kv(pairs: dict[str, object]) -> str:
-    lines = []
-    for key, value in pairs.items():
-        if isinstance(value, (list, tuple)):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
-
-
 def float_or_inf(value: str) -> float:
     if value.lower() in ("inf", "infinite", "infinity"):
         return math.inf
@@ -75,22 +66,13 @@ def _fields_from_kv(cls, kv: dict[str, str]) -> dict[str, object]:
     }
 
 
-def _to_kv(obj) -> dict[str, object]:
-    return {key: getattr(obj, name) for key, (name, _) in config_keys(type(obj)).items()}
-
-
 # Frame keys a sweep takes from its grid rather than from its template, each
 # with the grid key that sets it.
 _GRID_FRAME_FIELDS = {"pilot_reps": "lambda_list", "modulation": "modulations"}
 
 
-def frame_config_from_kv(kv: dict[str, str], defaults: FrameConfig | None = None) -> FrameConfig:
-    base = defaults or FrameConfig(pilot_reps=1, modulation=4)
-    return replace(base, **_fields_from_kv(FrameConfig, kv))
-
-
-def frame_config_to_kv(cfg: FrameConfig) -> dict[str, object]:
-    return _to_kv(cfg)
+def frame_config_from_kv(kv: dict[str, str]) -> FrameConfig:
+    return replace(FrameConfig(pilot_reps=1, modulation=4), **_fields_from_kv(FrameConfig, kv))
 
 
 def channel_profile_from_kv(kv: dict[str, str]) -> ChannelProfile:
@@ -98,7 +80,7 @@ def channel_profile_from_kv(kv: dict[str, str]) -> ChannelProfile:
 
 
 def channel_profile_to_kv(profile: ChannelProfile) -> dict[str, object]:
-    return _to_kv(profile)
+    return {key: getattr(profile, name) for key, (name, _) in config_keys(ChannelProfile).items()}
 
 
 @dataclass(frozen=True)
@@ -163,18 +145,6 @@ def sweep_spec_from_text(text: str) -> SweepSpec:
         frame_template=template,
         detector=DetectorConfig(**_fields_from_kv(DetectorConfig, kv)),
     )
-
-
-def sweep_spec_to_text(spec: SweepSpec) -> str:
-    if len(spec.profiles) != 1:
-        raise ValueError("only single-profile sweeps serialize to one config file")
-    pairs = _to_kv(spec)
-    pairs.update(channel_profile_to_kv(spec.profiles[0]))
-    if spec.frame_template is not None:
-        frame_kv = frame_config_to_kv(spec.frame_template)
-        pairs.update((k, v) for k, v in frame_kv.items() if k not in _GRID_FRAME_FIELDS)
-    pairs.update(_to_kv(spec.detector))
-    return format_kv(pairs)
 
 
 def load_sweep_config(path: str) -> SweepSpec:

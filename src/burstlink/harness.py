@@ -187,15 +187,7 @@ def run_trial_events(
     snapshot = _config_snapshot(
         cfg, profile, frames, symbol_period_s, profile_index, trial
     )
-    result = aggregate_events(
-        events,
-        data_bytes_per_frame=cfg.payload_bytes,
-        data_symbols=cfg.data_symbols,
-        bits_per_symbol=cfg.bits_per_symbol,
-        frame_airtime_s=cfg.total_symbols * symbol_period_s,
-        config=snapshot,
-        seed=seed,
-    )
+    result = aggregate_events(events, snapshot, seed)
     return TrialRun(result=result, events=events, rx_stream=rx if capture_stream else None)
 
 
@@ -242,6 +234,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[TrialRun]:
 # results serialize to identical bytes.
 # ---------------------------------------------------------------------------
 
+# Each results column is a failure count (``_FAILURE_COLUMNS``), a snapshot key
+# or a TrialResult field; ``_result_cell`` looks it up in that order.
 RESULT_COLUMNS = (
     "profile_index",
     "modulation",
@@ -280,11 +274,25 @@ _TRIAL_COLUMNS = tuple(
 )
 EVENT_COLUMNS = _TRIAL_COLUMNS + _EVENT_FIELDS
 
-_FIELD_PARSERS = {"int": int, "float": float, "str": str, "bool": lambda text: text == "1"}
+
+def _parse_bool(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {text!r}")
+    return text == "1"
+
+
+def _parse_failure(text: str) -> str:
+    if text and text not in FAILURE_KINDS:
+        raise ValueError(f"unknown failure kind {text!r}")
+    return text
+
+
+_FIELD_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
 _COLUMN_PARSERS = {
     **SNAPSHOT_COLUMNS,
     "seed": int,
     **{f.name: _FIELD_PARSERS[f.type] for f in fields(FrameEvent)},
+    "failure": _parse_failure,
 }
 
 _FAILURE_COLUMNS = {
@@ -304,31 +312,18 @@ def _cell_text(value) -> str:
     return str(value)
 
 
-def result_row(result: TrialResult) -> dict:
-    row = dict(result.config)
-    row.update(
-        seed=result.seed,
-        frames_sent=result.frames_sent,
-        frames_detected=result.frames_detected,
-        crc_pass=result.crc_pass,
-        duration_s=result.duration_s,
-        goodput_bps=result.goodput_bps,
-        throughput_bps=result.throughput_bps,
-        evm_percent=result.evm_percent,
-        evm_decision_percent=result.evm_decision_percent,
-        sinr_db=result.sinr_db,
-        mean_residual_phase_deg=result.mean_residual_phase_deg,
-    )
-    for column, kind in _FAILURE_COLUMNS.items():
-        row[column] = result.failure_counts.get(kind, 0)
-    return row
+def _result_cell(result: TrialResult, column: str):
+    if column in _FAILURE_COLUMNS:
+        return result.failure_counts.get(_FAILURE_COLUMNS[column], 0)
+    if column in result.config:
+        return result.config[column]
+    return getattr(result, column)
 
 
 def results_to_csv(results: list[TrialResult]) -> str:
     lines = [",".join(RESULT_COLUMNS)]
     for result in results:
-        row = result_row(result)
-        lines.append(",".join(_cell_text(row[c]) for c in RESULT_COLUMNS))
+        lines.append(",".join(_cell_text(_result_cell(result, c)) for c in RESULT_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -405,17 +400,7 @@ def results_from_event_rows(rows: list[dict]) -> list[TrialResult]:
         first = group[0]
         events = [FrameEvent(**{name: r[name] for name in _EVENT_FIELDS}) for r in group]
         snapshot = {c: first[c] for c in SNAPSHOT_COLUMNS}
-        results.append(
-            aggregate_events(
-                events,
-                data_bytes_per_frame=first["data_bytes_per_frame"],
-                data_symbols=first["data_symbols"],
-                bits_per_symbol=first["bits_per_symbol"],
-                frame_airtime_s=first["frame_airtime_s"],
-                config=snapshot,
-                seed=first["seed"],
-            )
-        )
+        results.append(aggregate_events(events, snapshot, first["seed"]))
     return results
 
 
@@ -465,35 +450,41 @@ REQUIRED_EXPERIMENT_FIELDS = (
 
 def emit_sigmf(
     result: TrialResult,
-    cfg: FrameConfig,
     sample_rate_hz: float,
     environment: str | None = None,
     altitude_m: float | None = None,
     link_distance_m: float | None = None,
-    data_file: str | None = None,
     sample_count: int | None = None,
 ) -> dict:
     """SigMF-style metadata document for one trial recording.
 
-    The experiment fields are always present; unknown values serialize as
-    null. The document round-trips through JSON unchanged.
+    Modulation, pilot repetitions and the default sample count (the trial's
+    frames at ``sample_rate_hz``) come from the trial snapshot. The experiment
+    fields are always present; unknown values serialize as null. The document
+    round-trips through JSON unchanged.
     """
+    cfg = result.config
+    modulation, pilot_reps = cfg["modulation"], cfg["pilot_reps"]
+    if sample_count is None:
+        frame_symbols = round(cfg["frame_airtime_s"] / cfg["symbol_period_s"])
+        samples_per_symbol = int(round(sample_rate_hz * cfg["symbol_period_s"]))
+        sample_count = result.frames_sent * frame_symbols * samples_per_symbol
     global_block = {
         "core:datatype": SIGMF_DATATYPE,
         "core:sample_rate": sample_rate_hz,
         "core:version": "1.0.0",
         "core:description": (
-            f"{cfg.modulation}QAM burst link trial, {cfg.pilot_reps} pilot "
+            f"{modulation}QAM burst link trial, {pilot_reps} pilot "
             f"repetitions, {result.frames_sent} frames"
         ),
         "core:num_channels": 1,
-        "experiment:modulation": f"{cfg.modulation}qam",
-        "experiment:pilot_repetitions": cfg.pilot_reps,
+        "experiment:modulation": f"{modulation}qam",
+        "experiment:pilot_repetitions": pilot_reps,
         "experiment:altitude_m": altitude_m,
         "experiment:link_distance_m": link_distance_m,
         "experiment:environment": environment,
-        "experiment:snr_db": _json_float(result.config.get("snr_db")),
-        "experiment:cfo_hz": result.config.get("cfo_hz"),
+        "experiment:snr_db": _json_float(cfg["snr_db"]),
+        "experiment:cfo_hz": cfg["cfo_hz"],
         "experiment:seed": result.seed,
         "experiment:goodput_bps": result.goodput_bps,
         "experiment:throughput_bps": result.throughput_bps,
@@ -502,18 +493,12 @@ def emit_sigmf(
             result.mean_residual_phase_deg
         ),
     }
-    if data_file is not None:
-        global_block["core:dataset"] = data_file
     captures = [{"core:sample_start": 0}]
     annotations = [
         {
             "core:sample_start": 0,
-            "core:sample_count": sample_count
-            if sample_count is not None
-            else result.frames_sent
-            * cfg.total_symbols
-            * int(round(sample_rate_hz * result.config.get("symbol_period_s", 1e-6))),
-            "core:label": f"{cfg.modulation}qam-p{cfg.pilot_reps}",
+            "core:sample_count": sample_count,
+            "core:label": f"{modulation}qam-p{pilot_reps}",
         }
     ]
     return {"global": global_block, "captures": captures, "annotations": annotations}
@@ -521,8 +506,6 @@ def emit_sigmf(
 
 def _json_float(value):
     """JSON has no inf/nan; encode those as strings, keep numbers as-is."""
-    if value is None:
-        return None
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
     return value
@@ -565,8 +548,8 @@ def write_sigmf(doc: dict, path: str) -> None:
 def run_id(result: TrialResult) -> str:
     cfg = result.config
     return (
-        f"run-p{cfg.get('profile_index', 0)}-{cfg.get('modulation')}qam"
-        f"-l{cfg.get('pilot_reps')}-t{cfg.get('trial', 0)}"
+        f"run-p{cfg['profile_index']}-{cfg['modulation']}qam"
+        f"-l{cfg['pilot_reps']}-t{cfg['trial']}"
     )
 
 

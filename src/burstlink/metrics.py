@@ -100,25 +100,19 @@ class TrialResult:
             raise ValueError("goodput cannot exceed throughput")
 
 
-def aggregate_events(
-    events: list[FrameEvent],
-    data_bytes_per_frame: int,
-    data_symbols: int,
-    bits_per_symbol: int,
-    frame_airtime_s: float,
-    config: dict | None = None,
-    seed: int = 0,
-) -> TrialResult:
+def aggregate_events(events: list[FrameEvent], config: dict, seed: int) -> TrialResult:
     """Fold per-frame events into a TrialResult.
 
-    Aggregation is associative: EVM and SINR come from summed error and
-    reference energies, counters from sums, phases from the mean over frames
-    that produced a measurement.
+    ``config`` is the trial snapshot: the frame sizes and the airtime that
+    goodput, throughput and duration need are read from it, and the result
+    carries a copy. Aggregation is associative: EVM and SINR come from summed
+    error and reference energies, counters from sums, phases from the mean
+    over frames that produced a measurement.
     """
     frames_sent = len(events)
     detected = sum(1 for e in events if e.detected)
     passed = sum(1 for e in events if e.crc_ok)
-    duration = frames_sent * frame_airtime_s
+    duration = frames_sent * config["frame_airtime_s"]
 
     failure_counts: dict[str, int] = {}
     for e in events:
@@ -137,6 +131,11 @@ def aggregate_events(
     else:
         sinr = math.nan
 
+    good = through = 0.0
+    if duration > 0:
+        good = goodput(passed, config["data_bytes_per_frame"], duration)
+        through = throughput(detected, config["data_symbols"], config["bits_per_symbol"], duration)
+
     phases = [e.residual_phase_deg for e in events if e.detected]
     mean_phase = float(np.mean(phases)) if phases else math.nan
 
@@ -144,16 +143,14 @@ def aggregate_events(
         frames_sent=frames_sent,
         frames_detected=detected,
         crc_pass=passed,
-        goodput_bps=goodput(passed, data_bytes_per_frame, duration) if duration > 0 else 0.0,
-        throughput_bps=throughput(detected, data_symbols, bits_per_symbol, duration)
-        if duration > 0
-        else 0.0,
+        goodput_bps=good,
+        throughput_bps=through,
         evm_percent=evm_tx,
         evm_decision_percent=evm_dec,
         sinr_db=sinr,
         mean_residual_phase_deg=mean_phase,
         duration_s=duration,
         failure_counts=failure_counts,
-        config=dict(config or {}),
+        config=dict(config),
         seed=seed,
     )

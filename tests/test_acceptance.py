@@ -373,14 +373,7 @@ def test_criterion_08_determinism():
         csv_text = results_to_csv([r.result for r in runs])
         sigmf_text = "".join(
             sigmf_to_json(
-                emit_sigmf(
-                    r.result,
-                    spec.frame_config(
-                        r.result.config["pilot_reps"], r.result.config["modulation"]
-                    ),
-                    sample_rate_hz=4e6,
-                    environment="bench",
-                )
+                emit_sigmf(r.result, sample_rate_hz=4e6, environment="bench")
             )
             for r in runs
         )
@@ -455,9 +448,9 @@ def test_criterion_10_sigmf_validity():
     cfg = FrameConfig(pilot_reps=2, modulation=8)
     result = run_trial_events(cfg, ChannelProfile(seed=2), frames=2, seed=9).result
     docs = [
-        emit_sigmf(result, cfg, sample_rate_hz=4e6, environment="indoor",
+        emit_sigmf(result, sample_rate_hz=4e6, environment="indoor",
                    altitude_m=12.0, link_distance_m=30.0),
-        emit_sigmf(result, cfg, sample_rate_hz=4e6),
+        emit_sigmf(result, sample_rate_hz=4e6),
     ]
     required = (
         "experiment:modulation",

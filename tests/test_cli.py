@@ -56,6 +56,22 @@ def test_sim_writes_outputs(tmp_path):
     doc = json.loads(sigmf.read_text())
     assert doc["global"]["experiment:modulation"] == "4qam"
     assert iq.stat().st_size > 0
+    # The metadata counts the cf32 samples of the I/Q dump, 8 bytes each.
+    assert doc["annotations"][0]["core:sample_count"] == iq.stat().st_size // 8
+
+
+@pytest.mark.parametrize("iq_out", [False, True])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_sim_rejects_fewer_than_one_trial(tmp_path, capsys, trials, iq_out):
+    argv = ["sim", "--mod", "4", "--pilot-reps", "1", "--frames", "2", "--trials", trials,
+            "--out", str(tmp_path / "r.csv"), "--events-out", str(tmp_path / "e.csv")]
+    if iq_out:
+        argv += ["--iq-out", str(tmp_path / "t.cf32")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --trials must be >= 1\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_determinism_and_seed_override(tmp_path):
@@ -79,6 +95,23 @@ def test_sweep_report_round_trip(tmp_path):
                  "--events-out", str(events)]) == 0
     assert main(["report", str(events), "--out", str(rep)]) == 0
     assert rep.read_bytes() == out.read_bytes()
+
+
+def test_sweep_sigmf_sample_count_follows_the_frame(tmp_path):
+    # A non-default frame: 128 payload symbols, 8-symbol pilot blocks, 4x
+    # oversampled 250 ns symbols. Each frame is 320 symbols of 4 samples.
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "lambda_list = 2\nmodulations = 16\nframes_per_trial = 3\ntrials_per_cell = 1\n"
+        "payload_symbols = 128\npilot_block_len = 8\nsymbol_period_s = 2.5e-07\n"
+    )
+    sig_dir = tmp_path / "sigmf"
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
+                 "--sigmf-out", str(sig_dir)]) == 0
+    (meta,) = sig_dir.iterdir()
+    doc = json.loads(meta.read_text())
+    assert doc["global"]["core:sample_rate"] == 16e6
+    assert doc["annotations"][0]["core:sample_count"] == 3 * 320 * 4
 
 
 def test_sweep_emits_sigmf_directory(tmp_path):
@@ -184,11 +217,23 @@ def test_report_on_short_event_row_is_an_error(tmp_path, capsys):
 
 
 def test_report_on_unparseable_event_cell_is_an_error(tmp_path, capsys):
-    cells = ["0"] * len(EVENT_COLUMNS)
-    cells[EVENT_COLUMNS.index("frame_index")] = "abc"
-    text = ",".join(EVENT_COLUMNS) + "\n" + ",".join(cells) + "\n"
-    err = _report_error(tmp_path, capsys, text)
-    assert "line 2, column frame_index: invalid literal for int()" in err
+    # Each case edits one cell of a row that parses: a frame lost to
+    # no-training.
+    valid = dict.fromkeys(EVENT_COLUMNS, "0")
+    valid.update(fading="none", failure="no-training")
+    header = ",".join(EVENT_COLUMNS) + "\n"
+    (tmp_path / "valid.csv").write_text(header + ",".join(valid.values()) + "\n")
+    assert main(["report", str(tmp_path / "valid.csv")]) == 0
+    capsys.readouterr()
+    cases = [
+        ("frame_index", "abc", "invalid literal for int()"),
+        ("crc_ok", "yes", "expected 0 or 1, got 'yes'"),
+        ("failure", "bogus-kind", "unknown failure kind 'bogus-kind'"),
+    ]
+    for column, cell, message in cases:
+        row = dict(valid, **{column: cell})
+        err = _report_error(tmp_path, capsys, header + ",".join(row.values()) + "\n")
+        assert f"line 2, column {column}: {message}" in err
 
 
 def test_sweep_with_grid_frame_key_is_an_error(tmp_path, capsys):

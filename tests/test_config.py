@@ -11,12 +11,9 @@ from burstlink.config import (
     channel_profile_from_kv,
     channel_profile_to_kv,
     frame_config_from_kv,
-    frame_config_to_kv,
-    format_kv,
     load_sweep_config,
     parse_kv_text,
     sweep_spec_from_text,
-    sweep_spec_to_text,
 )
 from burstlink.framing import FrameConfig
 from burstlink.sync import DetectorConfig
@@ -34,17 +31,14 @@ class TestKvText:
             parse_kv_text("a = 1\nnot a pair\n")
 
     def test_format_lists(self):
-        text = format_kv({"xs": (1, 2, 4), "y": "inf"})
-        assert "xs = 1,2,4" in text
-        assert "y = inf" in text
+        assert sweep_spec_from_text("lambda_list = 1, 2,4\n").lambda_list == (1, 2, 4)
 
 
 class TestFrameConfigKv:
     def test_round_trip(self):
         cfg = FrameConfig(pilot_reps=6, modulation=64, payload_symbols=256)
-        kv = {k: str(v) for k, v in frame_config_to_kv(cfg).items()}
-        back = frame_config_from_kv(kv)
-        assert back == cfg
+        text = "pilot_reps = 6\nmodulation = 64\npayload_symbols = 256\n"
+        assert frame_config_from_kv(parse_kv_text(text)) == cfg
 
 
 class TestChannelProfileKv:
@@ -79,7 +73,10 @@ class TestSweepSpec:
             trials_per_cell=2,
             master_seed=77,
         )
-        text = sweep_spec_to_text(spec)
+        text = (
+            "lambda_list = 1,4,8\nmodulations = 4,16\ncfo_hz = 900.0\nsnr_db = 20.0\n"
+            "channel_seed = 3\nframes_per_trial = 12\ntrials_per_cell = 2\nmaster_seed = 77\n"
+        )
         back = sweep_spec_from_text(text)
         assert back.lambda_list == spec.lambda_list
         assert back.modulations == spec.modulations
@@ -131,5 +128,6 @@ class TestSweepSpec:
             frame_template=FrameConfig(pilot_reps=1, modulation=4, pilot_block_len=8),
             detector=DetectorConfig(rho_threshold=0.6),
         )
-        assert sweep_spec_from_text(sweep_spec_to_text(spec)) == spec
+        text = "pilot_block_len = 8\nrho_threshold = 0.6\n"
+        assert sweep_spec_from_text(text) == spec
         assert load_sweep_config(str(EXAMPLE_SWEEP)).master_seed == 42

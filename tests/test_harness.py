@@ -1,5 +1,6 @@
 """Tests for trial execution, sweeps, persistence, and SigMF metadata."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -16,6 +17,8 @@ from burstlink.framing import FrameConfig
 from burstlink.harness import (
     EVENT_COLUMNS,
     RESULT_COLUMNS,
+    SNAPSHOT_COLUMNS,
+    _FAILURE_COLUMNS,
     emit_sigmf,
     events_to_csv,
     generate_payload,
@@ -34,6 +37,7 @@ from burstlink.harness import (
     write_results_csv,
     write_sigmf,
 )
+from burstlink.metrics import TrialResult
 
 
 class TestPayload:
@@ -300,6 +304,17 @@ class TestPersistence:
         assert RESULT_COLUMNS == FROZEN_RESULT_COLUMNS
         assert EVENT_COLUMNS == FROZEN_EVENT_COLUMNS
 
+    def test_each_result_column_has_one_source(self):
+        # A results cell is a failure count, a snapshot key or a TrialResult
+        # field, and never more than one of them.
+        sources = (
+            set(_FAILURE_COLUMNS),
+            set(SNAPSHOT_COLUMNS),
+            {f.name for f in dataclasses.fields(TrialResult)},
+        )
+        for column in RESULT_COLUMNS:
+            assert sum(column in source for source in sources) == 1, column
+
     def test_report_from_log_equals_live(self, tmp_path):
         runs = self._runs()
         live = results_to_csv([r.result for r in runs])
@@ -330,7 +345,7 @@ class TestSigmf:
     def _doc(self, **kwargs):
         cfg = FrameConfig(pilot_reps=4, modulation=16)
         result = run_trial_events(cfg, CLEAN, frames=2, seed=1).result
-        return emit_sigmf(result, cfg, sample_rate_hz=4e6, **kwargs), result
+        return emit_sigmf(result, sample_rate_hz=4e6, **kwargs), result
 
     def test_required_fields_present(self):
         doc, _ = self._doc(environment="indoor", link_distance_m=30.0)

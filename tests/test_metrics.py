@@ -112,6 +112,16 @@ def make_event(i, detected=True, crc_ok=True, failure="", err=0.01, ref=10.0, ph
     )
 
 
+# The frame facts aggregation reads from a trial snapshot: 16QAM, 192 data
+# symbols carrying 92 payload bytes, 448 us of airtime per frame.
+SNAPSHOT = {
+    "data_bytes_per_frame": 92,
+    "data_symbols": 192,
+    "bits_per_symbol": 4,
+    "frame_airtime_s": 448e-6,
+}
+
+
 class TestAggregation:
     def test_counters_and_rates(self):
         events = [
@@ -119,13 +129,7 @@ class TestAggregation:
             make_event(1, crc_ok=False, failure="crc-fail"),
             make_event(2, detected=False, crc_ok=False, failure="no-training"),
         ]
-        result = aggregate_events(
-            events,
-            data_bytes_per_frame=92,
-            data_symbols=192,
-            bits_per_symbol=4,
-            frame_airtime_s=448e-6,
-        )
+        result = aggregate_events(events, SNAPSHOT, seed=0)
         assert result.frames_sent == 3
         assert result.frames_detected == 2
         assert result.crc_pass == 1
@@ -136,13 +140,13 @@ class TestAggregation:
 
     def test_energy_pooled_evm(self):
         events = [make_event(0, err=0.01, ref=1.0), make_event(1, err=0.03, ref=1.0)]
-        result = aggregate_events(events, 92, 192, 4, 448e-6)
+        result = aggregate_events(events, SNAPSHOT, 0)
         assert result.evm_percent == pytest.approx(100 * math.sqrt(0.04 / 2.0))
 
     def test_aggregation_is_order_independent(self):
         events = [make_event(i, err=0.01 * (i + 1)) for i in range(5)]
-        a = aggregate_events(events, 92, 192, 4, 448e-6)
-        b = aggregate_events(list(reversed(events)), 92, 192, 4, 448e-6)
+        a = aggregate_events(events, SNAPSHOT, 0)
+        b = aggregate_events(list(reversed(events)), SNAPSHOT, 0)
         assert a.evm_percent == b.evm_percent
         assert a.goodput_bps == b.goodput_bps
 
