@@ -13,12 +13,13 @@ Sign convention: a positive frequency offset rotates samples by
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .waveform import ComplexBuffer
+from .waveform import ComplexBuffer, read_only
 
 FADING_MODES = ("none", "block-rayleigh", "block-rician")
 
@@ -88,6 +89,30 @@ def _epoch_index(n_samples: int, epoch_len: int | None) -> np.ndarray:
     return np.arange(n_samples, dtype=np.int64) // epoch_len
 
 
+def _oscillator_phase(
+    delta_f_hz: float, drift_hz_per_s: float, theta_in_rad: float, n: int, sample_period: float
+) -> np.ndarray:
+    """Closed-form phase of the deterministic oscillator: linear CFO plus drift."""
+    t = np.arange(n) * sample_period
+    phase = 2.0 * np.pi * (delta_f_hz * t + 0.5 * drift_hz_per_s * t * t)
+    phase += theta_in_rad
+    return phase
+
+
+@functools.lru_cache(maxsize=1)
+def oscillator_rotation(
+    delta_f_hz: float, drift_hz_per_s: float, theta_in_rad: float, n: int, sample_period: float
+) -> np.ndarray:
+    """``exp(1j * phase)`` of the deterministic oscillator over ``n`` samples.
+
+    Keyed on the oscillator's own numbers, not on a profile, so trials that
+    differ only in their seed share one read-only array. One entry is kept:
+    ``sim --trials`` and each sweep worker repeat one key back to back.
+    """
+    phase = _oscillator_phase(delta_f_hz, drift_hz_per_s, theta_in_rad, n, sample_period)
+    return read_only(np.exp(1j * phase))
+
+
 def apply_cfo_phase(
     buf: ComplexBuffer,
     profile: ChannelProfile,
@@ -98,31 +123,32 @@ def apply_cfo_phase(
     The instantaneous frequency is ``delta_f + drift_rate * t`` plus, when
     ``freq_walk_std_hz`` is set, a random walk that steps once per coherence
     epoch. The deterministic part integrates in closed form to a quadratic
-    phase; the walk part integrates piecewise linearly.
+    phase, whose rotation is cached (``oscillator_rotation``); the walk part
+    is drawn from the seed and integrates piecewise linearly.
     """
     n = len(buf)
     if n == 0:
         return buf
-    t = np.arange(n) * buf.sample_period
-    phase = 2.0 * np.pi * (profile.delta_f_hz * t + 0.5 * profile.drift_hz_per_s * t * t)
-    phase += profile.theta_in_rad
-
+    oscillator = (profile.delta_f_hz, profile.drift_hz_per_s, profile.theta_in_rad)
     if profile.freq_walk_std_hz > 0.0:
+        phase = _oscillator_phase(*oscillator, n, buf.sample_period)
         epoch_len = epoch_length_samples(profile, samples_per_symbol)
         idx = _epoch_index(n, epoch_len)
         n_epochs = int(idx[-1]) + 1
-        steps = _rng(profile.seed, _STREAM_WALK).normal(
-            0.0, profile.freq_walk_std_hz, n_epochs
-        )
+        steps = _rng(profile.seed, _STREAM_WALK).normal(0.0, profile.freq_walk_std_hz, n_epochs)
         walk_freq = np.cumsum(steps)  # frequency offset during each epoch
         freq_per_sample = walk_freq[idx]
         # Integrate the piecewise-constant walk frequency over time.
         walk_phase = 2.0 * np.pi * buf.sample_period * (
             np.cumsum(freq_per_sample) - freq_per_sample
         )
-        phase = phase + walk_phase
+        return ComplexBuffer(buf.samples * np.exp(1j * (phase + walk_phase)), buf.sample_period)
 
-    return ComplexBuffer(buf.samples * np.exp(1j * phase), buf.sample_period)
+    # Multiply by a fresh copy: numpy may reuse a fresh temporary as the output
+    # and swap the operands, and complex multiply is not bitwise commutative,
+    # so only this form matches ``samples * np.exp(...)``.
+    rotation = oscillator_rotation(*oscillator, n, buf.sample_period)
+    return ComplexBuffer(buf.samples * rotation.copy(), buf.sample_period)
 
 
 def draw_block_gains(profile: ChannelProfile, n_epochs: int) -> np.ndarray:
@@ -178,10 +204,16 @@ def apply_awgn(
     region = buf.samples[occupied] if occupied is not None else buf.samples
     signal_power = float(np.mean(np.abs(region) ** 2))
     noise_power = signal_power / (10.0 ** (snr_db / 10.0))
-    rng = _rng(seed, _STREAM_NOISE)
-    n = len(buf)
-    noise = np.sqrt(noise_power / 2.0) * (rng.normal(size=n) + 1j * rng.normal(size=n))
-    return ComplexBuffer(buf.samples + noise, buf.sample_period)
+    # One (2, n) draw is the same stream as two n-sample draws; the noise is
+    # built in its own array and the signal added in place, with no complex
+    # temporaries.
+    z = _rng(seed, _STREAM_NOISE).standard_normal((2, len(buf)))
+    scale = np.sqrt(noise_power / 2.0)
+    noisy = np.empty(len(buf), dtype=complex)
+    np.multiply(scale, z[0], out=noisy.real)
+    np.multiply(scale, z[1], out=noisy.imag)
+    noisy += buf.samples
+    return ComplexBuffer(noisy, buf.sample_period)
 
 
 def apply_channel(

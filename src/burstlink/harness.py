@@ -21,7 +21,7 @@ from .channel import ChannelProfile, apply_channel
 from .config import SweepSpec, channel_profile_to_kv
 from .framing import FrameConfig, assemble_frame, block_indices, crc_attach
 from .metrics import FrameEvent, TrialResult, aggregate_events
-from .sync import FAILURE_KINDS, DetectorConfig, receive_frames
+from .sync import FAILURE_KINDS, OUTCOMES, DetectorConfig, receive_frames
 from .waveform import ComplexBuffer, PulseShapeConfig, shape_and_upsample
 
 _PAYLOAD_STREAM = 0x50
@@ -350,8 +350,9 @@ def write_events_csv(runs: list[TrialRun], path: str) -> None:
 
 def read_events_csv(path: str) -> list[dict]:
     """Parse an event log; a missing header, a row whose cell count differs
-    from the header's or a cell that does not parse raises ``ValueError``
-    naming the line (and the column, for a cell)."""
+    from the header's, a cell that does not parse or a row whose outcome cells
+    contradict each other raises ``ValueError`` naming the line (and the
+    column, for a cell)."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = ((n, ln) for n, ln in enumerate(fh.read().splitlines(), 1) if ln)
     header = next(lines, None)
@@ -368,7 +369,7 @@ def read_events_csv(path: str) -> list[dict]:
                 f"{path} line {lineno}: {len(cells)} cells, header has {len(EVENT_COLUMNS)}"
             )
         try:
-            rows.append({c: parse(v) for c, parse, v in zip(EVENT_COLUMNS, parsers, cells)})
+            row = {c: parse(v) for c, parse, v in zip(EVENT_COLUMNS, parsers, cells)}
         except ValueError:
             for c, parse, v in zip(EVENT_COLUMNS, parsers, cells):
                 try:
@@ -376,6 +377,13 @@ def read_events_csv(path: str) -> list[dict]:
                 except ValueError as exc:
                     raise ValueError(f"{path} line {lineno}, column {c}: {exc}") from None
             raise
+        outcome = (row["detected"], row["crc_ok"], row["failure"])
+        if outcome not in OUTCOMES:
+            raise ValueError(
+                f"{path} line {lineno}: detected {outcome[0]:d}, crc_ok {outcome[1]:d} "
+                f"and failure {outcome[2]!r} contradict each other"
+            )
+        rows.append(row)
     return rows
 
 

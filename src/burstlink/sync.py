@@ -41,6 +41,19 @@ FAILURE_KINDS = ("no-training", "no-frame", "truncated", "unequalizable", "crc-f
 # one plus the index of the failure in FAILURE_KINDS.
 DECODED, NO_TRAINING, NO_FRAME, TRUNCATED, UNEQUALIZABLE, CRC_FAIL = range(6)
 
+
+def acquired(failure: np.ndarray | int) -> np.ndarray | bool:
+    """Whether outcome codes (an int or an array) mean the frame timing was
+    acquired: the payload was located in the window."""
+    return (failure == DECODED) | (failure >= UNEQUALIZABLE)
+
+
+# The (detected, crc_ok, failure) cells an event log records, one triple per
+# outcome code, by the same rules as FrameBatch.detected and .crc_ok.
+OUTCOMES = frozenset(
+    (acquired(code), code == DECODED, kind) for code, kind in enumerate(("",) + FAILURE_KINDS)
+)
+
 # Gain floor below which a block cannot be equalized without blowing up.
 H_MIN = 1e-6
 
@@ -127,8 +140,7 @@ class FrameBatch:
 
     @property
     def detected(self) -> np.ndarray:
-        """Rows whose frame timing was acquired (payload located in the window)."""
-        return (self.failure == DECODED) | (self.failure >= UNEQUALIZABLE)
+        return acquired(self.failure)
 
     @property
     def crc_ok(self) -> np.ndarray:
@@ -159,20 +171,21 @@ def autocorrelation_metric(
     prod = x[..., lag:] * np.conj(x[..., :-lag])
     power = np.abs(x) ** 2
 
-    zero = np.zeros(x.shape[:-1] + (1,))
-    csum = np.concatenate([zero.astype(complex), np.cumsum(prod, axis=-1)], axis=-1)
-    psum = np.concatenate([zero, np.cumsum(power, axis=-1)], axis=-1)
+    # Running sums led by one zero, accumulated in place.
+    csum = np.zeros(x.shape[:-1] + (n - lag + 1,), dtype=complex)
+    psum = np.zeros(x.shape[:-1] + (n + 1,))
+    np.cumsum(prod, axis=-1, out=csum[..., 1:])
+    np.cumsum(power, axis=-1, out=psum[..., 1:])
     # Window ending at e covers k in [e-lag+1, e]; products exist from k=lag,
     # so the ends run from 2*lag-1 to n-1.
     c, p = np.zeros(x.shape, dtype=complex), np.zeros(x.shape)
-    c[..., 2 * lag - 1 :] = csum[..., lag:] - csum[..., : n - 2 * lag + 1]
+    np.subtract(csum[..., lag:], csum[..., : n - 2 * lag + 1], out=c[..., 2 * lag - 1 :])
     late = psum[..., 2 * lag :] - psum[..., lag : n - lag + 1]
     early = psum[..., lag : n - lag + 1] - psum[..., : n - 2 * lag + 1]
-    p[..., 2 * lag - 1 :] = 0.5 * (late + early)
+    np.multiply(0.5, late + early, out=p[..., 2 * lag - 1 :])
 
     rho = np.zeros(x.shape, dtype=float)
-    nz = p > 0.0
-    rho[nz] = np.abs(c[nz]) / p[nz]
+    np.divide(np.abs(c), p, out=rho, where=p > 0.0)
     return c, p, rho
 
 

@@ -1,6 +1,7 @@
 """Tests for the seedable impairment engine."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from burstlink.channel import (
     apply_block_fading,
     apply_cfo_phase,
     apply_channel,
+    oscillator_rotation,
 )
 from burstlink.config import load_sweep_config
+from burstlink.framing import FrameConfig
+from burstlink.harness import run_trial_events
 from burstlink.sync import nco_correct
 from burstlink.waveform import ComplexBuffer
 
@@ -202,3 +206,68 @@ class TestCompositeChannel:
         assert load_sweep_config(str(cfg)).profiles[0].coherence_symbols == 128
         cfg.write_text("coherence_symbols = inf\n")
         assert math.isinf(load_sweep_config(str(cfg)).profiles[0].coherence_symbols)
+
+
+def reference_channel(samples, profile, samples_per_symbol, sample_period, occupied):
+    """The channel chain with the rotation and noise written out inline, each
+    product in the operand order of the uncached form."""
+    n = len(samples)
+    faded = apply_block_fading(ComplexBuffer(samples, sample_period), profile, samples_per_symbol)
+    t = np.arange(n) * sample_period
+    phase = 2.0 * np.pi * (profile.delta_f_hz * t + 0.5 * profile.drift_hz_per_s * t * t)
+    phase += profile.theta_in_rad
+    rotated = faded[0].samples * np.exp(1j * phase)
+    signal_power = float(np.mean(np.abs(rotated[occupied]) ** 2))
+    noise_power = signal_power / (10.0 ** (profile.snr_db / 10.0))
+    rng = np.random.default_rng([profile.seed, 0x0E])
+    noise = np.sqrt(noise_power / 2.0) * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    return rotated + noise
+
+
+class TestOscillatorRotation:
+    PROFILE = ChannelProfile(
+        delta_f_hz=1500.0,
+        drift_hz_per_s=100.0,
+        theta_in_rad=0.3,
+        snr_db=20.0,
+        coherence_symbols=128,
+        fading="block-rician",
+        seed=7,
+    )
+
+    def test_trials_of_one_profile_compute_it_once(self):
+        oscillator_rotation.cache_clear()
+        cfg = FrameConfig(modulation=16, pilot_reps=4)
+        a = run_trial_events(cfg, self.PROFILE, 3, seed=1)
+        b = run_trial_events(cfg, self.PROFILE, 3, seed=2)
+        info = oscillator_rotation.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert a.events != b.events
+
+    def test_walking_oscillator_differs_per_seed(self):
+        oscillator_rotation.cache_clear()
+        buf = ComplexBuffer(np.ones(4096, dtype=complex), 1e-6)
+        walk = ChannelProfile(delta_f_hz=300.0, freq_walk_std_hz=50.0, coherence_symbols=64)
+        a = apply_cfo_phase(buf, replace(walk, seed=1), samples_per_symbol=4)
+        b = apply_cfo_phase(buf, replace(walk, seed=2), samples_per_symbol=4)
+        assert not np.allclose(a.samples, b.samples)
+        assert oscillator_rotation.cache_info().misses == 0
+
+    def test_cached_array_is_read_only(self):
+        rotation = oscillator_rotation(1500.0, 100.0, 0.3, 64, 1e-6)
+        assert rotation is oscillator_rotation(1500.0, 100.0, 0.3, 64, 1e-6)
+        with pytest.raises(ValueError, match="read-only"):
+            rotation[0] = 0.0
+
+    @pytest.mark.parametrize("n", [9_056, 89_696], ids=["below-256KiB", "above-256KiB"])
+    def test_output_bits_match_the_uncached_expression(self, n):
+        # numpy reuses a fresh temporary of at least 256 KiB (16,384 complex
+        # samples) as the product's output, which can swap the operands.
+        oscillator_rotation.cache_clear()
+        samples = np.random.default_rng(n).normal(size=2 * n).view(complex)
+        occupied = slice(48, n - 48)
+        expected = reference_channel(samples, self.PROFILE, 4, 2.5e-7, occupied)
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            buf = ComplexBuffer(samples, 2.5e-7)
+            out, _gains = apply_channel(buf, self.PROFILE, samples_per_symbol=4, occupied=occupied)
+            assert out.samples.tobytes() == expected.tobytes()

@@ -236,6 +236,25 @@ def test_report_on_unparseable_event_cell_is_an_error(tmp_path, capsys):
         assert f"line 2, column {column}: {message}" in err
 
 
+@pytest.mark.parametrize(
+    "detected, crc_ok, failure",
+    [("1", "1", "crc-fail"), ("0", "1", "")],
+    ids=["crc-pass-and-crc-fail", "crc-pass-undetected"],
+)
+def test_report_on_contradictory_outcome_cells_is_an_error(
+    tmp_path, capsys, detected, crc_ok, failure
+):
+    # Each cell parses alone, but no receiver outcome logs the three together.
+    row = dict.fromkeys(EVENT_COLUMNS, "0")
+    row.update(fading="none", detected=detected, crc_ok=crc_ok, failure=failure)
+    text = ",".join(EVENT_COLUMNS) + "\n" + ",".join(row.values()) + "\n"
+    err = _report_error(tmp_path, capsys, text)
+    assert (
+        f"line 2: detected {detected}, crc_ok {crc_ok} and failure {failure!r} "
+        "contradict each other"
+    ) in err
+
+
 def test_sweep_with_grid_frame_key_is_an_error(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CFG + "pilot_reps = 4\nmodulation = 64\n")
