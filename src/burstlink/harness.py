@@ -13,6 +13,8 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from itertools import groupby, islice
+from operator import itemgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -20,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .channel import ChannelProfile, apply_channel
 from .config import SweepSpec, channel_profile_to_kv
 from .framing import FrameConfig, assemble_frame, block_indices, crc_attach
-from .metrics import FrameEvent, TrialResult, aggregate_events
+from .metrics import FrameEvents, TrialResult, aggregate_events
 from .sync import FAILURE_KINDS, OUTCOMES, DetectorConfig, receive_frames
 from .waveform import ComplexBuffer, PulseShapeConfig, shape_and_upsample
 
@@ -60,7 +62,7 @@ class TrialRun:
     """A trial's aggregate result plus its per-frame event log."""
 
     result: TrialResult
-    events: list[FrameEvent]
+    events: FrameEvents
     rx_stream: ComplexBuffer | None = None
 
 
@@ -163,26 +165,23 @@ def run_trial_events(
     tx_data = np.take(np.stack(frame_syms), block_indices(cfg)[1], axis=1)
     demapped = batch.demapped
 
-    def energy(z: np.ndarray) -> list[float]:
-        return np.where(demapped, np.sum(np.abs(z) ** 2, axis=-1), 0.0).tolist()
+    def energy(z: np.ndarray) -> tuple[float, ...]:
+        return tuple(np.where(demapped, np.sum(np.abs(z) ** 2, axis=-1), 0.0).tolist())
 
     failures = ("",) + FAILURE_KINDS
-    events = [
-        FrameEvent(*cells)
-        for cells in zip(
-            range(frames),
-            batch.detected.tolist(),
-            batch.crc_ok.tolist(),
-            [failures[code] for code in batch.failure.tolist()],
-            energy(batch.equalized - tx_data),
-            energy(tx_data),
-            energy(batch.equalized - batch.decisions),
-            energy(batch.decisions),
-            np.where(demapped, cfg.data_symbols, 0).tolist(),
-            batch.estimate.residual_freq_hz.tolist(),
-            batch.estimate.mean_residual_phase_deg.tolist(),
-        )
-    ]
+    events = FrameEvents(
+        tuple(range(frames)),
+        tuple(batch.detected.tolist()),
+        tuple(batch.crc_ok.tolist()),
+        tuple(failures[code] for code in batch.failure.tolist()),
+        energy(batch.equalized - tx_data),
+        energy(tx_data),
+        energy(batch.equalized - batch.decisions),
+        energy(batch.decisions),
+        tuple(np.where(demapped, cfg.data_symbols, 0).tolist()),
+        tuple(batch.estimate.residual_freq_hz.tolist()),
+        tuple(batch.estimate.mean_residual_phase_deg.tolist()),
+    )
 
     snapshot = _config_snapshot(
         cfg, profile, frames, symbol_period_s, profile_index, trial
@@ -267,12 +266,13 @@ RESULT_COLUMNS = (
     "freq_walk_std_hz",
 )
 
-_EVENT_FIELDS = tuple(f.name for f in fields(FrameEvent))
+_EVENT_FIELDS = tuple(f.name for f in fields(FrameEvents))
 # Per-trial event-log columns: the snapshot with the trial seed after "trial".
 _TRIAL_COLUMNS = tuple(
     c for col in SNAPSHOT_COLUMNS for c in ((col, "seed") if col == "trial" else (col,))
 )
 EVENT_COLUMNS = _TRIAL_COLUMNS + _EVENT_FIELDS
+_TRIAL_KEY = ("profile_index", "modulation", "pilot_reps", "trial")  # names a trial
 
 
 def _parse_bool(text: str) -> bool:
@@ -287,11 +287,12 @@ def _parse_failure(text: str) -> str:
     return text
 
 
-_FIELD_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+_FIELD_PARSERS = {"tuple[int, ...]": int, "tuple[float, ...]": float,
+                  "tuple[str, ...]": str, "tuple[bool, ...]": _parse_bool}
 _COLUMN_PARSERS = {
     **SNAPSHOT_COLUMNS,
     "seed": int,
-    **{f.name: _FIELD_PARSERS[f.type] for f in fields(FrameEvent)},
+    **{f.name: _FIELD_PARSERS[f.type] for f in fields(FrameEvents)},
     "failure": _parse_failure,
 }
 
@@ -336,10 +337,9 @@ def events_to_csv(runs: list[TrialRun]) -> str:
     lines = [",".join(EVENT_COLUMNS)]
     for run in runs:
         trial_row = dict(run.result.config, seed=run.result.seed)
-        prefix = ",".join(_cell_text(trial_row[c]) for c in _TRIAL_COLUMNS)
-        for event in run.events:
-            cells = (_cell_text(getattr(event, name)) for name in _EVENT_FIELDS)
-            lines.append(prefix + "," + ",".join(cells))
+        prefix = "".join(_cell_text(trial_row[c]) + "," for c in _TRIAL_COLUMNS)
+        columns = (map(_cell_text, getattr(run.events, name)) for name in _EVENT_FIELDS)
+        lines.extend(prefix + ",".join(cells) for cells in zip(*columns))
     return "\n".join(lines) + "\n"
 
 
@@ -348,68 +348,86 @@ def write_events_csv(runs: list[TrialRun], path: str) -> None:
         fh.write(events_to_csv(runs))
 
 
-def read_events_csv(path: str) -> list[dict]:
-    """Parse an event log; a missing header, a row whose cell count differs
-    from the header's, a cell that does not parse or a row whose outcome cells
-    contradict each other raises ``ValueError`` naming the line (and the
-    column, for a cell)."""
+def read_events_csv(path: str) -> list[tuple[dict, int, FrameEvents]]:
+    """Parse an event log into one ``(snapshot, seed, events)`` per trial, in
+    first-appearance order, each trial's frames in index order. A missing
+    header, a row with the wrong cell count, a cell that does not parse, or a
+    row whose outcome cells contradict each other or whose trial columns
+    differ from its trial's first row raises ``ValueError`` naming the first
+    such line (and the column, for a cell)."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = ((n, ln) for n, ln in enumerate(fh.read().splitlines(), 1) if ln)
-    header = next(lines, None)
-    if header is None:
+        lines = fh.read().splitlines()
+    start = next((n for n, line in enumerate(lines, 1) if line), None)
+    if start is None:
         raise ValueError(f"{path} line 1: empty event log, expected a header")
-    if tuple(header[1].split(",")) != EVENT_COLUMNS:
-        raise ValueError(f"{path} line {header[0]}: unrecognized event log header")
-    parsers = [_COLUMN_PARSERS[c] for c in EVENT_COLUMNS]
-    rows = []
-    for lineno, line in lines:
-        cells = line.split(",")
-        if len(cells) != len(EVENT_COLUMNS):
-            raise ValueError(
-                f"{path} line {lineno}: {len(cells)} cells, header has {len(EVENT_COLUMNS)}"
-            )
+    if tuple(lines[start - 1].split(",")) != EVENT_COLUMNS:
+        raise ValueError(f"{path} line {start}: unrecognized event log header")
+    try:
+        return _read_trials(filter(None, lines[start:]))
+    except ValueError:
+        # Some row is at fault: read the rows one at a time to name the first.
+        first_rows: dict[tuple, tuple[int, list[str]]] = {}
+        for lineno, line in filter(itemgetter(1), enumerate(lines[start:], start + 1)):
+            try:
+                [(snapshot, _, _)] = _read_trials([line])
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}{exc}") from None
+            key, cells = tuple(snapshot[c] for c in _TRIAL_KEY), line.split(",")
+            first, was = first_rows.setdefault(key, (lineno, cells))
+            for column, a, b in zip(_TRIAL_COLUMNS, was, cells):
+                if a != b:
+                    raise ValueError(
+                        f"{path} line {lineno}, column {column}: {b!r} differs from {a!r} "
+                        f"on line {first}, a row of the same trial"
+                    ) from None
+        raise
+
+
+def _read_trials(lines) -> list[tuple[dict, int, FrameEvents]]:
+    """Parse each trial's column text once and its event cells a column at a
+    time. A fault raises ``ValueError`` with the message after its line number."""
+    # Group whole lines and split a trial's rows only while parsing that trial.
+    by_trial: dict[str, list[str]] = {}
+    for text, group in groupby(lines, lambda line: line.rsplit(",", len(_EVENT_FIELDS))[0]):
+        by_trial.setdefault(text, []).extend(group)
+    trials = []
+    for text, group in by_trial.items():
+        rows = [line.rsplit(",", len(_EVENT_FIELDS)) for line in group]
+        cells = text.split(",")
+        if len(cells) != len(_TRIAL_COLUMNS) or set(map(len, rows)) != {len(_EVENT_FIELDS) + 1}:
+            count = len(cells) + len(rows[0]) - 1
+            raise ValueError(f": {count} cells, header has {len(EVENT_COLUMNS)}")
+        values = _parse_columns(_TRIAL_COLUMNS, zip(cells))
+        snapshot = {c: v for c, (v,) in zip(_TRIAL_COLUMNS, values)}
+        events = FrameEvents(*_parse_columns(_EVENT_FIELDS, islice(zip(*rows), 1, None)))
+        if outcomes := set(zip(events.detected, events.crc_ok, events.failure)) - OUTCOMES:
+            d, c, f = outcomes.pop()
+            raise ValueError(f": detected {d:d}, crc_ok {c:d} and failure {f!r} contradict"
+                             " each other")
+        if list(events.frame_index) != sorted(events.frame_index):  # stable, by frame index
+            events = FrameEvents(*zip(*sorted(zip(*vars(events).values()), key=itemgetter(0))))
+        trials.append((snapshot, snapshot.pop("seed"), events))
+    if len({tuple(s[c] for c in _TRIAL_KEY) for s, _, _ in trials}) < len(trials):
+        raise ValueError(": trial columns differ between rows of one trial")
+    return trials
+
+
+def _parse_columns(names: tuple[str, ...], columns):
+    """Parse each column of cells with its column's parser; a fault names the
+    column. A parser other than int or float runs once per distinct cell."""
+    for name, cells in zip(names, columns):
+        parse = _COLUMN_PARSERS[name]
         try:
-            row = {c: parse(v) for c, parse, v in zip(EVENT_COLUMNS, parsers, cells)}
-        except ValueError:
-            for c, parse, v in zip(EVENT_COLUMNS, parsers, cells):
-                try:
-                    parse(v)
-                except ValueError as exc:
-                    raise ValueError(f"{path} line {lineno}, column {c}: {exc}") from None
-            raise
-        outcome = (row["detected"], row["crc_ok"], row["failure"])
-        if outcome not in OUTCOMES:
-            raise ValueError(
-                f"{path} line {lineno}: detected {outcome[0]:d}, crc_ok {outcome[1]:d} "
-                f"and failure {outcome[2]!r} contradict each other"
-            )
-        rows.append(row)
-    return rows
+            if parse is not int and parse is not float:
+                parse = {text: parse(text) for text in set(cells)}.__getitem__
+            yield tuple(map(parse, cells))
+        except ValueError as exc:
+            raise ValueError(f", column {name}: {exc}") from None
 
 
-def results_from_event_rows(rows: list[dict]) -> list[TrialResult]:
-    """Re-aggregate trial results from a persisted event log.
-
-    Grouping preserves first-appearance order, so a log written by
-    ``write_events_csv`` reproduces the live result rows exactly.
-    """
-    groups: dict[tuple, list[dict]] = {}
-    order: list[tuple] = []
-    for row in rows:
-        key = (row["profile_index"], row["modulation"], row["pilot_reps"], row["trial"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
-
-    results = []
-    for key in order:
-        group = sorted(groups[key], key=lambda r: r["frame_index"])
-        first = group[0]
-        events = [FrameEvent(**{name: r[name] for name in _EVENT_FIELDS}) for r in group]
-        snapshot = {c: first[c] for c in SNAPSHOT_COLUMNS}
-        results.append(aggregate_events(events, snapshot, first["seed"]))
-    return results
+def results_from_event_rows(trials: list[tuple[dict, int, FrameEvents]]) -> list[TrialResult]:
+    """Aggregate each trial ``read_events_csv`` returns, in its order."""
+    return [aggregate_events(events, snapshot, seed) for snapshot, seed, events in trials]
 
 
 def goodput_improvement_table(results: list[TrialResult]) -> dict[int, dict]:

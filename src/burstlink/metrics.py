@@ -59,20 +59,23 @@ def throughput(
 
 
 @dataclass(frozen=True)
-class FrameEvent:
-    """Measurements logged for one received frame."""
+class FrameEvents:
+    """Measurements logged for a trial's frames: one tuple per field, in frame order."""
 
-    frame_index: int
-    detected: bool
-    crc_ok: bool
-    failure: str
-    err_energy_tx: float = 0.0
-    ref_energy_tx: float = 0.0
-    err_energy_dec: float = 0.0
-    sig_energy_dec: float = 0.0
-    n_symbols: int = 0
-    residual_freq_hz: float = 0.0
-    residual_phase_deg: float = 0.0
+    frame_index: tuple[int, ...]
+    detected: tuple[bool, ...]
+    crc_ok: tuple[bool, ...]
+    failure: tuple[str, ...]
+    err_energy_tx: tuple[float, ...]
+    ref_energy_tx: tuple[float, ...]
+    err_energy_dec: tuple[float, ...]
+    sig_energy_dec: tuple[float, ...]
+    n_symbols: tuple[int, ...]
+    residual_freq_hz: tuple[float, ...]
+    residual_phase_deg: tuple[float, ...]
+
+    def __len__(self) -> int:
+        return len(self.frame_index)
 
 
 @dataclass(frozen=True)
@@ -100,8 +103,8 @@ class TrialResult:
             raise ValueError("goodput cannot exceed throughput")
 
 
-def aggregate_events(events: list[FrameEvent], config: dict, seed: int) -> TrialResult:
-    """Fold per-frame events into a TrialResult.
+def aggregate_events(events: FrameEvents, config: dict, seed: int) -> TrialResult:
+    """Fold a trial's frame events into a TrialResult.
 
     ``config`` is the trial snapshot: the frame sizes and the airtime that
     goodput, throughput and duration need are read from it, and the result
@@ -110,19 +113,17 @@ def aggregate_events(events: list[FrameEvent], config: dict, seed: int) -> Trial
     over frames that produced a measurement.
     """
     frames_sent = len(events)
-    detected = sum(1 for e in events if e.detected)
-    passed = sum(1 for e in events if e.crc_ok)
+    detected = sum(events.detected)
+    passed = sum(events.crc_ok)
     duration = frames_sent * config["frame_airtime_s"]
 
-    failure_counts: dict[str, int] = {}
-    for e in events:
-        if e.failure:
-            failure_counts[e.failure] = failure_counts.get(e.failure, 0) + 1
+    kinds = dict.fromkeys(filter(None, events.failure))
+    failure_counts = {kind: events.failure.count(kind) for kind in kinds}
 
-    err_tx = sum(e.err_energy_tx for e in events)
-    ref_tx = sum(e.ref_energy_tx for e in events)
-    err_dec = sum(e.err_energy_dec for e in events)
-    sig_dec = sum(e.sig_energy_dec for e in events)
+    err_tx = sum(events.err_energy_tx)
+    ref_tx = sum(events.ref_energy_tx)
+    err_dec = sum(events.err_energy_dec)
+    sig_dec = sum(events.sig_energy_dec)
 
     evm_tx = 100.0 * math.sqrt(err_tx / ref_tx) if ref_tx > 0 else math.nan
     evm_dec = 100.0 * math.sqrt(err_dec / sig_dec) if sig_dec > 0 else math.nan
@@ -136,7 +137,7 @@ def aggregate_events(events: list[FrameEvent], config: dict, seed: int) -> Trial
         good = goodput(passed, config["data_bytes_per_frame"], duration)
         through = throughput(detected, config["data_symbols"], config["bits_per_symbol"], duration)
 
-    phases = [e.residual_phase_deg for e in events if e.detected]
+    phases = [p for p, d in zip(events.residual_phase_deg, events.detected) if d]
     mean_phase = float(np.mean(phases)) if phases else math.nan
 
     return TrialResult(

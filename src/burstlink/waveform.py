@@ -319,11 +319,12 @@ def agc(
     n = x.shape[-1]
     gain = np.ones(x.shape[:-1])
     limit = n if freeze_after is None else min(freeze_after, n)
-    for k in range(limit):
-        y = gain * x[..., k]
-        out[..., k] = y
-        err = (target_power - (y.real * y.real + y.imag * y.imag)) / target_power
-        gain = np.clip(gain * (1.0 + loop_gain * err), 1e-6, 1e6)
-    if limit < n:
-        out[..., limit:] = gain[..., None] * x[..., limit:]
+    with np.errstate(invalid="ignore"):  # gain * inf is inf + nan*j: a NaN, not a warning
+        for k in range(limit):
+            y = gain * x[..., k]
+            out[..., k] = y
+            err = (target_power - (y.real * y.real + y.imag * y.imag)) / target_power
+            gain = np.clip(gain * (1.0 + loop_gain * err), 1e-6, 1e6)
+        if limit < n:
+            out[..., limit:] = gain[..., None] * x[..., limit:]
     return ComplexBuffer(out, buf.sample_period)

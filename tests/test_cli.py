@@ -255,6 +255,32 @@ def test_report_on_contradictory_outcome_cells_is_an_error(
     ) in err
 
 
+def _sim_log(tmp_path, name, *flags):
+    """The lines of a 3-frame ``sim`` event log, header first."""
+    path = tmp_path / name
+    argv = ["sim", "--frames", "3", "--out", str(tmp_path / "r.csv"), "--events-out", str(path)]
+    assert main(argv + list(flags)) == 0
+    return path.read_text().splitlines()
+
+
+def test_report_on_trial_cells_that_differ_within_a_trial_is_an_error(tmp_path, capsys):
+    # Frame 1 of the trial (line 3) claims another frame size than frame 0.
+    lines = _sim_log(tmp_path, "sim.csv")
+    row = dict(zip(EVENT_COLUMNS, lines[2].split(",")))
+    assert row["data_bytes_per_frame"] == "92"
+    lines[2] = ",".join(dict(row, data_bytes_per_frame="999").values())
+    err = _report_error(tmp_path, capsys, "\n".join(lines) + "\n")
+    assert "line 3, column data_bytes_per_frame: '999' differs from '92' on line 2" in err
+
+
+def test_report_on_concatenated_logs_of_two_seeds_is_an_error(tmp_path, capsys):
+    # Both logs hold trial 0 of the same cell; the second's first row is line 5.
+    first = _sim_log(tmp_path, "a.csv", "--seed", "1")
+    second = _sim_log(tmp_path, "b.csv", "--seed", "2")
+    err = _report_error(tmp_path, capsys, "\n".join(first + second[1:]) + "\n")
+    assert "line 5, column seed: '2' differs from '1' on line 2" in err
+
+
 def test_sweep_with_grid_frame_key_is_an_error(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CFG + "pilot_reps = 4\nmodulation = 64\n")

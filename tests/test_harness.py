@@ -5,10 +5,14 @@ import hashlib
 import importlib.util
 import json
 import math
+import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burstlink import sync
 from burstlink.channel import ChannelProfile
@@ -37,7 +41,7 @@ from burstlink.harness import (
     write_results_csv,
     write_sigmf,
 )
-from burstlink.metrics import TrialResult
+from burstlink.metrics import TrialResult, aggregate_events
 
 
 class TestPayload:
@@ -165,8 +169,9 @@ class TestRunTrial:
     def test_events_match_aggregate(self):
         cfg = FrameConfig(pilot_reps=4, modulation=16)
         run = run_trial_events(cfg, CLEAN, frames=3, seed=7)
-        assert len(run.events) == 3
-        assert all(e.crc_ok for e in run.events)
+        assert run.events.frame_index == (0, 1, 2)
+        assert run.events.crc_ok == (True, True, True)
+        assert run.result == aggregate_events(run.events, run.result.config, run.result.seed)
 
     def test_dense_pilots_beat_sparse_for_64qam_on_fast_channel(self):
         profile = ChannelProfile(
@@ -320,10 +325,65 @@ class TestPersistence:
         live = results_to_csv([r.result for r in runs])
         path = tmp_path / "events.csv"
         write_events_csv(runs, str(path))
-        rows = read_events_csv(str(path))
-        assert len(rows) == 4 * 5
-        recomputed = results_to_csv(results_from_event_rows(rows))
+        trials = read_events_csv(str(path))
+        assert [len(events) for _, _, events in trials] == [5] * 4
+        recomputed = results_to_csv(results_from_event_rows(trials))
         assert recomputed == live
+
+    @staticmethod
+    @lru_cache(maxsize=1)
+    def _logged():
+        """The live results CSV of ``_runs`` and its event log: the header line
+        and each trial's data lines, in frame order."""
+        runs = TestPersistence()._runs()
+        lines = events_to_csv(runs).splitlines()
+        trials = tuple(tuple(lines[1 + 5 * t : 6 + 5 * t]) for t in range(4))
+        return results_to_csv([r.result for r in runs]), lines[0], trials
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_report_reads_rows_in_any_order_that_keeps_trials_first(self, data):
+        # Rows of different trials may interleave and a trial's frames may come
+        # in any order; the order in which the trials first appear fixes the
+        # order of the results. Each step takes the next row of a trial that
+        # has appeared, or the first row of the next trial.
+        live, header, trials = self._logged()
+        pending = [data.draw(st.permutations(rows)) for rows in trials]
+        opened, lines = 0, []
+        while any(pending):
+            choices = [t for t in range(opened) if pending[t]]
+            choices += [opened] if opened < len(pending) else []
+            t = data.draw(st.sampled_from(choices))
+            opened = max(opened, t + 1)
+            lines.append(pending[t].pop(0))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "events.csv"
+            path.write_text("\n".join([header, *lines]) + "\n")
+            assert results_to_csv(results_from_event_rows(read_events_csv(str(path)))) == live
+
+    @pytest.mark.parametrize("bad_cell_trial", [0, 1], ids=["other-trial", "same-trial"])
+    def test_report_names_the_earliest_of_two_faults(self, tmp_path, bad_cell_trial):
+        # Line 3 contradicts itself and line 4 holds a cell that does not
+        # parse. Line 4 belongs to the trial read first, or to line 3's own
+        # trial, where its column is parsed before the outcome check; either
+        # way the error names line 3.
+        _, header, trials = self._logged()
+        bad, other = trials[bad_cell_trial], trials[1 - bad_cell_trial]
+        lines = [trials[0][0], trials[1][0], *bad[1:], *other[1:]]
+
+        def edit(line, **cells):
+            row = dict(zip(EVENT_COLUMNS, line.split(",")))
+            return ",".join({**row, **cells}.values())
+
+        lines[1] = edit(lines[1], detected="1", crc_ok="1", failure="crc-fail")
+        lines[2] = edit(lines[2], err_energy_tx="abc")
+        path = tmp_path / "events.csv"
+        path.write_text("\n".join([header, *lines]) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_events_csv(str(path))
+        assert str(err.value) == (
+            f"{path} line 3: detected 1, crc_ok 1 and failure 'crc-fail' contradict each other"
+        )
 
     def test_results_file_round_trip(self, tmp_path):
         runs = self._runs()

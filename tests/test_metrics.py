@@ -1,12 +1,13 @@
 """Tests for link-quality metrics and trial aggregation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from burstlink.metrics import (
-    FrameEvent,
+    FrameEvents,
     TrialResult,
     aggregate_events,
     evm,
@@ -96,20 +97,19 @@ class TestRates:
         assert half == pytest.approx(0.5 * full)
 
 
-def make_event(i, detected=True, crc_ok=True, failure="", err=0.01, ref=10.0, phase=1.0):
-    return FrameEvent(
-        frame_index=i,
-        detected=detected,
-        crc_ok=crc_ok,
-        failure=failure,
-        err_energy_tx=err if detected else 0.0,
-        ref_energy_tx=ref if detected else 0.0,
-        err_energy_dec=err if detected else 0.0,
-        sig_energy_dec=ref if detected else 0.0,
-        n_symbols=100 if detected else 0,
-        residual_freq_hz=0.0,
-        residual_phase_deg=phase,
-    )
+FRAME_DEFAULTS = dict(detected=True, crc_ok=True, failure="", err=0.01, ref=10.0, phase=1.0)
+
+
+def make_events(*frames):
+    """One trial's FrameEvents: one dict per frame, over FRAME_DEFAULTS."""
+    rows = []
+    for i, frame in enumerate(frames):
+        f = {**FRAME_DEFAULTS, **frame}
+        energies = (f["err"], f["ref"], f["err"], f["ref"]) if f["detected"] else (0.0,) * 4
+        n_symbols = 100 if f["detected"] else 0
+        outcome = (f["detected"], f["crc_ok"], f["failure"])
+        rows.append((i, *outcome, *energies, n_symbols, 0.0, f["phase"]))
+    return FrameEvents(*zip(*rows))
 
 
 # The frame facts aggregation reads from a trial snapshot: 16QAM, 192 data
@@ -124,11 +124,11 @@ SNAPSHOT = {
 
 class TestAggregation:
     def test_counters_and_rates(self):
-        events = [
-            make_event(0),
-            make_event(1, crc_ok=False, failure="crc-fail"),
-            make_event(2, detected=False, crc_ok=False, failure="no-training"),
-        ]
+        events = make_events(
+            {},
+            dict(crc_ok=False, failure="crc-fail"),
+            dict(detected=False, crc_ok=False, failure="no-training"),
+        )
         result = aggregate_events(events, SNAPSHOT, seed=0)
         assert result.frames_sent == 3
         assert result.frames_detected == 2
@@ -139,14 +139,17 @@ class TestAggregation:
         assert result.failure_counts == {"crc-fail": 1, "no-training": 1}
 
     def test_energy_pooled_evm(self):
-        events = [make_event(0, err=0.01, ref=1.0), make_event(1, err=0.03, ref=1.0)]
+        events = make_events(dict(err=0.01, ref=1.0), dict(err=0.03, ref=1.0))
         result = aggregate_events(events, SNAPSHOT, 0)
         assert result.evm_percent == pytest.approx(100 * math.sqrt(0.04 / 2.0))
 
     def test_aggregation_is_order_independent(self):
-        events = [make_event(i, err=0.01 * (i + 1)) for i in range(5)]
+        events = make_events(*(dict(err=0.01 * (i + 1)) for i in range(5)))
+        reversed_events = FrameEvents(
+            *(getattr(events, f.name)[::-1] for f in dataclasses.fields(events))
+        )
         a = aggregate_events(events, SNAPSHOT, 0)
-        b = aggregate_events(list(reversed(events)), SNAPSHOT, 0)
+        b = aggregate_events(reversed_events, SNAPSHOT, 0)
         assert a.evm_percent == b.evm_percent
         assert a.goodput_bps == b.goodput_bps
 

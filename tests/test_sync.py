@@ -572,6 +572,21 @@ class TestReceiveFrame:
         assert res.estimate.mean_residual_phase_deg[0] == 0.0
         assert not res.demapped[0]
 
+    @pytest.mark.parametrize("sample, failure", [(300, NO_TRAINING), (1368, UNEQUALIZABLE)])
+    def test_inf_sample_is_a_typed_failure(self, sample, failure):
+        # An inf sample becomes inf + nan*j in the AGC, with no warning (the
+        # suite turns RuntimeWarnings into errors). At sample 300 it spoils
+        # the training field; at 1368 it spoils pilot block 2.
+        cfg = FrameConfig(pilot_reps=4, modulation=16)
+        rng = np.random.default_rng(21)
+        frame = assemble_frame(crc_attach(rng.bytes(cfg.payload_bytes)), cfg)
+        buf = tx_buffer(frame, PulseShapeConfig())
+        samples = buf.samples.copy()
+        samples[sample] = np.inf
+        res = receive_one(ComplexBuffer(samples, buf.sample_period), cfg)
+        assert res.failure[0] == failure
+        assert not res.demapped[0]
+
     def test_batch_needs_two_dimensional_windows(self):
         cfg = FrameConfig(pilot_reps=1, modulation=4)
         with pytest.raises(ValueError, match="shape"):
