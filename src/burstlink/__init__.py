@@ -14,6 +14,7 @@ from .framing import (
     PacketPayload,
     SymbolTables,
     assemble_frame,
+    assemble_frames,
     compute_layout,
     crc_attach,
     crc_check,

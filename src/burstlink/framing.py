@@ -220,36 +220,39 @@ def crc_check(payload: PacketPayload) -> bool:
     return (zlib.crc32(payload.data_bytes) & 0xFFFFFFFF) == payload.crc
 
 
-def _bytes_to_bits(data: bytes) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-
-
 def assemble_frame(payload: PacketPayload, cfg: FrameConfig) -> np.ndarray:
-    """Build one frame of symbols from a payload.
+    """Build one frame of symbols from a payload: ``assemble_frames`` of one."""
+    return assemble_frames([payload], cfg)[0]
 
-    The payload bytes plus the 4 CRC bytes must exactly fill the data symbol
-    budget at the configured modulation.
+
+def assemble_frames(payloads: list[PacketPayload], cfg: FrameConfig) -> np.ndarray:
+    """Build F frames of symbols, shape (F, total_symbols), one row per payload.
+
+    Each payload's bytes plus the 4 CRC bytes must exactly fill the data
+    symbol budget at the configured modulation.
     """
-    if len(payload.data_bytes) != cfg.payload_bytes:
-        raise ValueError(
-            f"payload must be exactly {cfg.payload_bytes} bytes for this config "
-            f"({cfg.data_symbols} data symbols at {cfg.bits_per_symbol} b/sym, "
-            f"CRC included), got {len(payload.data_bytes)}"
-        )
+    for k, payload in enumerate(payloads):
+        if len(payload.data_bytes) != cfg.payload_bytes:
+            raise ValueError(
+                f"payload {k} must be exactly {cfg.payload_bytes} bytes for this config "
+                f"({cfg.data_symbols} data symbols at {cfg.bits_per_symbol} b/sym, "
+                f"CRC included), got {len(payload.data_bytes)}"
+            )
 
-    wire = payload.data_bytes + payload.crc.to_bytes(CRC_BYTES, "little")
-    constellation = build_constellation(cfg.modulation)
-    data_syms = map_bits(_bytes_to_bits(wire), constellation)
+    # Each frame's wire bits fill whole symbols, so one mapping serves all rows.
+    wire = b"".join(p.data_bytes + p.crc.to_bytes(CRC_BYTES, "little") for p in payloads)
+    bits = np.unpackbits(np.frombuffer(wire, dtype=np.uint8))
+    data_syms = map_bits(bits, build_constellation(cfg.modulation))
 
     tables = default_tables(cfg)
     layout = compute_layout(cfg)
     pilots, data, _ = block_indices(cfg)
-    frame = np.empty(layout.total_symbols, dtype=complex)
-    frame[slice(*layout.training_span)] = np.tile(tables.training, cfg.training_reps)
-    frame[slice(*layout.preamble_span)] = tables.preamble
-    frame[pilots] = tables.pilot
-    frame[data] = data_syms
-    return frame
+    frames = np.empty((len(payloads), layout.total_symbols), dtype=complex)
+    frames[:, slice(*layout.training_span)] = np.tile(tables.training, cfg.training_reps)
+    frames[:, slice(*layout.preamble_span)] = tables.preamble
+    frames[:, pilots] = tables.pilot
+    frames[:, data] = data_syms.reshape(len(payloads), cfg.data_symbols)
+    return frames
 
 
 def unpack_wire_bytes(bits: np.ndarray, cfg: FrameConfig) -> list[PacketPayload]:

@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ChannelProfile, apply_channel
 from .config import SweepSpec, channel_profile_to_kv
-from .framing import FrameConfig, assemble_frame, block_indices, crc_attach
+from .framing import FrameConfig, assemble_frames, block_indices, crc_attach
 from .metrics import FrameEvents, TrialResult, aggregate_events
 from .sync import FAILURE_KINDS, OUTCOMES, DetectorConfig, receive_frames
 from .waveform import ComplexBuffer, PulseShapeConfig, shape_and_upsample
@@ -45,13 +45,12 @@ def _derive_seed(parts: list[int]) -> int:
 
 
 def transmit_burst(
-    frames_symbols: list[np.ndarray],
+    frames_symbols: np.ndarray,
     pulse: PulseShapeConfig,
     symbol_period_s: float,
 ) -> ComplexBuffer:
-    """Shape a back-to-back burst of frames at unit average power."""
-    stream = np.concatenate(frames_symbols)
-    shaped = shape_and_upsample(stream, pulse, symbol_period_s)
+    """Shape (F, S) frames, one per row, back to back at unit average power."""
+    shaped = shape_and_upsample(np.reshape(frames_symbols, -1), pulse, symbol_period_s)
     return ComplexBuffer(
         shaped.samples * math.sqrt(pulse.interpolation), shaped.sample_period
     )
@@ -143,10 +142,10 @@ def run_trial_events(
         generate_payload(cfg.payload_bytes, [seed, _PAYLOAD_STREAM, k])
         for k in range(frames)
     ]
-    frame_syms = [assemble_frame(crc_attach(p), cfg) for p in payloads]
+    frame_syms = assemble_frames([crc_attach(p) for p in payloads], cfg)
     tx = transmit_burst(frame_syms, pulse, symbol_period_s)
 
-    n_signal = len(frame_syms) * cfg.total_symbols * pulse.interpolation
+    n_signal = frame_syms.size * pulse.interpolation
     half_delay = (pulse.tap_count - 1) // 2
     occupied = slice(half_delay, half_delay + n_signal)
     trial_profile = replace(profile, seed=_derive_seed([profile.seed, seed]))
@@ -162,7 +161,7 @@ def run_trial_events(
 
     # Energies are row sums over the (F, data_symbols) arrays; a frame that
     # never reached the demapper logs zeros.
-    tx_data = np.take(np.stack(frame_syms), block_indices(cfg)[1], axis=1)
+    tx_data = np.take(frame_syms, block_indices(cfg)[1], axis=1)
     demapped = batch.demapped
 
     def energy(z: np.ndarray) -> tuple[float, ...]:
@@ -354,7 +353,8 @@ def read_events_csv(path: str) -> list[tuple[dict, int, FrameEvents]]:
     header, a row with the wrong cell count, a cell that does not parse, or a
     row whose outcome cells contradict each other or whose trial columns
     differ from its trial's first row raises ``ValueError`` naming the first
-    such line (and the column, for a cell)."""
+    such line (and the column, for a cell); a trial whose frame indices are not
+    ``range(frames)`` names the trial and its first missing or repeated frame."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     start = next((n for n, line in enumerate(lines, 1) if line), None)
@@ -363,7 +363,7 @@ def read_events_csv(path: str) -> list[tuple[dict, int, FrameEvents]]:
     if tuple(lines[start - 1].split(",")) != EVENT_COLUMNS:
         raise ValueError(f"{path} line {start}: unrecognized event log header")
     try:
-        return _read_trials(filter(None, lines[start:]))
+        trials = _read_trials(filter(None, lines[start:]))
     except ValueError:
         # Some row is at fault: read the rows one at a time to name the first.
         first_rows: dict[tuple, tuple[int, list[str]]] = {}
@@ -381,6 +381,21 @@ def read_events_csv(path: str) -> list[tuple[dict, int, FrameEvents]]:
                         f"on line {first}, a row of the same trial"
                     ) from None
         raise
+    for snapshot, _, events in trials:
+        if events.frame_index != tuple(range(frames := snapshot["frames"])):
+            # The first index that leaves 0, 1, ...; ``frames`` after the last
+            # row stands for a trial that ends early.
+            k, i = next((k, i) for k, i in enumerate(events.frame_index + (frames,))
+                        if i != k or i >= frames)
+            if k < i <= frames:
+                fault = f"frame {k} is missing"
+            elif 0 <= i < k:
+                fault = f"frame {i} is repeated"
+            else:
+                fault = f"frame index {i} is outside a trial of {frames} frames"
+            key = ", ".join(f"{c} {snapshot[c]}" for c in _TRIAL_KEY)
+            raise ValueError(f"{path}: trial {key}: {fault}")
+    return trials
 
 
 def _read_trials(lines) -> list[tuple[dict, int, FrameEvents]]:

@@ -62,10 +62,10 @@ H_MIN = 1e-6
 AGC_FREEZE_SAMPLES = 512
 RX_AGC_LOOP_GAIN = 0.05
 
-# Frames per training-detection and demap pass. Both build arrays several
-# times their input's size (autocorrelation sums of every phase stream, the
-# distance to every constellation point); a whole trial at once would only
-# raise peak memory.
+# Frames per full-width training-detection and demap pass. Both build arrays
+# several times their input's size (autocorrelation sums of every phase
+# stream, the distance to every constellation point); a whole trial at once
+# would only raise peak memory.
 _ROW_CHUNK = 8
 
 
@@ -363,6 +363,7 @@ def _choose_training_phase(
     det: DetectorConfig,
     delta_t: float,
     lag: int,
+    head: int,
 ) -> tuple[np.ndarray, np.ndarray, CoarseSyncResult]:
     """Run training detection on every decimation phase of every row.
 
@@ -371,32 +372,48 @@ def _choose_training_phase(
     concentrates at the true symbol instants after matched filtering.
 
     ``streams[p]`` is phase p of every row, (F, n_p); they are searched as
-    zero-padded (rows, P, M) blocks, each over its own n_p samples. Returns
-    each row's chosen stream (padded to M), its length, and the coarse
-    results as arrays, ``detect_index`` -1 where no phase found training.
+    zero-padded (rows, P, n) blocks, each over its own n_p samples, all rows
+    first over their first ``head`` samples. The running sums are
+    sequential, so there the metric equals the full-width one bit for bit,
+    and a phase's result is final when it found training with
+    ``detect_index + lag < head``: the first crossing and its whole
+    refinement window lie in the head. Rows with any phase not final are
+    searched again over the full width, ``_ROW_CHUNK`` rows at a time.
+    Returns each row's chosen stream (padded to the longest), its length,
+    and the coarse results as arrays, ``detect_index`` -1 where no phase
+    found training.
     """
     lengths = np.array([s.shape[-1] for s in streams])
     n_rows, width = streams[0].shape[0], int(lengths.max())
-    padding = np.arange(width) >= lengths[:, None]
-    symbols = np.zeros((n_rows, width), dtype=complex)
     phase = np.zeros(n_rows, dtype=np.int64)
     zeros = np.zeros(n_rows)
     coarse = CoarseSyncResult(np.full(n_rows, -1), zeros + 0j, zeros.copy(), zeros.copy(), delta_t)
-    for r0 in range(0, n_rows if width >= 2 * lag else 0, _ROW_CHUNK):
-        rows = np.arange(r0, min(r0 + _ROW_CHUNK, n_rows))
-        block = np.zeros((len(rows), len(streams), width), dtype=complex)
+
+    def search(rows: np.ndarray, n: int) -> np.ndarray:
+        """Detect over the first n samples; keep the final rows, return the rest."""
+        block = np.zeros((len(rows), len(streams), n), dtype=complex)
         for p, stream in enumerate(streams):
-            block[:, p, : lengths[p]] = stream[rows]
+            block[:, p, : lengths[p]] = stream[rows, :n]
         c, _, rho = autocorrelation_metric(block, lag)
         # A zero rho never crosses, so the padding cannot be detected.
-        rho[:, padding] = 0.0
+        rho[:, np.arange(n) >= lengths[:, None]] = 0.0
         found = detect_training(rho, c, det, delta_t, lag)
         hit = found.detect_index >= 0
-        best = np.argmax(np.where(hit, np.abs(found.c_peak), -np.inf), axis=-1)
-        pick = np.arange(len(rows)), best
-        symbols[rows], phase[rows] = block[pick], best
+        final = (hit & (found.detect_index + lag < n)).all(axis=-1) | (n == width)
+        best = np.argmax(np.where(hit, np.abs(found.c_peak), -np.inf), axis=-1)[final]
+        pick = np.flatnonzero(final), best
+        phase[rows[final]] = best
         for name in ("detect_index", "c_peak", "rho_peak", "delta_f_est_hz"):
-            getattr(coarse, name)[rows] = getattr(found, name)[pick]
+            getattr(coarse, name)[rows[final]] = getattr(found, name)[pick]
+        return rows[~final]
+
+    rows = search(np.arange(n_rows), min(head, width)) if width >= 2 * lag else ()
+    for r0 in range(0, len(rows), _ROW_CHUNK):
+        search(rows[r0 : r0 + _ROW_CHUNK], width)
+    symbols = np.zeros((n_rows, width), dtype=complex)
+    for p, stream in enumerate(streams):
+        chosen = phase == p
+        symbols[chosen, : lengths[p]] = stream[chosen]
     return symbols, lengths[phase], coarse
 
 
@@ -423,13 +440,14 @@ def receive_frames(
     tables, layout = default_tables(cfg), compute_layout(cfg)
     pilot_index, data_index, data_block = block_indices(cfg)
     lag = cfg.training_rep_len
+    head = (cfg.training_reps + 2) * lag  # the training field, then room to refine
     period = windows.sample_period * pulse.interpolation
 
     leveled = agc(
         windows, target_power=1.0, loop_gain=RX_AGC_LOOP_GAIN, freeze_after=AGC_FREEZE_SAMPLES
     )
     symbols, lengths, coarse = _choose_training_phase(
-        matched_filter_downsample(leveled, pulse), det, lag * period, lag
+        matched_filter_downsample(leveled, pulse), det, lag * period, lag, head
     )
     failure = np.where(coarse.detect_index < 0, NO_TRAINING, DECODED).astype(np.int8)
     rows = np.flatnonzero(failure == DECODED)

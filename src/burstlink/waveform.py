@@ -324,7 +324,7 @@ def agc(
             y = gain * x[..., k]
             out[..., k] = y
             err = (target_power - (y.real * y.real + y.imag * y.imag)) / target_power
-            gain = np.clip(gain * (1.0 + loop_gain * err), 1e-6, 1e6)
+            gain = np.minimum(np.maximum(gain * (1.0 + loop_gain * err), 1e-6), 1e6)
         if limit < n:
             out[..., limit:] = gain[..., None] * x[..., limit:]
     return ComplexBuffer(out, buf.sample_period)

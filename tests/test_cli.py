@@ -217,10 +217,10 @@ def test_report_on_short_event_row_is_an_error(tmp_path, capsys):
 
 
 def test_report_on_unparseable_event_cell_is_an_error(tmp_path, capsys):
-    # Each case edits one cell of a row that parses: a frame lost to
-    # no-training.
+    # Each case edits one cell of a row that parses: the one frame of a
+    # trial, lost to no-training.
     valid = dict.fromkeys(EVENT_COLUMNS, "0")
-    valid.update(fading="none", failure="no-training")
+    valid.update(fading="none", failure="no-training", frames="1")
     header = ",".join(EVENT_COLUMNS) + "\n"
     (tmp_path / "valid.csv").write_text(header + ",".join(valid.values()) + "\n")
     assert main(["report", str(tmp_path / "valid.csv")]) == 0
@@ -279,6 +279,33 @@ def test_report_on_concatenated_logs_of_two_seeds_is_an_error(tmp_path, capsys):
     second = _sim_log(tmp_path, "b.csv", "--seed", "2")
     err = _report_error(tmp_path, capsys, "\n".join(first + second[1:]) + "\n")
     assert "line 5, column seed: '2' differs from '1' on line 2" in err
+
+
+@pytest.mark.parametrize(
+    "edit, fault",
+    [
+        (lambda rows: rows + [rows[1]], "frame 1 is repeated"),
+        (lambda rows: rows[:2], "frame 2 is missing"),
+        (lambda rows: rows[1:], "frame 0 is missing"),
+    ],
+    ids=["repeated-row", "last-row-missing", "first-row-missing"],
+)
+def test_report_on_trial_without_each_frame_once_is_an_error(tmp_path, capsys, edit, fault):
+    # A 3-frame trial whose log repeats or lost a row would otherwise
+    # re-aggregate to another frame count.
+    header, *rows = _sim_log(tmp_path, "sim.csv")
+    err = _report_error(tmp_path, capsys, "\n".join([header] + edit(rows)) + "\n")
+    trial = "trial profile_index 0, modulation 16, pilot_reps 4, trial 0"
+    assert f"events.csv: {trial}: {fault}" in err
+
+
+def test_report_on_frame_index_past_the_trial_is_an_error(tmp_path, capsys):
+    # Frames 0..2 are all present; a fourth row claims frame 3.
+    header, *rows = _sim_log(tmp_path, "sim.csv")
+    row = dict(zip(EVENT_COLUMNS, rows[2].split(",")))
+    rows.append(",".join(dict(row, frame_index="3").values()))
+    err = _report_error(tmp_path, capsys, "\n".join([header] + rows) + "\n")
+    assert "frame index 3 is outside a trial of 3 frames" in err
 
 
 def test_sweep_with_grid_frame_key_is_an_error(tmp_path, capsys):

@@ -7,6 +7,7 @@ from burstlink.framing import (
     FrameConfig,
     PacketPayload,
     assemble_frame,
+    assemble_frames,
     block_indices,
     compute_layout,
     crc_attach,
@@ -139,6 +140,23 @@ class TestAssembleParse:
         cfg = FrameConfig(pilot_reps=4, modulation=16)
         with pytest.raises(ValueError, match="92 bytes"):
             assemble_frame(crc_attach(b"x" * 10), cfg)
+
+    @pytest.mark.parametrize("mod", (4, 8, 16, 64))
+    def test_each_assembled_row_is_its_own_frame(self, mod):
+        cfg = FrameConfig(pilot_reps=4, modulation=mod)
+        rng = np.random.default_rng(mod)
+        payloads = [crc_attach(rng.bytes(cfg.payload_bytes)) for _ in range(5)]
+        frames = assemble_frames(payloads, cfg)
+        assert frames.shape == (5, cfg.total_symbols)
+        for row, payload in zip(frames, payloads):
+            assert np.array_equal(row, assemble_frame(payload, cfg))
+        assert assemble_frames([], cfg).shape == (0, cfg.total_symbols)
+
+    def test_wrong_payload_size_names_its_index(self):
+        cfg = FrameConfig(pilot_reps=4, modulation=16)
+        good = crc_attach(b"x" * cfg.payload_bytes)
+        with pytest.raises(ValueError, match="payload 2 must be exactly 92 bytes.*got 91"):
+            assemble_frames([good, good, crc_attach(b"x" * 91), good], cfg)
 
     def test_tables_are_deterministic(self):
         cfg = FrameConfig(pilot_reps=1, modulation=4)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from burstlink import sync
 from burstlink.channel import ChannelProfile
 from burstlink.config import SweepSpec, load_sweep_config
-from burstlink.framing import FrameConfig
+from burstlink.framing import FrameConfig, assemble_frame, assemble_frames, crc_attach
 from burstlink.harness import (
     EVENT_COLUMNS,
     RESULT_COLUMNS,
@@ -35,6 +35,7 @@ from burstlink.harness import (
     run_sweep,
     run_trial_events,
     sigmf_to_json,
+    transmit_burst,
     validate_sigmf,
     write_cf32,
     write_events_csv,
@@ -42,6 +43,18 @@ from burstlink.harness import (
     write_sigmf,
 )
 from burstlink.metrics import TrialResult, aggregate_events
+from burstlink.waveform import PulseShapeConfig, shape_and_upsample
+
+
+def test_transmit_burst_shapes_the_frame_rows_back_to_back():
+    cfg = FrameConfig(pilot_reps=2, modulation=16)
+    pulse = PulseShapeConfig()
+    payloads = [crc_attach(generate_payload(cfg.payload_bytes, k)) for k in range(3)]
+    burst = transmit_burst(assemble_frames(payloads, cfg), pulse, 1e-6)
+    stream = np.concatenate([assemble_frame(p, cfg) for p in payloads])
+    shaped = shape_and_upsample(stream, pulse, 1e-6)
+    assert np.array_equal(burst.samples, shaped.samples * math.sqrt(pulse.interpolation))
+    assert burst.sample_period == shaped.sample_period
 
 
 class TestPayload:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from burstlink import sync
 from burstlink.channel import ChannelProfile, apply_channel
 from burstlink.framing import FrameConfig, assemble_frame, compute_layout, crc_attach, default_tables
 from burstlink.sync import (
@@ -136,6 +137,94 @@ class TestDetectTraining:
                 got = getattr(batched, f.name)
                 got = got[k] if isinstance(got, np.ndarray) else got
                 assert np.array_equal(got, getattr(one, f.name))
+
+
+# The receiver searches the first (training_reps + 2) * lag symbols of each
+# phase stream before it falls back to the full width.
+HEAD = (FrameConfig(pilot_reps=1, modulation=4).training_reps + 2) * M
+
+
+def phase_streams(rows, lengths):
+    """Phase streams (F, n_p), one per length, from rows (kind, seed, offset,
+    spot): noise, all zeros, or two training repetitions at ``offset`` with
+    a random gain per phase over noise; "nan" and "inf" rows are training
+    rows with that value at symbol ``spot`` of every phase, and a "split" row
+    moves the training of its later phases to ``spot``."""
+    width = max(lengths)
+    block = np.zeros((len(rows), len(lengths), width), dtype=complex)
+    for r, (kind, seed, offset, spot) in enumerate(rows):
+        if kind == "zeros":
+            continue
+        rng = np.random.default_rng(seed)
+        block[r] = rng.normal(size=(len(lengths), width, 2)) @ [0.3, 0.3j]
+        if kind != "noise":
+            split = kind == "split"
+            for p, gain in enumerate(rng.normal(size=(len(lengths), 2)) @ [1, 1j]):
+                at = min(spot, width - 2 * M) if split and 2 * p >= len(lengths) else offset
+                block[r, p, at : at + 2 * M] += gain * two_rep_burst(tail_symbols=0)
+        if kind in ("nan", "inf"):
+            block[r, :, spot] = np.nan if kind == "nan" else np.inf
+    return [block[:, p, :n] for p, n in enumerate(lengths)]
+
+
+def choose_phase(streams, head):
+    # An inf sample makes inf * 0 products in the running sums; both passes
+    # meet the same ones.
+    with np.errstate(invalid="ignore"):
+        return sync._choose_training_phase(streams, DetectorConfig(), DELTA_T, M, head)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_choice(got, want):
+    (symbols, lengths, coarse), (want_symbols, want_lengths, want_coarse) = got, want
+    assert_same_bits(symbols, want_symbols)
+    assert_same_bits(lengths, want_lengths)
+    for f in fields(coarse):
+        assert_same_bits(getattr(coarse, f.name), getattr(want_coarse, f.name))
+
+
+class TestTrainingHeadSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(("training", "split", "noise", "zeros", "nan", "inf")),
+                st.integers(0, 2**32 - 1),
+                st.integers(0, 471 - 2 * M),
+                st.integers(0, 470),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        short_phases=st.integers(0, 4),
+    )
+    # Training at 66 first crosses inside the 128-symbol head but peaks past
+    # it; the split row's later phases hold training only past the head.
+    @example(rows=[("training", 0, 66, 0)], short_phases=0)
+    @example(rows=[("split", 0, 0, 316)], short_phases=0)
+    def test_head_search_equals_full_width_search(self, rows, short_phases):
+        lengths = [472] * (4 - short_phases) + [471] * short_phases
+        streams = phase_streams(rows, lengths)
+        assert_same_choice(choose_phase(streams, HEAD), choose_phase(streams, max(lengths)))
+
+    def test_training_past_the_head_is_found_by_the_full_width_pass(self, monkeypatch):
+        widths = []
+
+        def spy(x, lag):
+            widths.append(x.shape[-1])
+            return autocorrelation_metric(x, lag)
+
+        monkeypatch.setattr(sync, "autocorrelation_metric", spy)
+        streams = phase_streams([("training", 1, 10, 0), ("training", 2, 200, 0)], [472, 471])
+        got = choose_phase(streams, HEAD)
+        assert widths == [HEAD, 472]
+        assert got[2].detect_index.tolist() == [10 + 2 * M - 1, 200 + 2 * M - 1]
+        assert_same_choice(got, choose_phase(streams, 472))
 
 
 class TestEstimateCoarseCfo:
