@@ -13,7 +13,6 @@ from .framing import (
     FrameLayout,
     PacketPayload,
     SymbolTables,
-    assemble_frame,
     assemble_frames,
     compute_layout,
     crc_attach,

@@ -20,16 +20,19 @@ from .waveform import PulseShapeConfig
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines into a string dict."""
+    """Parse ``key = value`` lines into a string dict; a key may appear once."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"line {lineno}: key {key} is already set on line {first_line[key]}")
+        out[key], first_line[key] = value, lineno
     return out
 
 
@@ -101,6 +104,12 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.lambda_list or not self.modulations or not self.profiles:
             raise ValueError("sweep lists must be nonempty")
+        # A repeated entry would run the same cell twice with the same seed.
+        for key in ("lambda_list", "modulations"):
+            values = getattr(self, key)
+            repeated = [v for k, v in enumerate(values) if v in values[:k]]
+            if repeated:
+                raise ValueError(f"{key} repeats the entry {repeated[0]}")
         if self.frames_per_trial < 1:
             raise ValueError("frames_per_trial must be >= 1")
         if self.trials_per_cell < 1:

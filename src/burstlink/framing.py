@@ -220,11 +220,6 @@ def crc_check(payload: PacketPayload) -> bool:
     return (zlib.crc32(payload.data_bytes) & 0xFFFFFFFF) == payload.crc
 
 
-def assemble_frame(payload: PacketPayload, cfg: FrameConfig) -> np.ndarray:
-    """Build one frame of symbols from a payload: ``assemble_frames`` of one."""
-    return assemble_frames([payload], cfg)[0]
-
-
 def assemble_frames(payloads: list[PacketPayload], cfg: FrameConfig) -> np.ndarray:
     """Build F frames of symbols, shape (F, total_symbols), one row per payload.
 
@@ -263,11 +258,10 @@ def unpack_wire_bytes(bits: np.ndarray, cfg: FrameConfig) -> list[PacketPayload]
     wire = np.packbits(np.asarray(bits, dtype=np.uint8), axis=-1)
     if wire.shape[-1] != cfg.frame_bytes:
         raise ValueError(f"expected {cfg.frame_bytes} wire bytes, got {wire.shape[-1]}")
-    payloads = [
+    return [
         PacketPayload(
             data_bytes=row[: cfg.payload_bytes].tobytes(),
             crc=int.from_bytes(row[cfg.payload_bytes :].tobytes(), "little"),
         )
         for row in wire.reshape(-1, cfg.frame_bytes)
     ]
-    return payloads

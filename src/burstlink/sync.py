@@ -94,26 +94,25 @@ class CoarseSyncResult:
     c_peak: np.ndarray
     rho_peak: np.ndarray
     delta_f_est_hz: np.ndarray
-    delta_t_s: float
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelEstimate:
     """Per-pilot-block channel estimates and residual-offset measurements,
-    rows along the leading axes and blocks along the last.
+    one row per frame and blocks along the last axis.
 
     ``train_gain``/``train_position`` anchor the residual-frequency fit at
     the training field, which is what makes the measurement defined for a
-    single pilot repetition; ``None`` leaves the anchor out of the fit.
+    single pilot repetition; a NaN ``train_position`` means the row has no
+    anchor.
     """
 
     h_blocks: np.ndarray
     block_positions: np.ndarray
-    block_spacing_symbols: float
-    train_gain: np.ndarray | None = None
-    train_position: np.ndarray | None = None
-    residual_freq_hz: np.ndarray | float = 0.0
-    mean_residual_phase_deg: np.ndarray | float = 0.0
+    train_gain: np.ndarray
+    train_position: np.ndarray
+    residual_freq_hz: np.ndarray
+    mean_residual_phase_deg: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,27 +239,26 @@ def detect_training(
         c_peak=np.where(found, c_peak, 0),
         rho_peak=np.where(found, np.take_along_axis(rho, idx, -1)[..., 0], 0.0),
         delta_f_est_hz=delta_f,
-        delta_t_s=delta_t,
     )
 
 
-def nco_correct(buf: ComplexBuffer, freq_hz: float | np.ndarray) -> ComplexBuffer:
-    """De-rotate by ``exp(-j*2*pi*f*n*T)``, n counted from the buffer start.
+def nco_correct(x: np.ndarray, freq_hz: float | np.ndarray, sample_period: float) -> np.ndarray:
+    """De-rotate by ``exp(-j*2*pi*f*n*T)``, n counted from the first sample.
 
-    ``freq_hz`` may hold one frequency per leading index of ``buf.samples``;
-    rows whose frequency is zero pass through unchanged.
+    ``freq_hz`` may hold one frequency per leading index of ``x`` (..., n);
+    rows whose frequency is zero pass through unchanged, and with no nonzero
+    frequency ``x`` itself comes back.
     """
     freq = np.asarray(freq_hz, dtype=float)
-    x = buf.samples
     if not freq.any() or x.shape[-1] == 0:
-        return buf
+        return x
     n = np.arange(x.shape[-1])
-    rot = np.exp(-2j * np.pi * freq[..., None] * n * buf.sample_period)
+    rot = np.exp(-2j * np.pi * freq[..., None] * n * sample_period)
     out = x * rot
     still = freq == 0.0
     if still.any():
         out[still] = x[still]
-    return ComplexBuffer(out, buf.sample_period)
+    return out
 
 
 def golay_frame_detect(
@@ -318,26 +316,20 @@ def estimate_channel(rx_pilot: np.ndarray, ref_pilot: np.ndarray) -> np.ndarray:
     return np.mean(rx_pilot * np.conj(ref_pilot), axis=-1)
 
 
-def residual_offset(est: ChannelEstimate, symbol_period: float) -> tuple:
+def residual_offset(
+    h_blocks: np.ndarray, positions: np.ndarray, spacing_symbols: float, symbol_period: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Residual frequency and mean per-gap phase drift from block estimates.
 
-    The residual frequency is the least-squares slope of the unwrapped block
-    phases against block position (the training anchor, when present, joins
-    the fit; without it a single block yields zero). The mean residual phase
-    is the absolute phase the drift accumulates over one correction spacing,
-    in degrees. Both come back with one entry per row of blocks.
+    The residual frequency is the least-squares slope of the unwrapped phases
+    of ``h_blocks`` against ``positions`` (in symbols), along the last axis;
+    a single block yields zero. A training anchor joins the fit as one more
+    block. The mean residual phase is the absolute phase the drift
+    accumulates over ``spacing_symbols``, in degrees. Both come back with
+    one entry per row of blocks.
     """
-    gains = np.asarray(est.h_blocks)
-    positions = np.asarray(est.block_positions, dtype=float)
-    if est.train_gain is not None and est.train_position is not None:
-        gains = np.concatenate([np.asarray(est.train_gain)[..., None], gains], axis=-1)
-        positions = np.concatenate(
-            [np.asarray(est.train_position, dtype=float)[..., None], positions], axis=-1
-        )
-    residual_freq = _pilot_slope_hz(gains, positions, symbol_period)
-    mean_phase = np.abs(
-        2.0 * math.pi * residual_freq * est.block_spacing_symbols * symbol_period
-    )
+    residual_freq = _pilot_slope_hz(h_blocks, positions, symbol_period)
+    mean_phase = np.abs(2.0 * math.pi * residual_freq * spacing_symbols * symbol_period)
     return residual_freq, np.degrees(mean_phase)
 
 
@@ -359,7 +351,8 @@ def _pilot_slope_hz(h_blocks, positions, symbol_period: float) -> np.ndarray:
 
 
 def _choose_training_phase(
-    streams: list[np.ndarray],
+    streams: np.ndarray,
+    lengths: np.ndarray,
     det: DetectorConfig,
     delta_t: float,
     lag: int,
@@ -371,30 +364,25 @@ def _choose_training_phase(
     phases apart; the correlation magnitude can, because sample power
     concentrates at the true symbol instants after matched filtering.
 
-    ``streams[p]`` is phase p of every row, (F, n_p); they are searched as
-    zero-padded (rows, P, n) blocks, each over its own n_p samples, all rows
-    first over their first ``head`` samples. The running sums are
-    sequential, so there the metric equals the full-width one bit for bit,
-    and a phase's result is final when it found training with
-    ``detect_index + lag < head``: the first crossing and its whole
-    refinement window lie in the head. Rows with any phase not final are
-    searched again over the full width, ``_ROW_CHUNK`` rows at a time.
-    Returns each row's chosen stream (padded to the longest), its length,
-    and the coarse results as arrays, ``detect_index`` -1 where no phase
-    found training.
+    ``streams`` (F, P, n) holds phase p of every row in ``streams[:, p]``,
+    zero past its ``lengths[p]`` samples, as ``matched_filter_downsample``
+    gives it. All rows are searched first over their first ``head`` samples.
+    The running sums are sequential, so there the metric equals the
+    full-width one bit for bit, and a phase's result is final when it found
+    training with ``detect_index + lag < head``: the first crossing and its
+    whole refinement window lie in the head. Rows with any phase not final
+    are searched again over the full width, ``_ROW_CHUNK`` rows at a time.
+    Returns each row's chosen stream, its length, and the coarse results as
+    arrays, ``detect_index`` -1 where no phase found training.
     """
-    lengths = np.array([s.shape[-1] for s in streams])
-    n_rows, width = streams[0].shape[0], int(lengths.max())
+    n_rows, width = streams.shape[0], streams.shape[-1]
     phase = np.zeros(n_rows, dtype=np.int64)
     zeros = np.zeros(n_rows)
-    coarse = CoarseSyncResult(np.full(n_rows, -1), zeros + 0j, zeros.copy(), zeros.copy(), delta_t)
+    coarse = CoarseSyncResult(np.full(n_rows, -1), zeros + 0j, zeros.copy(), zeros.copy())
 
     def search(rows: np.ndarray, n: int) -> np.ndarray:
         """Detect over the first n samples; keep the final rows, return the rest."""
-        block = np.zeros((len(rows), len(streams), n), dtype=complex)
-        for p, stream in enumerate(streams):
-            block[:, p, : lengths[p]] = stream[rows, :n]
-        c, _, rho = autocorrelation_metric(block, lag)
+        c, _, rho = autocorrelation_metric(streams[rows, :, :n], lag)
         # A zero rho never crosses, so the padding cannot be detected.
         rho[:, np.arange(n) >= lengths[:, None]] = 0.0
         found = detect_training(rho, c, det, delta_t, lag)
@@ -410,11 +398,7 @@ def _choose_training_phase(
     rows = search(np.arange(n_rows), min(head, width)) if width >= 2 * lag else ()
     for r0 in range(0, len(rows), _ROW_CHUNK):
         search(rows[r0 : r0 + _ROW_CHUNK], width)
-    symbols = np.zeros((n_rows, width), dtype=complex)
-    for p, stream in enumerate(streams):
-        chosen = phase == p
-        symbols[chosen, : lengths[p]] = stream[chosen]
-    return symbols, lengths[phase], coarse
+    return streams[np.arange(n_rows), phase], lengths[phase], coarse
 
 
 def receive_frames(
@@ -442,16 +426,16 @@ def receive_frames(
     lag = cfg.training_rep_len
     head = (cfg.training_reps + 2) * lag  # the training field, then room to refine
     period = windows.sample_period * pulse.interpolation
+    delta_t = lag * period
 
     leveled = agc(
         windows, target_power=1.0, loop_gain=RX_AGC_LOOP_GAIN, freeze_after=AGC_FREEZE_SAMPLES
     )
-    symbols, lengths, coarse = _choose_training_phase(
-        matched_filter_downsample(leveled, pulse), det, lag * period, lag, head
-    )
+    streams, lengths = matched_filter_downsample(leveled.samples, pulse)
+    symbols, lengths, coarse = _choose_training_phase(streams, lengths, det, delta_t, lag, head)
     failure = np.where(coarse.detect_index < 0, NO_TRAINING, DECODED).astype(np.int8)
     rows = np.flatnonzero(failure == DECODED)
-    corrected = nco_correct(ComplexBuffer(symbols, period), coarse.delta_f_est_hz).samples
+    corrected = nco_correct(symbols, coarse.delta_f_est_hz, period)
 
     # With more than two training repetitions the detector may sit anywhere
     # on the correlation plateau, so the forward search spans the remaining
@@ -483,23 +467,17 @@ def receive_frames(
     redo, c_exact = redo[c_exact != 0], c_exact[c_exact != 0]
     coarse.detect_index[redo] = exact_end[redo]
     coarse.c_peak[redo] = c_exact
-    coarse.delta_f_est_hz[redo] = [
-        estimate_coarse_cfo(c, coarse.delta_t_s) for c in c_exact.tolist()
-    ]
-    corrected[redo] = nco_correct(
-        ComplexBuffer(symbols[redo], period), coarse.delta_f_est_hz[redo]
-    ).samples
+    coarse.delta_f_est_hz[redo] = [estimate_coarse_cfo(c, delta_t) for c in c_exact.tolist()]
+    corrected[redo] = nco_correct(symbols[redo], coarse.delta_f_est_hz[redo], period)
 
     short = start[rows] + cfg.payload_symbols > lengths[rows]
     failure[rows[short]] = TRUNCATED
     rows = rows[~short]
 
     # Training, pilot and data symbols are gathered by frame-relative index.
-    spacing = cfg.payload_symbols / cfg.pilot_reps
     est = ChannelEstimate(
         h_blocks=np.zeros((n_frames, cfg.pilot_reps), dtype=complex),
         block_positions=np.zeros((n_frames, cfg.pilot_reps)),
-        block_spacing_symbols=spacing,
         train_gain=np.zeros(n_frames, dtype=complex),
         train_position=np.full(n_frames, np.nan),
         residual_freq_hz=np.zeros(n_frames),
@@ -526,19 +504,15 @@ def receive_frames(
     pilot_at = pilot_at[finite]
 
     # Residual offset is measured before the fine stage corrects it; the
-    # training anchor joins the fit on the rows where it lies in the window.
-    for group, anchor in ((rows[anchored], True), (rows[~anchored], False)):
-        if len(group):
-            est.residual_freq_hz[group], est.mean_residual_phase_deg[group] = residual_offset(
-                ChannelEstimate(
-                    h_blocks=est.h_blocks[group],
-                    block_positions=est.block_positions[group],
-                    block_spacing_symbols=spacing,
-                    train_gain=est.train_gain[group] if anchor else None,
-                    train_position=est.train_position[group] if anchor else None,
-                ),
-                period,
-            )
+    # training anchor joins the fit as the first block on the rows where it
+    # lies in the window. The two groups are fitted apart, each over whole rows.
+    h_fit = np.concatenate([est.train_gain[:, None], est.h_blocks], axis=-1)
+    at_fit = np.concatenate([est.train_position[:, None], est.block_positions], axis=-1)
+    spacing = cfg.payload_symbols / cfg.pilot_reps
+    for group, first in ((rows[anchored], 0), (rows[~anchored], 1)):
+        est.residual_freq_hz[group], est.mean_residual_phase_deg[group] = residual_offset(
+            h_fit[group, first:], at_fit[group, first:], spacing, period
+        )
 
     # Fine frequency correction: de-rotate by the fitted residual, then
     # re-estimate each block so equalization sees the corrected pilots.
@@ -547,7 +521,7 @@ def receive_frames(
     fine_freq = est.residual_freq_hz[rows]
     if cfg.pilot_reps >= 2:
         fine_freq = _pilot_slope_hz(est.h_blocks[rows], est.block_positions[rows], period)
-    refined = nco_correct(ComplexBuffer(corrected[rows], period), fine_freq).samples
+    refined = nco_correct(corrected[rows], fine_freq, period)
     local = np.arange(len(rows))[:, None]
     gains = estimate_channel(refined[local[..., None], pilot_at], tables.pilot)
     flat = (np.abs(gains) <= H_MIN).any(axis=-1)

@@ -272,24 +272,27 @@ def shape_and_upsample(
 
 
 def matched_filter_downsample(
-    buf: ComplexBuffer, cfg: PulseShapeConfig
-) -> list[np.ndarray]:
+    x: np.ndarray, cfg: PulseShapeConfig
+) -> tuple[np.ndarray, np.ndarray]:
     """Matched-filter with the SRRC taps once and decimate at every phase.
 
-    ``streams[p]`` holds the symbol-rate samples at sampling phase ``p``. The
-    combined group delay of the shaping/matched pair (tap_count - 1 samples)
-    is trimmed, so for a buffer produced by ``shape_and_upsample`` the
-    symbols sit at phase 0. ``buf.samples`` may have shape (..., N): each
-    row is filtered on its own (``np.convolve`` is 1-D) and every stream
-    keeps the leading axes.
+    Samples ``x`` of shape (..., N) give ``streams`` of shape (..., P,
+    ceil(N/P)), P the interpolation factor, and ``lengths`` of shape (P,):
+    ``streams[..., p, :lengths[p]]`` are the symbol-rate samples at sampling
+    phase p, ``lengths[p] = ceil((N - p)/P)``, and zeros follow them.
+    ``streams`` is a view of one zero-padded filter output. The combined
+    group delay of the shaping/matched pair (tap_count - 1 samples) is
+    trimmed, so for samples from ``shape_and_upsample`` the symbols sit at
+    phase 0. Each row is filtered on its own (``np.convolve`` is 1-D).
     """
-    x = buf.samples
-    taps = design_srrc(cfg)
-    trimmed = np.zeros(x.shape, dtype=np.result_type(x, taps))
+    taps, n, sps = design_srrc(cfg), x.shape[-1], cfg.interpolation
+    width = -(-n // sps)
+    trimmed = np.zeros(x.shape[:-1] + (width * sps,), dtype=np.result_type(x, taps))
     for row in np.ndindex(x.shape[:-1]):
-        if x.shape[-1]:
-            trimmed[row] = np.convolve(x[row], taps)[cfg.tap_count - 1 :]
-    return [trimmed[..., phase :: cfg.interpolation] for phase in range(cfg.interpolation)]
+        if n:
+            trimmed[row][:n] = np.convolve(x[row], taps)[cfg.tap_count - 1 :]
+    streams = trimmed.reshape(x.shape[:-1] + (width, sps)).swapaxes(-1, -2)
+    return streams, (n - np.arange(sps) + sps - 1) // sps
 
 
 def agc(

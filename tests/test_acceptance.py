@@ -16,7 +16,7 @@ from burstlink.channel import ChannelProfile
 from burstlink.config import SweepSpec
 from burstlink.framing import (
     FrameConfig,
-    assemble_frame,
+    assemble_frames,
     compute_layout,
     crc_attach,
     default_tables,
@@ -83,7 +83,7 @@ def test_criterion_01_loopback_identity():
             layout = compute_layout(cfg)
             for _ in range(3):
                 data = rng.bytes(cfg.payload_bytes)
-                frame = assemble_frame(crc_attach(data), cfg)
+                frame = assemble_frames([crc_attach(data)], cfg)[0]
                 buf = tx_buffer(frame, pulse)
                 res = receive_frames(ComplexBuffer(buf.samples[np.newaxis], buf.sample_period), cfg)
                 assert res.failure[0] == DECODED, (reps, mod, res.failure[0])

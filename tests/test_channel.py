@@ -62,8 +62,8 @@ class TestCfoPhase:
         buf = unit_tone(512)
         f = 4000.0
         rotated = apply_cfo_phase(buf, ChannelProfile(delta_f_hz=f))
-        back = nco_correct(rotated, f)
-        assert np.max(np.abs(back.samples - buf.samples)) < 1e-9
+        back = nco_correct(rotated.samples, f, rotated.sample_period)
+        assert np.max(np.abs(back - buf.samples)) < 1e-9
 
     def test_frequency_walk_deterministic_and_continuous(self):
         profile = ChannelProfile(

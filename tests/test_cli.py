@@ -316,6 +316,16 @@ def test_sweep_with_grid_frame_key_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_sweep_with_repeated_grid_entry_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG.replace("lambda_list = 1,4", "lambda_list = 1,1"))
+    out, events = tmp_path / "r.csv", tmp_path / "events.csv"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out), "--events-out", str(events)])
+    assert code == 1
+    assert "lambda_list repeats the entry 1" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+
 def test_sweep_with_unknown_config_key_is_an_error(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CFG.replace("snr_db = 25", "snr = 25"))

@@ -30,6 +30,11 @@ class TestKvText:
         with pytest.raises(ValueError, match="line 2"):
             parse_kv_text("a = 1\nnot a pair\n")
 
+    def test_repeated_key_names_both_lines(self):
+        # Keeping the last value would run this file at 30 dB without a word.
+        with pytest.raises(ValueError, match="line 4: key snr_db is already set on line 1"):
+            parse_kv_text("snr_db = 10\n\nlambda_list = 1\nsnr_db = 30\n")
+
     def test_format_lists(self):
         assert sweep_spec_from_text("lambda_list = 1, 2,4\n").lambda_list == (1, 2, 4)
 
@@ -122,6 +127,16 @@ class TestSweepSpec:
         # The grid sets these per cell, so a fixed value would be dropped.
         with pytest.raises(ValueError, match=f"{key} is set per sweep cell; use {grid_key}"):
             sweep_spec_from_text(f"{key} = 4\nlambda_list = 1,8\nmodulations = 4\n")
+
+    @pytest.mark.parametrize(
+        "line,key,value",
+        [("lambda_list = 1,1", "lambda_list", 1), ("modulations = 4,16,4", "modulations", 4)],
+    )
+    def test_repeated_grid_entry_rejected_by_name(self, line, key, value):
+        # The same cell twice runs with the same seed, and report then
+        # rejects the event log for its repeated frames.
+        with pytest.raises(ValueError, match=f"{key} repeats the entry {value}"):
+            sweep_spec_from_text(line + "\n")
 
     def test_written_config_and_example_load(self):
         spec = SweepSpec(

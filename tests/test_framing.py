@@ -6,7 +6,6 @@ import pytest
 from burstlink.framing import (
     FrameConfig,
     PacketPayload,
-    assemble_frame,
     assemble_frames,
     block_indices,
     compute_layout,
@@ -126,7 +125,7 @@ class TestAssembleParse:
         cfg = FrameConfig(pilot_reps=reps, modulation=mod)
         rng = np.random.default_rng(reps * 100 + mod)
         data = rng.bytes(cfg.payload_bytes)
-        frame = assemble_frame(crc_attach(data), cfg)
+        frame = assemble_frames([crc_attach(data)], cfg)[0]
         assert len(frame) == cfg.total_symbols
 
         pilots, datas, _ = block_indices(cfg)
@@ -139,7 +138,7 @@ class TestAssembleParse:
     def test_wrong_payload_size_names_required_count(self):
         cfg = FrameConfig(pilot_reps=4, modulation=16)
         with pytest.raises(ValueError, match="92 bytes"):
-            assemble_frame(crc_attach(b"x" * 10), cfg)
+            assemble_frames([crc_attach(b"x" * 10)], cfg)
 
     @pytest.mark.parametrize("mod", (4, 8, 16, 64))
     def test_each_assembled_row_is_its_own_frame(self, mod):
@@ -149,7 +148,7 @@ class TestAssembleParse:
         frames = assemble_frames(payloads, cfg)
         assert frames.shape == (5, cfg.total_symbols)
         for row, payload in zip(frames, payloads):
-            assert np.array_equal(row, assemble_frame(payload, cfg))
+            assert np.array_equal(row, assemble_frames([payload], cfg)[0])
         assert assemble_frames([], cfg).shape == (0, cfg.total_symbols)
 
     def test_wrong_payload_size_names_its_index(self):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from burstlink import sync
 from burstlink.channel import ChannelProfile, apply_channel
-from burstlink.framing import FrameConfig, assemble_frame, compute_layout, crc_attach, default_tables
+from burstlink.framing import FrameConfig, assemble_frames, compute_layout, crc_attach, default_tables
 from burstlink.sync import (
     CRC_FAIL,
     DECODED,
@@ -18,7 +18,6 @@ from burstlink.sync import (
     NO_TRAINING,
     TRUNCATED,
     UNEQUALIZABLE,
-    ChannelEstimate,
     DetectorConfig,
     autocorrelation_metric,
     detect_training,
@@ -145,11 +144,12 @@ HEAD = (FrameConfig(pilot_reps=1, modulation=4).training_reps + 2) * M
 
 
 def phase_streams(rows, lengths):
-    """Phase streams (F, n_p), one per length, from rows (kind, seed, offset,
-    spot): noise, all zeros, or two training repetitions at ``offset`` with
-    a random gain per phase over noise; "nan" and "inf" rows are training
-    rows with that value at symbol ``spot`` of every phase, and a "split" row
-    moves the training of its later phases to ``spot``."""
+    """Phase streams (F, P, n), zero past each phase's length, and those
+    lengths, from rows (kind, seed, offset, spot): noise, all zeros, or two
+    training repetitions at ``offset`` with a random gain per phase over
+    noise; "nan" and "inf" rows are training rows with that value at symbol
+    ``spot`` of every phase, and a "split" row moves the training of its
+    later phases to ``spot``."""
     width = max(lengths)
     block = np.zeros((len(rows), len(lengths), width), dtype=complex)
     for r, (kind, seed, offset, spot) in enumerate(rows):
@@ -164,14 +164,16 @@ def phase_streams(rows, lengths):
                 block[r, p, at : at + 2 * M] += gain * two_rep_burst(tail_symbols=0)
         if kind in ("nan", "inf"):
             block[r, :, spot] = np.nan if kind == "nan" else np.inf
-    return [block[:, p, :n] for p, n in enumerate(lengths)]
+    for p, n in enumerate(lengths):
+        block[:, p, n:] = 0
+    return block, np.array(lengths)
 
 
 def choose_phase(streams, head):
     # An inf sample makes inf * 0 products in the running sums; both passes
     # meet the same ones.
     with np.errstate(invalid="ignore"):
-        return sync._choose_training_phase(streams, DetectorConfig(), DELTA_T, M, head)
+        return sync._choose_training_phase(*streams, DetectorConfig(), DELTA_T, M, head)
 
 
 def assert_same_bits(a, b):
@@ -254,14 +256,21 @@ class TestEstimateCoarseCfo:
 
 class TestNcoCorrect:
     def test_zero_frequency_identity(self):
-        buf = ComplexBuffer(np.exp(1j * 0.2 * np.arange(50)), T_SYM)
-        assert nco_correct(buf, 0.0) is buf
+        x = np.exp(1j * 0.2 * np.arange(50))
+        assert nco_correct(x, 0.0, T_SYM) is x
 
     def test_rotation_composition(self):
-        buf = ComplexBuffer(np.exp(1j * 0.2 * np.arange(200)), T_SYM)
-        once = nco_correct(nco_correct(buf, 700.0), 1300.0)
-        combined = nco_correct(buf, 2000.0)
-        assert np.max(np.abs(once.samples - combined.samples)) < 1e-9
+        x = np.exp(1j * 0.2 * np.arange(200))
+        once = nco_correct(nco_correct(x, 700.0, T_SYM), 1300.0, T_SYM)
+        combined = nco_correct(x, 2000.0, T_SYM)
+        assert np.max(np.abs(once - combined)) < 1e-9
+
+    def test_rows_match_one_row_calls(self):
+        x = np.exp(1j * np.outer([0.2, -0.1, 0.3], np.arange(64)))
+        out = nco_correct(x, np.array([0.0, 700.0, 0.0]), T_SYM)
+        assert_same_bits(out[0], x[0])
+        assert_same_bits(out[2], x[2])
+        assert_same_bits(out[1], nco_correct(x[1], 700.0, T_SYM))
 
 
 class TestGolayDetect:
@@ -334,45 +343,30 @@ class TestEstimateChannel:
 
 class TestResidualOffset:
     def test_equal_estimates_zero(self):
-        est = ChannelEstimate(
-            h_blocks=np.array([1 + 0j, 1 + 0j, 1 + 0j]),
-            block_positions=np.array([10.0, 100.0, 190.0]),
-            block_spacing_symbols=90.0,
+        freq, phase = residual_offset(
+            np.array([1 + 0j, 1 + 0j, 1 + 0j]), np.array([10.0, 100.0, 190.0]), 90.0, T_SYM
         )
-        freq, phase = residual_offset(est, T_SYM)
         assert freq == pytest.approx(0.0, abs=1e-9)
         assert phase == pytest.approx(0.0, abs=1e-9)
 
     def test_linear_phase_slope(self):
         # pi/18 per 128 symbols at 1 us symbols -> 217.01 Hz.
         positions = np.array([0.0, 128.0, 256.0, 384.0])
-        est = ChannelEstimate(
-            h_blocks=np.exp(1j * (np.pi / 18) * np.arange(4)),
-            block_positions=positions,
-            block_spacing_symbols=128.0,
-        )
-        freq, phase_deg = residual_offset(est, T_SYM)
+        h_blocks = np.exp(1j * (np.pi / 18) * np.arange(4))
+        freq, phase_deg = residual_offset(h_blocks, positions, 128.0, T_SYM)
         assert freq == pytest.approx((np.pi / 18) / (2 * np.pi * 128e-6), rel=1e-9)
         assert freq == pytest.approx(217.01388, rel=1e-6)
         assert phase_deg == pytest.approx(10.0, rel=1e-9)
 
     def test_single_block_without_anchor_is_zero(self):
-        est = ChannelEstimate(
-            h_blocks=np.array([np.exp(1j * 0.5)]),
-            block_positions=np.array([50.0]),
-            block_spacing_symbols=256.0,
-        )
-        assert residual_offset(est, T_SYM) == (0.0, 0.0)
+        got = residual_offset(np.array([np.exp(1j * 0.5)]), np.array([50.0]), 256.0, T_SYM)
+        assert got == (0.0, 0.0)
 
     def test_single_block_with_training_anchor(self):
-        est = ChannelEstimate(
-            h_blocks=np.array([np.exp(1j * 0.2)]),
-            block_positions=np.array([232.0]),
-            block_spacing_symbols=256.0,
-            train_gain=np.array(1.0 + 0j),
-            train_position=np.array(32.0),
+        # The anchor joins the fit as the first block.
+        freq, phase_deg = residual_offset(
+            np.array([1.0 + 0j, np.exp(1j * 0.2)]), np.array([32.0, 232.0]), 256.0, T_SYM
         )
-        freq, phase_deg = residual_offset(est, T_SYM)
         expected = 0.2 / (2 * np.pi * 200e-6)
         assert freq == pytest.approx(expected, rel=1e-9)
         assert phase_deg == pytest.approx(
@@ -393,7 +387,7 @@ def outcome_windows(cfg, pulse, n, seed):
     sps = pulse.interpolation
 
     def frame():
-        return assemble_frame(crc_attach(rng.bytes(cfg.payload_bytes)), cfg)
+        return assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0]
 
     def faint(count):
         return 0.02 * (rng.normal(size=count) + 1j * rng.normal(size=count))
@@ -449,7 +443,7 @@ class TestReceiveFrame:
         cfg = FrameConfig(pilot_reps=reps, modulation=mod)
         rng = np.random.default_rng(reps + mod)
         data = rng.bytes(cfg.payload_bytes)
-        frame = assemble_frame(crc_attach(data), cfg)
+        frame = assemble_frames([crc_attach(data)], cfg)[0]
         res = receive_one(tx_buffer(frame, PulseShapeConfig()), cfg)
         assert res.failure[0] == DECODED
         assert res.payloads[0].data_bytes == data
@@ -459,7 +453,7 @@ class TestReceiveFrame:
         cfg = FrameConfig(pilot_reps=reps, modulation=mod)
         rng = np.random.default_rng(10 + reps + mod)
         data = rng.bytes(cfg.payload_bytes)
-        frame = assemble_frame(crc_attach(data), cfg)
+        frame = assemble_frames([crc_attach(data)], cfg)[0]
         pulse = PulseShapeConfig()
         df = 0.3 / (2 * DELTA_T)
         profile = ChannelProfile(delta_f_hz=df, theta_in_rad=1.0, seed=2)
@@ -476,7 +470,7 @@ class TestReceiveFrame:
         cfg = FrameConfig(pilot_reps=4, modulation=64, training_reps=reps)
         rng = np.random.default_rng(60 + reps)
         data = rng.bytes(cfg.payload_bytes)
-        frame = assemble_frame(crc_attach(data), cfg)
+        frame = assemble_frames([crc_attach(data)], cfg)[0]
         res = receive_one(tx_buffer(frame, PulseShapeConfig()), cfg)
         assert res.failure[0] == DECODED
         assert res.payloads[0].data_bytes == data
@@ -491,7 +485,7 @@ class TestReceiveFrame:
         )
         rng = np.random.default_rng(61)
         data = rng.bytes(cfg.payload_bytes)
-        frame = assemble_frame(crc_attach(data), cfg)
+        frame = assemble_frames([crc_attach(data)], cfg)[0]
         res = receive_one(tx_buffer(frame, PulseShapeConfig()), cfg)
         assert res.failure[0] == DECODED
         assert res.payloads[0].data_bytes == data
@@ -512,7 +506,7 @@ class TestReceiveFrame:
     def test_truncated_buffer_reported(self):
         cfg = FrameConfig(pilot_reps=2, modulation=4)
         rng = np.random.default_rng(12)
-        frame = assemble_frame(crc_attach(rng.bytes(cfg.payload_bytes)), cfg)
+        frame = assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0]
         pulse = PulseShapeConfig()
         buf = tx_buffer(frame, pulse)
         cut = ComplexBuffer(buf.samples[: len(buf) - 60 * pulse.interpolation], buf.sample_period)
@@ -522,7 +516,7 @@ class TestReceiveFrame:
     def test_dead_pilot_block_reports_unequalizable(self):
         cfg = FrameConfig(pilot_reps=2, modulation=4)
         rng = np.random.default_rng(13)
-        frame = assemble_frame(crc_attach(rng.bytes(cfg.payload_bytes)), cfg)
+        frame = assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0]
         layout = compute_layout(cfg)
         pulse = PulseShapeConfig()
         buf = tx_buffer(frame, pulse)
@@ -539,7 +533,7 @@ class TestReceiveFrame:
     def test_corrupted_data_reports_crc_fail(self):
         cfg = FrameConfig(pilot_reps=1, modulation=4)
         rng = np.random.default_rng(14)
-        frame = assemble_frame(crc_attach(rng.bytes(cfg.payload_bytes)), cfg)
+        frame = assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0]
         layout = compute_layout(cfg)
         bad = frame.copy()
         a, _ = layout.data_spans[0]
@@ -556,7 +550,7 @@ class TestReceiveFrame:
         cfg = FrameConfig(pilot_reps=4, modulation=16)
         rng = np.random.default_rng(offset)
         data = rng.bytes(cfg.payload_bytes)
-        frame = assemble_frame(crc_attach(data), cfg)
+        frame = assemble_frames([crc_attach(data)], cfg)[0]
         pulse = PulseShapeConfig()
         burst = tx_buffer(frame, pulse)
         lead = 0.02 * (rng.normal(size=offset) + 1j * rng.normal(size=offset))
@@ -570,9 +564,9 @@ class TestReceiveFrame:
         cfg = FrameConfig(pilot_reps=4, modulation=16)
         pulse = PulseShapeConfig()
         rng = np.random.default_rng(16)
-        clean = tx_buffer(assemble_frame(crc_attach(rng.bytes(cfg.payload_bytes)), cfg), pulse)
+        clean = tx_buffer(assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0], pulse)
         impaired, _ = apply_channel(
-            tx_buffer(assemble_frame(crc_attach(rng.bytes(cfg.payload_bytes)), cfg), pulse),
+            tx_buffer(assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0], pulse),
             ChannelProfile(snr_db=18.0, delta_f_hz=1500.0, theta_in_rad=0.4, seed=6),
             samples_per_symbol=pulse.interpolation,
         )
@@ -618,7 +612,7 @@ class TestReceiveFrame:
         # the other phases hold 447; one more sample completes the payload.
         cfg = FrameConfig(pilot_reps=4, modulation=16)
         rng = np.random.default_rng(50)
-        frame = assemble_frame(crc_attach(rng.bytes(cfg.payload_bytes)), cfg)
+        frame = assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0]
         buf = tx_buffer(frame, PulseShapeConfig())
         short = receive_one(ComplexBuffer(buf.samples[1:1788], buf.sample_period), cfg)
         assert short.failure[0] == TRUNCATED
@@ -632,7 +626,7 @@ class TestReceiveFrame:
         # search span. The frame is still located; its data fail the CRC.
         cfg = FrameConfig(pilot_reps=4, modulation=16)
         rng = np.random.default_rng(21)
-        frame = assemble_frame(crc_attach(rng.bytes(cfg.payload_bytes)), cfg)
+        frame = assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0]
         buf = tx_buffer(frame, PulseShapeConfig())
         assert receive_one(buf, cfg).payload_start[0] == 192
         samples = buf.samples.copy()
@@ -649,7 +643,7 @@ class TestReceiveFrame:
         # residuals, like any row that stopped at an earlier stage.
         cfg = FrameConfig(pilot_reps=4, modulation=16)
         rng = np.random.default_rng(21)
-        frame = assemble_frame(crc_attach(rng.bytes(cfg.payload_bytes)), cfg)
+        frame = assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0]
         buf = tx_buffer(frame, PulseShapeConfig())
         samples = buf.samples.copy()
         samples[1368] = np.nan
@@ -668,7 +662,7 @@ class TestReceiveFrame:
         # the training field; at 1368 it spoils pilot block 2.
         cfg = FrameConfig(pilot_reps=4, modulation=16)
         rng = np.random.default_rng(21)
-        frame = assemble_frame(crc_attach(rng.bytes(cfg.payload_bytes)), cfg)
+        frame = assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0]
         buf = tx_buffer(frame, PulseShapeConfig())
         samples = buf.samples.copy()
         samples[sample] = np.inf
@@ -681,10 +675,36 @@ class TestReceiveFrame:
         with pytest.raises(ValueError, match="shape"):
             receive_frames(ComplexBuffer(np.ones(64, dtype=complex), 0.25e-6), cfg)
 
+    @pytest.mark.parametrize("reps, residual_hz", [(4, 137.6443562915157), (1, 0.0)])
+    def test_window_past_the_training_start_fits_without_the_anchor(self, reps, residual_hz):
+        # Without its first 4 samples the window starts one symbol into the
+        # training field, so the training anchor is not in it. The residual
+        # is fitted over the pilot blocks alone: at lambda=1 there is only
+        # one point, so it is zero. The value at lambda=4 was recorded before
+        # the residual fit took arrays.
+        cfg = FrameConfig(pilot_reps=reps, modulation=16)
+        pulse = PulseShapeConfig()
+        rng = np.random.default_rng(42)
+        data = rng.bytes(cfg.payload_bytes)
+        frame = assemble_frames([crc_attach(data)], cfg)[0]
+        profile = ChannelProfile(snr_db=30.0, delta_f_hz=900.0, seed=4)
+        rx, _ = apply_channel(tx_buffer(frame, pulse), profile, samples_per_symbol=pulse.interpolation)
+        res = receive_one(ComplexBuffer(rx.samples[4:], rx.sample_period), cfg)
+        est = res.estimate
+        assert res.failure[0] == DECODED
+        assert res.payloads[0].data_bytes == data
+        assert np.isnan(est.train_position[0])
+        freq, phase_deg = residual_offset(
+            est.h_blocks[:1], est.block_positions[:1], cfg.payload_symbols / reps, T_SYM
+        )
+        assert_same_bits(est.residual_freq_hz[:1], freq)
+        assert_same_bits(est.mean_residual_phase_deg[:1], phase_deg)
+        assert est.residual_freq_hz[0] == pytest.approx(residual_hz, rel=1e-12, abs=0.0)
+
     def test_residual_measurement_under_linear_drift(self):
         cfg = FrameConfig(pilot_reps=8, modulation=4)
         rng = np.random.default_rng(15)
-        frame = assemble_frame(crc_attach(rng.bytes(cfg.payload_bytes)), cfg)
+        frame = assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0]
         pulse = PulseShapeConfig()
         profile = ChannelProfile(delta_f_hz=2000.0, drift_hz_per_s=3e5, seed=4)
         rx, _ = apply_channel(tx_buffer(frame, pulse), profile, samples_per_symbol=pulse.interpolation)

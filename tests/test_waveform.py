@@ -228,8 +228,8 @@ class TestShaping:
     def test_matched_filter_recovers_single_symbol_exactly(self):
         cfg = PulseShapeConfig()
         buf = shape_and_upsample(np.array([0.6 - 0.8j]), cfg)
-        rec = matched_filter_downsample(buf, cfg)[0]
-        assert abs(rec[0] - (0.6 - 0.8j)) < 1e-12
+        streams, _ = matched_filter_downsample(buf.samples, cfg)
+        assert abs(streams[0, 0] - (0.6 - 0.8j)) < 1e-12
 
     def test_matched_filter_round_trip_within_isi_floor(self):
         # The finite-span cascade leaves a small ISI floor; the bound here was
@@ -238,7 +238,8 @@ class TestShaping:
         c = build_constellation(16)
         rng = np.random.default_rng(5)
         syms = map_bits(rng.integers(0, 2, 4 * 400).astype(np.uint8), c)
-        rec = matched_filter_downsample(shape_and_upsample(syms, cfg), cfg)[0][: len(syms)]
+        streams, _ = matched_filter_downsample(shape_and_upsample(syms, cfg).samples, cfg)
+        rec = streams[0, : len(syms)]
         assert np.max(np.abs(rec - syms)) < 2e-3
 
     def test_wrong_phase_much_worse_than_aligned(self):
@@ -251,29 +252,31 @@ class TestShaping:
         def evm(rx):
             return np.sqrt(np.mean(np.abs(rx[: len(syms)] - syms) ** 2))
 
-        streams = matched_filter_downsample(buf, cfg)
+        streams, _ = matched_filter_downsample(buf.samples, cfg)
         aligned = evm(streams[0])
         off = evm(streams[1])
         assert off >= 5 * aligned
 
     def test_all_zero_buffer(self):
         cfg = PulseShapeConfig()
-        buf = ComplexBuffer(np.zeros(64, dtype=complex), 0.25e-6)
-        streams = matched_filter_downsample(buf, cfg)
-        assert len(streams) == cfg.interpolation
-        assert all(np.all(s == 0) for s in streams)
+        streams, lengths = matched_filter_downsample(np.zeros(64, dtype=complex), cfg)
+        assert streams.shape == (cfg.interpolation, 16)
+        assert lengths.tolist() == [16] * cfg.interpolation
+        assert np.all(streams == 0)
 
     def test_streams_are_phase_slices_of_one_convolution(self):
         # 203 samples: not a multiple of the interpolation factor, so the
-        # phases get streams of different lengths.
+        # phases get streams of different lengths, zero-padded to the longest.
         cfg = PulseShapeConfig()
         rng = np.random.default_rng(8)
         x = rng.normal(size=203) + 1j * rng.normal(size=203)
-        streams = matched_filter_downsample(ComplexBuffer(x, 0.25e-6), cfg)
+        streams, lengths = matched_filter_downsample(x, cfg)
         full = np.convolve(x, design_srrc(cfg))[cfg.tap_count - 1 :]
-        assert [len(s) for s in streams] == [51, 51, 51, 50]
-        for phase, stream in enumerate(streams):
-            assert np.array_equal(stream, full[phase :: cfg.interpolation])
+        assert streams.shape == (cfg.interpolation, 51)
+        assert lengths.tolist() == [51, 51, 51, 50]
+        for phase, n in enumerate(lengths):
+            assert np.array_equal(streams[phase, :n], full[phase :: cfg.interpolation])
+            assert np.all(streams[phase, n:] == 0)
 
 
 def scalar_agc(x, target_power, loop_gain, freeze_after):
