@@ -42,7 +42,6 @@ from .sync import (
     residual_offset,
 )
 from .waveform import (
-    ComplexBuffer,
     Constellation,
     GolayPair,
     PulseShapeConfig,

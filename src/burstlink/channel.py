@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .waveform import ComplexBuffer, read_only
+from .waveform import read_only
 
 FADING_MODES = ("none", "block-rayleigh", "block-rician")
 
@@ -27,6 +27,11 @@ FADING_MODES = ("none", "block-rayleigh", "block-rician")
 _STREAM_FADING = 0xFA
 _STREAM_NOISE = 0x0E
 _STREAM_WALK = 0x3A
+
+# Profile fields that only a finite value gives a meaning.
+_FINITE_FIELDS = (
+    "delta_f_hz", "drift_hz_per_s", "theta_in_rad", "rician_k", "freq_walk_std_hz", "delay_spread_s"
+)
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,15 @@ class ChannelProfile:
     seed: int = field(default=0, metadata={"key": "channel_seed"})
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _FINITE_FIELDS and not math.isfinite(value):
+                raise ValueError(f"{f.metadata.get('key', f.name)} must be finite, got {value}")
+        if not self.snr_db > -math.inf:
+            raise ValueError(f"snr_db must be a number or inf, got {self.snr_db}")
+        for name in ("freq_walk_std_hz", "delay_spread_s"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.fading not in FADING_MODES:
             raise ValueError(f"fading must be one of {FADING_MODES}, got {self.fading!r}")
         if not self.coherence_symbols >= 1:
@@ -62,14 +76,6 @@ class ChannelProfile:
             )
         if self.fading == "block-rician" and self.rician_k < 0:
             raise ValueError("rician_k must be >= 0")
-
-    def validate_for_sample_period(self, sample_period: float) -> None:
-        """Single-tap assumption: delay spread well under the sample period."""
-        if self.delay_spread_s >= sample_period / 10.0:
-            raise ValueError(
-                f"delay spread {self.delay_spread_s} violates the single-tap "
-                f"assumption for sample period {sample_period}"
-            )
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -114,10 +120,11 @@ def oscillator_rotation(
 
 
 def apply_cfo_phase(
-    buf: ComplexBuffer,
+    samples: np.ndarray,
     profile: ChannelProfile,
+    sample_period: float,
     samples_per_symbol: int = 1,
-) -> ComplexBuffer:
+) -> np.ndarray:
     """Rotate samples by the oscillator phase trajectory.
 
     The instantaneous frequency is ``delta_f + drift_rate * t`` plus, when
@@ -126,12 +133,12 @@ def apply_cfo_phase(
     phase, whose rotation is cached (``oscillator_rotation``); the walk part
     is drawn from the seed and integrates piecewise linearly.
     """
-    n = len(buf)
+    n = len(samples)
     if n == 0:
-        return buf
+        return samples
     oscillator = (profile.delta_f_hz, profile.drift_hz_per_s, profile.theta_in_rad)
     if profile.freq_walk_std_hz > 0.0:
-        phase = _oscillator_phase(*oscillator, n, buf.sample_period)
+        phase = _oscillator_phase(*oscillator, n, sample_period)
         epoch_len = epoch_length_samples(profile, samples_per_symbol)
         idx = _epoch_index(n, epoch_len)
         n_epochs = int(idx[-1]) + 1
@@ -139,16 +146,15 @@ def apply_cfo_phase(
         walk_freq = np.cumsum(steps)  # frequency offset during each epoch
         freq_per_sample = walk_freq[idx]
         # Integrate the piecewise-constant walk frequency over time.
-        walk_phase = 2.0 * np.pi * buf.sample_period * (
+        walk_phase = 2.0 * np.pi * sample_period * (
             np.cumsum(freq_per_sample) - freq_per_sample
         )
-        return ComplexBuffer(buf.samples * np.exp(1j * (phase + walk_phase)), buf.sample_period)
+        return samples * np.exp(1j * (phase + walk_phase))
 
     # Multiply by a fresh copy: numpy may reuse a fresh temporary as the output
     # and swap the operands, and complex multiply is not bitwise commutative,
     # so only this form matches ``samples * np.exp(...)``.
-    rotation = oscillator_rotation(*oscillator, n, buf.sample_period)
-    return ComplexBuffer(buf.samples * rotation.copy(), buf.sample_period)
+    return samples * oscillator_rotation(*oscillator, n, sample_period).copy()
 
 
 def draw_block_gains(profile: ChannelProfile, n_epochs: int) -> np.ndarray:
@@ -164,74 +170,81 @@ def draw_block_gains(profile: ChannelProfile, n_epochs: int) -> np.ndarray:
 
 
 def apply_block_fading(
-    buf: ComplexBuffer,
+    samples: np.ndarray,
     profile: ChannelProfile,
     samples_per_symbol: int = 1,
-) -> tuple[ComplexBuffer, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Multiply each coherence epoch by a fresh complex gain.
 
-    Epochs are aligned to the buffer start on symbol boundaries, not frame
+    Epochs are aligned to the first sample on symbol boundaries, not frame
     boundaries, so frames of a continuous burst stream straddle epochs.
-    Returns the faded buffer and the ground-truth gain sequence.
+    Returns the faded samples and the ground-truth gain sequence.
     """
     if profile.fading == "none":
         raise ValueError("apply_block_fading requires a fading mode other than 'none'")
-    n = len(buf)
+    n = len(samples)
     if n == 0:
-        return buf, np.empty(0, dtype=complex)
+        return samples, np.empty(0, dtype=complex)
     epoch_len = epoch_length_samples(profile, samples_per_symbol)
     idx = _epoch_index(n, epoch_len)
     gains = draw_block_gains(profile, int(idx[-1]) + 1)
-    return ComplexBuffer(buf.samples * gains[idx], buf.sample_period), gains
+    return samples * gains[idx], gains
 
 
 def apply_awgn(
-    buf: ComplexBuffer,
+    samples: np.ndarray,
     snr_db: float,
     seed: int,
     occupied: slice | None = None,
-) -> ComplexBuffer:
+) -> np.ndarray:
     """Add circular complex Gaussian noise at the requested SNR.
 
-    Signal power is measured from the buffer itself, over ``occupied`` when
+    Signal power is measured from the samples themselves, over ``occupied`` when
     given (so trailing filter tails do not skew the calibration). An
     infinite SNR is the identity.
     """
-    if len(buf) == 0:
-        raise ValueError("cannot add noise to an empty buffer")
+    if len(samples) == 0:
+        raise ValueError("cannot add noise to an empty stream")
     if math.isinf(snr_db):
-        return buf
-    region = buf.samples[occupied] if occupied is not None else buf.samples
+        return samples
+    region = samples[occupied] if occupied is not None else samples
     signal_power = float(np.mean(np.abs(region) ** 2))
     noise_power = signal_power / (10.0 ** (snr_db / 10.0))
     # One (2, n) draw is the same stream as two n-sample draws; the noise is
     # built in its own array and the signal added in place, with no complex
     # temporaries.
-    z = _rng(seed, _STREAM_NOISE).standard_normal((2, len(buf)))
+    z = _rng(seed, _STREAM_NOISE).standard_normal((2, len(samples)))
     scale = np.sqrt(noise_power / 2.0)
-    noisy = np.empty(len(buf), dtype=complex)
+    noisy = np.empty(len(samples), dtype=complex)
     np.multiply(scale, z[0], out=noisy.real)
     np.multiply(scale, z[1], out=noisy.imag)
-    noisy += buf.samples
-    return ComplexBuffer(noisy, buf.sample_period)
+    noisy += samples
+    return noisy
 
 
 def apply_channel(
-    buf: ComplexBuffer,
+    samples: np.ndarray,
     profile: ChannelProfile,
+    sample_period: float,
     samples_per_symbol: int = 1,
     occupied: slice | None = None,
-) -> tuple[ComplexBuffer, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Full impairment chain: block fading, oscillator rotation, then noise.
 
-    Returns the impaired buffer and the ground-truth fading gains (empty
-    when fading is off). Fully deterministic for a given profile.
+    Returns the impaired samples and the ground-truth fading gains (empty
+    when fading is off). Fully deterministic for a given profile. The
+    profile's delay spread must stay well under ``sample_period``, the
+    single-tap assumption.
     """
-    profile.validate_for_sample_period(buf.sample_period)
+    if profile.delay_spread_s >= sample_period / 10.0:
+        raise ValueError(
+            f"delay spread {profile.delay_spread_s} violates the single-tap "
+            f"assumption for sample period {sample_period}"
+        )
     gains = np.empty(0, dtype=complex)
-    out = buf
+    out = samples
     if profile.fading != "none":
         out, gains = apply_block_fading(out, profile, samples_per_symbol)
-    out = apply_cfo_phase(out, profile, samples_per_symbol)
+    out = apply_cfo_phase(out, profile, sample_period, samples_per_symbol)
     out = apply_awgn(out, profile.snr_db, profile.seed, occupied)
     return out, gains

@@ -33,6 +33,7 @@ from .harness import (
     write_sigmf,
 )
 from .sync import DetectorConfig
+from .waveform import PulseShapeConfig
 
 
 def _parse_modulation(text: str) -> int:
@@ -153,11 +154,10 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         write_events_csv(runs, args.events_out)
     stream = runs[0].rx_stream
     if args.iq_out:
-        write_cf32(stream.samples, args.iq_out)
+        write_cf32(stream, args.iq_out)
     if args.sigmf_out:
-        _write_trial_sigmf(
-            runs[0].result, args, args.sigmf_out, 1.0 / stream.sample_period, len(stream)
-        )
+        sample_rate = PulseShapeConfig().interpolation / args.symbol_period_s
+        _write_trial_sigmf(runs[0].result, args, args.sigmf_out, sample_rate, len(stream))
     return 0
 
 

@@ -27,9 +27,9 @@ def parse_kv_text(text: str) -> dict[str, str]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, _, value = (part.strip() for part in line.partition("="))
+        if not key or not value:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
         if key in out:
             raise ValueError(f"line {lineno}: key {key} is already set on line {first_line[key]}")
         out[key], first_line[key] = value, lineno
@@ -64,9 +64,14 @@ def config_keys(cls) -> dict[str, tuple[str, Callable[[str], object]]]:
 
 
 def _fields_from_kv(cls, kv: dict[str, str]) -> dict[str, object]:
-    return {
-        name: parse(kv[key]) for key, (name, parse) in config_keys(cls).items() if key in kv
-    }
+    out = {}
+    for key, (name, parse) in config_keys(cls).items():
+        if key in kv:
+            try:
+                out[name] = parse(kv[key])
+            except ValueError as exc:
+                raise ValueError(f"{key} = {kv[key]}: {exc}") from None
+    return out
 
 
 # Frame keys a sweep takes from its grid rather than from its template, each

@@ -24,7 +24,7 @@ from .config import SweepSpec, channel_profile_to_kv
 from .framing import FrameConfig, assemble_frames, block_indices, crc_attach
 from .metrics import FrameEvents, TrialResult, aggregate_events
 from .sync import FAILURE_KINDS, OUTCOMES, DetectorConfig, receive_frames
-from .waveform import ComplexBuffer, PulseShapeConfig, shape_and_upsample
+from .waveform import PulseShapeConfig, shape_and_upsample
 
 _PAYLOAD_STREAM = 0x50
 
@@ -44,16 +44,10 @@ def _derive_seed(parts: list[int]) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def transmit_burst(
-    frames_symbols: np.ndarray,
-    pulse: PulseShapeConfig,
-    symbol_period_s: float,
-) -> ComplexBuffer:
+def transmit_burst(frames_symbols: np.ndarray, pulse: PulseShapeConfig) -> np.ndarray:
     """Shape (F, S) frames, one per row, back to back at unit average power."""
-    shaped = shape_and_upsample(np.reshape(frames_symbols, -1), pulse, symbol_period_s)
-    return ComplexBuffer(
-        shaped.samples * math.sqrt(pulse.interpolation), shaped.sample_period
-    )
+    shaped = shape_and_upsample(np.reshape(frames_symbols, -1), pulse)
+    return shaped * math.sqrt(pulse.interpolation)
 
 
 @dataclass(frozen=True)
@@ -62,7 +56,7 @@ class TrialRun:
 
     result: TrialResult
     events: FrameEvents
-    rx_stream: ComplexBuffer | None = None
+    rx_stream: np.ndarray | None = None
 
 
 # The trial snapshot each result carries, in event-log column order, with the
@@ -136,6 +130,8 @@ def run_trial_events(
     """
     if frames < 1:
         raise ValueError("frames must be >= 1")
+    if not 0.0 < symbol_period_s < math.inf:
+        raise ValueError(f"symbol_period_s must be finite and positive, got {symbol_period_s}")
     detector = detector or DetectorConfig()
     pulse = pulse or PulseShapeConfig()
     payloads = [
@@ -143,21 +139,25 @@ def run_trial_events(
         for k in range(frames)
     ]
     frame_syms = assemble_frames([crc_attach(p) for p in payloads], cfg)
-    tx = transmit_burst(frame_syms, pulse, symbol_period_s)
+    tx = transmit_burst(frame_syms, pulse)
 
     n_signal = frame_syms.size * pulse.interpolation
     half_delay = (pulse.tap_count - 1) // 2
     occupied = slice(half_delay, half_delay + n_signal)
     trial_profile = replace(profile, seed=_derive_seed([profile.seed, seed]))
     rx, _ = apply_channel(
-        tx, trial_profile, samples_per_symbol=pulse.interpolation, occupied=occupied
+        tx,
+        trial_profile,
+        symbol_period_s / pulse.interpolation,
+        samples_per_symbol=pulse.interpolation,
+        occupied=occupied,
     )
 
-    # Window k is rx.samples[k*span : (k+1)*span + tail], overlapping the next by
-    # the filter tail; the stream holds exactly frames*span + tail samples.
+    # Window k is rx[k*span : (k+1)*span + tail], overlapping the next by the
+    # filter tail; the stream holds exactly frames*span + tail samples.
     span = cfg.total_symbols * pulse.interpolation
-    windows = sliding_window_view(rx.samples, span + pulse.tap_count - 1)[::span]
-    batch = receive_frames(ComplexBuffer(windows, rx.sample_period), cfg, detector, pulse)
+    windows = sliding_window_view(rx, span + pulse.tap_count - 1)[::span]
+    batch = receive_frames(windows, cfg, detector, pulse, symbol_period_s)
 
     # Energies are row sums over the (F, data_symbols) arrays; a frame that
     # never reached the demapper logs zeros.

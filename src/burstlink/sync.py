@@ -25,7 +25,6 @@ from .framing import (
     unpack_wire_bytes,
 )
 from .waveform import (
-    ComplexBuffer,
     GolayPair,
     PulseShapeConfig,
     agc,
@@ -80,8 +79,8 @@ class DetectorConfig:
         # Zero is the degenerate everything-crosses setting; still defined.
         if not 0.0 <= self.rho_threshold < 1.0:
             raise ValueError("rho_threshold must be in [0, 1)")
-        if not 0.0 < self.mf_threshold_factor:
-            raise ValueError("mf_threshold_factor must be positive")
+        if not 0.0 < self.mf_threshold_factor < math.inf:
+            raise ValueError("mf_threshold_factor must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,40 +401,41 @@ def _choose_training_phase(
 
 
 def receive_frames(
-    windows: ComplexBuffer,
+    windows: np.ndarray,
     cfg: FrameConfig,
     det: DetectorConfig | None = None,
     pulse: PulseShapeConfig | None = None,
+    symbol_period_s: float = 1e-6,
 ) -> FrameBatch:
     """Run the full burst receive pipeline on F frame windows at once.
 
-    ``windows.samples`` has shape ``(F, N)``, one window per row; a strided
-    view over one stream is fine, since it is only read. Each stage runs
-    once over the rows still in play, along the last axis, so each row
-    equals what its window would give alone. A row that fails a stage gets
-    its failure code and leaves the later stages; the pipeline never raises
-    for link-quality reasons.
+    ``windows`` has shape ``(F, N)``, one window per row of samples at
+    ``pulse.interpolation`` samples per ``symbol_period_s``; a strided view
+    over one stream is fine, since it is only read. Each stage runs once over
+    the rows still in play, along the last axis, so each row equals what its
+    window would give alone. A row that fails a stage gets its failure code
+    and leaves the later stages; the pipeline never raises for link-quality
+    reasons.
     """
-    if windows.samples.ndim != 2:
-        raise ValueError(f"windows must have shape (F, N), got {windows.samples.shape}")
+    if windows.ndim != 2:
+        raise ValueError(f"windows must have shape (F, N), got {windows.shape}")
     det = det or DetectorConfig()
     pulse = pulse or PulseShapeConfig()
-    n_frames = windows.samples.shape[0]
+    n_frames = windows.shape[0]
     tables, layout = default_tables(cfg), compute_layout(cfg)
     pilot_index, data_index, data_block = block_indices(cfg)
     lag = cfg.training_rep_len
     head = (cfg.training_reps + 2) * lag  # the training field, then room to refine
-    period = windows.sample_period * pulse.interpolation
-    delta_t = lag * period
+    delta_t = lag * symbol_period_s
 
     leveled = agc(
         windows, target_power=1.0, loop_gain=RX_AGC_LOOP_GAIN, freeze_after=AGC_FREEZE_SAMPLES
     )
-    streams, lengths = matched_filter_downsample(leveled.samples, pulse)
+    streams, lengths = matched_filter_downsample(leveled, pulse)
     symbols, lengths, coarse = _choose_training_phase(streams, lengths, det, delta_t, lag, head)
     failure = np.where(coarse.detect_index < 0, NO_TRAINING, DECODED).astype(np.int8)
     rows = np.flatnonzero(failure == DECODED)
-    corrected = nco_correct(symbols, coarse.delta_f_est_hz, period)
+    corrected = nco_correct(symbols, coarse.delta_f_est_hz, symbol_period_s)
 
     # With more than two training repetitions the detector may sit anywhere
     # on the correlation plateau, so the forward search spans the remaining
@@ -468,7 +468,7 @@ def receive_frames(
     coarse.detect_index[redo] = exact_end[redo]
     coarse.c_peak[redo] = c_exact
     coarse.delta_f_est_hz[redo] = [estimate_coarse_cfo(c, delta_t) for c in c_exact.tolist()]
-    corrected[redo] = nco_correct(symbols[redo], coarse.delta_f_est_hz[redo], period)
+    corrected[redo] = nco_correct(symbols[redo], coarse.delta_f_est_hz[redo], symbol_period_s)
 
     short = start[rows] + cfg.payload_symbols > lengths[rows]
     failure[rows[short]] = TRUNCATED
@@ -511,7 +511,7 @@ def receive_frames(
     spacing = cfg.payload_symbols / cfg.pilot_reps
     for group, first in ((rows[anchored], 0), (rows[~anchored], 1)):
         est.residual_freq_hz[group], est.mean_residual_phase_deg[group] = residual_offset(
-            h_fit[group, first:], at_fit[group, first:], spacing, period
+            h_fit[group, first:], at_fit[group, first:], spacing, symbol_period_s
         )
 
     # Fine frequency correction: de-rotate by the fitted residual, then
@@ -520,8 +520,8 @@ def receive_frames(
     # training anchor is the only second point available.
     fine_freq = est.residual_freq_hz[rows]
     if cfg.pilot_reps >= 2:
-        fine_freq = _pilot_slope_hz(est.h_blocks[rows], est.block_positions[rows], period)
-    refined = nco_correct(corrected[rows], fine_freq, period)
+        fine_freq = _pilot_slope_hz(est.h_blocks[rows], est.block_positions[rows], symbol_period_s)
+    refined = nco_correct(corrected[rows], fine_freq, symbol_period_s)
     local = np.arange(len(rows))[:, None]
     gains = estimate_channel(refined[local[..., None], pilot_at], tables.pilot)
     flat = (np.abs(gains) <= H_MIN).any(axis=-1)

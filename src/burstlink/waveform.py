@@ -67,21 +67,6 @@ class PulseShapeConfig:
         return self.span_symbols * self.interpolation + 1
 
 
-@dataclass(frozen=True)
-class ComplexBuffer:
-    """Complex baseband samples with their sampling period in seconds."""
-
-    samples: np.ndarray
-    sample_period: float
-
-    def __post_init__(self) -> None:
-        if self.sample_period <= 0:
-            raise ValueError("sample_period must be positive")
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
 def read_only(array: np.ndarray) -> np.ndarray:
     """Freeze an array a cached builder returns, so no caller can alter the
     entry every later caller shares."""
@@ -251,24 +236,18 @@ def design_srrc(cfg: PulseShapeConfig) -> np.ndarray:
     return read_only(taps / np.sqrt(np.sum(taps**2)))
 
 
-def shape_and_upsample(
-    symbols: np.ndarray,
-    cfg: PulseShapeConfig,
-    symbol_period: float = 1e-6,
-) -> ComplexBuffer:
+def shape_and_upsample(symbols: np.ndarray, cfg: PulseShapeConfig) -> np.ndarray:
     """Zero-stuff by the interpolation factor and convolve with SRRC taps.
 
     Output length is ``interpolation * n_symbols + tap_count - 1``; empty
-    input yields an empty buffer.
+    input yields an empty array.
     """
     symbols = np.asarray(symbols, dtype=complex)
-    sample_period = symbol_period / cfg.interpolation
     if symbols.size == 0:
-        return ComplexBuffer(np.empty(0, dtype=complex), sample_period)
+        return np.empty(0, dtype=complex)
     stuffed = np.zeros(symbols.size * cfg.interpolation, dtype=complex)
     stuffed[:: cfg.interpolation] = symbols
-    taps = design_srrc(cfg)
-    return ComplexBuffer(np.convolve(stuffed, taps), sample_period)
+    return np.convolve(stuffed, design_srrc(cfg))
 
 
 def matched_filter_downsample(
@@ -296,11 +275,11 @@ def matched_filter_downsample(
 
 
 def agc(
-    buf: ComplexBuffer,
+    x: np.ndarray,
     target_power: float = 1.0,
     loop_gain: float = 0.05,
     freeze_after: int | None = None,
-) -> ComplexBuffer:
+) -> np.ndarray:
     """Square-law AGC: per-sample gain driven by the accumulated power error.
 
     The gain is updated multiplicatively, ``g *= 1 + mu * (target - |y|^2) /
@@ -309,7 +288,7 @@ def agc(
     which is the burst-mode behavior the receiver uses: acquire on the
     training and preamble, then keep the payload scaling constant.
 
-    ``buf.samples`` may have shape ``(..., N)``: the loop runs along the last
+    ``x`` may have shape ``(..., N)``: the loop runs along the last
     axis with one gain per leading index, each step one array operation over
     all of them, so every row comes out exactly as it would alone.
     """
@@ -317,7 +296,6 @@ def agc(
         raise ValueError("target_power must be positive")
     if not 0.0 < loop_gain < 1.0:
         raise ValueError("loop_gain must be in (0, 1)")
-    x = buf.samples
     out = np.empty_like(x)
     n = x.shape[-1]
     gain = np.ones(x.shape[:-1])
@@ -330,4 +308,4 @@ def agc(
             gain = np.minimum(np.maximum(gain * (1.0 + loop_gain * err), 1e-6), 1e6)
         if limit < n:
             out[..., limit:] = gain[..., None] * x[..., limit:]
-    return ComplexBuffer(out, buf.sample_period)
+    return out

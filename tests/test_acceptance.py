@@ -27,6 +27,7 @@ from burstlink.harness import (
     run_sweep,
     run_trial_events,
     sigmf_to_json,
+    transmit_burst,
     validate_sigmf,
 )
 from burstlink.metrics import evm as evm_metric
@@ -39,14 +40,12 @@ from burstlink.sync import (
     receive_frames,
 )
 from burstlink.waveform import (
-    ComplexBuffer,
     PulseShapeConfig,
     build_constellation,
     complementary_autocorrelation,
     demap_symbols,
     generate_golay_pair,
     map_bits,
-    shape_and_upsample,
 )
 
 ALL_LAMBDAS = (1, 2, 4, 6, 8)
@@ -57,13 +56,6 @@ T_SYM = 1e-6
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {criterion}: {detail}"
-
-
-def tx_buffer(symbols, pulse):
-    shaped = shape_and_upsample(symbols, pulse, T_SYM)
-    return ComplexBuffer(
-        shaped.samples * math.sqrt(pulse.interpolation), shaped.sample_period
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +76,7 @@ def test_criterion_01_loopback_identity():
             for _ in range(3):
                 data = rng.bytes(cfg.payload_bytes)
                 frame = assemble_frames([crc_attach(data)], cfg)[0]
-                buf = tx_buffer(frame, pulse)
-                res = receive_frames(ComplexBuffer(buf.samples[np.newaxis], buf.sample_period), cfg)
+                res = receive_frames(transmit_burst(frame, pulse)[np.newaxis], cfg)
                 assert res.failure[0] == DECODED, (reps, mod, res.failure[0])
                 assert res.payloads[0].data_bytes == data, (reps, mod)
                 tx_data = np.concatenate([frame[a:b] for a, b in layout.data_spans])

@@ -60,6 +60,17 @@ def test_sim_writes_outputs(tmp_path):
     assert doc["annotations"][0]["core:sample_count"] == iq.stat().st_size // 8
 
 
+def test_sim_sigmf_sample_rate_follows_the_symbol_period(tmp_path):
+    # 250 ns symbols at 4 samples per symbol: 16 MHz, one cf32 (8 bytes) per sample.
+    sigmf, iq = tmp_path / "t.sigmf-meta", tmp_path / "t.cf32"
+    assert main(["sim", "--mod", "16", "--pilot-reps", "2", "--frames", "2",
+                 "--symbol-period-s", "2.5e-7", "--iq-out", str(iq),
+                 "--sigmf-out", str(sigmf)]) == 0
+    doc = json.loads(sigmf.read_text())
+    assert doc["global"]["core:sample_rate"] == 16e6
+    assert doc["annotations"][0]["core:sample_count"] == iq.stat().st_size // 8
+
+
 @pytest.mark.parametrize("iq_out", [False, True])
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_sim_rejects_fewer_than_one_trial(tmp_path, capsys, trials, iq_out):
@@ -194,6 +205,60 @@ def test_invalid_channel_flag_is_an_error(capsys, flags):
     code = main(["sim", "--mod", "4", "--pilot-reps", "1", "--frames", "2", *flags])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-6"])
+def test_sim_rejects_a_symbol_period_that_is_not_finite_and_positive(tmp_path, capsys, value):
+    out, iq = tmp_path / "r.csv", tmp_path / "t.cf32"
+    code = main(["sim", "--mod", "4", "--pilot-reps", "1", "--frames", "2",
+                 f"--symbol-period-s={value}", "--out", str(out), "--iq-out", str(iq)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: symbol_period_s must be finite and positive")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_rejects_a_nan_symbol_period(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG + "symbol_period_s = nan\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out / "r.csv"),
+                 "--events-out", str(out / "e.csv"), "--sigmf-out", str(out / "sigmf")]) == 1
+    assert capsys.readouterr().err.startswith("error: symbol_period_s must be finite and positive")
+    assert not out.exists()
+
+
+# Each value once made sim exit 0 with a row the model cannot explain: every
+# frame lost, or the value silently read as another.
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--snr-db", "nan"], "snr_db"),
+        (["--snr-db=-inf"], "snr_db"),
+        (["--cfo-hz", "nan"], "cfo_hz"),
+        (["--cfo-hz", "inf"], "cfo_hz"),
+        (["--drift-hz-per-s=-inf"], "drift_hz_per_s"),
+        (["--theta-in-rad", "inf"], "theta_in_rad"),
+        (["--fading", "block-rician", "--rician-k", "nan"], "rician_k"),
+        (["--fading", "block-rician", "--rician-k", "inf"], "rician_k"),
+        (["--freq-walk-std-hz=-5"], "freq_walk_std_hz"),
+        (["--freq-walk-std-hz", "inf"], "freq_walk_std_hz"),
+        (["--delay-spread-s", "nan"], "delay_spread_s"),
+        (["--delay-spread-s=-1e-9"], "delay_spread_s"),
+        (["--coherence-symbols", "nan"], "coherence_symbols"),
+        (["--rho-threshold", "nan"], "rho_threshold"),
+        (["--mf-threshold-factor", "nan"], "mf_threshold_factor"),
+        (["--mf-threshold-factor", "inf"], "mf_threshold_factor"),
+    ],
+)
+def test_sim_rejects_channel_and_detector_values_the_model_cannot_use(
+    tmp_path, capsys, flags, key
+):
+    out = tmp_path / "r.csv"
+    code = main(["sim", "--mod", "4", "--pilot-reps", "1", "--frames", "2",
+                 "--out", str(out), *flags])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be")
+    assert not out.exists()
 
 
 def _report_error(tmp_path, capsys, text):

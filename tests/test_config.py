@@ -35,6 +35,20 @@ class TestKvText:
         with pytest.raises(ValueError, match="line 4: key snr_db is already set on line 1"):
             parse_kv_text("snr_db = 10\n\nlambda_list = 1\nsnr_db = 30\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("snr_db =\n", "line 1: expected 'key = value', got 'snr_db ='"),
+            ("lambda_list = 1\n= 5\n", "line 2: expected 'key = value', got '= 5'"),
+            ("lambda_list = 1,x\n", "lambda_list = 1,x: invalid literal for int"),
+            ("trials_per_cell = 1.5\n", "trials_per_cell = 1.5: invalid literal for int"),
+        ],
+    )
+    def test_parse_errors_name_the_line_or_key(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            sweep_spec_from_text(text)
+        assert str(exc.value).startswith(message)
+
     def test_format_lists(self):
         assert sweep_spec_from_text("lambda_list = 1, 2,4\n").lambda_list == (1, 2, 4)
 

@@ -50,11 +50,9 @@ def test_transmit_burst_shapes_the_frame_rows_back_to_back():
     cfg = FrameConfig(pilot_reps=2, modulation=16)
     pulse = PulseShapeConfig()
     payloads = [crc_attach(generate_payload(cfg.payload_bytes, k)) for k in range(3)]
-    burst = transmit_burst(assemble_frames(payloads, cfg), pulse, 1e-6)
+    burst = transmit_burst(assemble_frames(payloads, cfg), pulse)
     stream = np.concatenate([assemble_frames([p], cfg)[0] for p in payloads])
-    shaped = shape_and_upsample(stream, pulse, 1e-6)
-    assert np.array_equal(burst.samples, shaped.samples * math.sqrt(pulse.interpolation))
-    assert burst.sample_period == shaped.sample_period
+    assert np.array_equal(burst, shape_and_upsample(stream, pulse) * math.sqrt(pulse.interpolation))
 
 
 class TestPayload:
@@ -168,9 +166,9 @@ class TestRunTrial:
         shapes = []
         real_agc = sync.agc
 
-        def counting_agc(buf, *args, **kwargs):
-            shapes.append(buf.samples.shape)
-            return real_agc(buf, *args, **kwargs)
+        def counting_agc(x, *args, **kwargs):
+            shapes.append(x.shape)
+            return real_agc(x, *args, **kwargs)
 
         monkeypatch.setattr(sync, "agc", counting_agc)
         cfg = FrameConfig(pilot_reps=4, modulation=16)

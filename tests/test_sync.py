@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from burstlink import sync
 from burstlink.channel import ChannelProfile, apply_channel
 from burstlink.framing import FrameConfig, assemble_frames, compute_layout, crc_attach, default_tables
+from burstlink.harness import transmit_burst
 from burstlink.sync import (
     CRC_FAIL,
     DECODED,
@@ -28,7 +29,7 @@ from burstlink.sync import (
     receive_frames,
     residual_offset,
 )
-from burstlink.waveform import ComplexBuffer, PulseShapeConfig, generate_golay_pair, shape_and_upsample
+from burstlink.waveform import PulseShapeConfig, generate_golay_pair
 
 M = 32
 T_SYM = 1e-6
@@ -374,11 +375,6 @@ class TestResidualOffset:
         )
 
 
-def tx_buffer(frame_symbols, pulse):
-    shaped = shape_and_upsample(frame_symbols, pulse, T_SYM)
-    return ComplexBuffer(shaped.samples * np.sqrt(pulse.interpolation), shaped.sample_period)
-
-
 def outcome_windows(cfg, pulse, n, seed):
     """One n-sample window per receiver outcome; returns the (6, n) windows
     and the expected failures, ``None`` for the decoded row."""
@@ -392,38 +388,39 @@ def outcome_windows(cfg, pulse, n, seed):
     def faint(count):
         return 0.02 * (rng.normal(size=count) + 1j * rng.normal(size=count))
 
-    clean = tx_buffer(frame(), pulse).samples
+    clean = transmit_burst(frame(), pulse)
     # A constant in place of the Golay preamble keeps the power the AGC sees
     # but correlates with neither sequence.
     no_preamble = frame()
     no_preamble[slice(*layout.preamble_span)] = 1.0
-    dead = tx_buffer(frame(), pulse).samples.copy()
+    dead = transmit_burst(frame(), pulse)
     a, b = layout.pilot_spans[-1]
     dead[a * sps : b * sps + pulse.tap_count] = 0
     corrupt = frame()
     a = layout.data_spans[0][0]
     corrupt[a + 5 : a + 9] = -corrupt[a + 5 : a + 9]
     impaired, _ = apply_channel(
-        tx_buffer(corrupt, pulse),
+        transmit_burst(corrupt, pulse),
         ChannelProfile(snr_db=25.0, delta_f_hz=1500.0, theta_in_rad=0.4, seed=seed),
+        T_SYM / sps,
         samples_per_symbol=sps,
     )
     rows = {
         None: clean,
         "no-training": (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2),
-        "no-frame": tx_buffer(no_preamble, pulse).samples,
+        "no-frame": transmit_burst(no_preamble, pulse),
         # Starts 60 symbols late, so the payload runs past the window's end.
         "truncated": np.concatenate([faint(60 * sps), clean]),
         "unequalizable": dead,
         # Two samples early: off the decimation grid, so phase 2 wins.
-        "crc-fail": np.concatenate([impaired.samples[2:], faint(8)]),
+        "crc-fail": np.concatenate([impaired[2:], faint(8)]),
     }
     return np.stack([x[:n] for x in rows.values()]), list(rows)
 
 
-def receive_one(buf, cfg):
-    """``receive_frames`` on a single window, passed as a (1, N) buffer."""
-    return receive_frames(ComplexBuffer(buf.samples[np.newaxis], buf.sample_period), cfg)
+def receive_one(samples, cfg):
+    """``receive_frames`` on a single window, passed as a (1, N) array."""
+    return receive_frames(samples[np.newaxis], cfg)
 
 
 def assert_same_row(batch, k, single):
@@ -444,7 +441,7 @@ class TestReceiveFrame:
         rng = np.random.default_rng(reps + mod)
         data = rng.bytes(cfg.payload_bytes)
         frame = assemble_frames([crc_attach(data)], cfg)[0]
-        res = receive_one(tx_buffer(frame, PulseShapeConfig()), cfg)
+        res = receive_one(transmit_burst(frame, PulseShapeConfig()), cfg)
         assert res.failure[0] == DECODED
         assert res.payloads[0].data_bytes == data
 
@@ -457,7 +454,10 @@ class TestReceiveFrame:
         pulse = PulseShapeConfig()
         df = 0.3 / (2 * DELTA_T)
         profile = ChannelProfile(delta_f_hz=df, theta_in_rad=1.0, seed=2)
-        rx, _ = apply_channel(tx_buffer(frame, pulse), profile, samples_per_symbol=pulse.interpolation)
+        rx, _ = apply_channel(
+            transmit_burst(frame, pulse), profile, T_SYM / pulse.interpolation,
+            samples_per_symbol=pulse.interpolation,
+        )
         res = receive_one(rx, cfg)
         assert res.failure[0] == DECODED
         assert res.payloads[0].data_bytes == data
@@ -471,7 +471,7 @@ class TestReceiveFrame:
         rng = np.random.default_rng(60 + reps)
         data = rng.bytes(cfg.payload_bytes)
         frame = assemble_frames([crc_attach(data)], cfg)[0]
-        res = receive_one(tx_buffer(frame, PulseShapeConfig()), cfg)
+        res = receive_one(transmit_burst(frame, PulseShapeConfig()), cfg)
         assert res.failure[0] == DECODED
         assert res.payloads[0].data_bytes == data
 
@@ -486,20 +486,20 @@ class TestReceiveFrame:
         rng = np.random.default_rng(61)
         data = rng.bytes(cfg.payload_bytes)
         frame = assemble_frames([crc_attach(data)], cfg)[0]
-        res = receive_one(tx_buffer(frame, PulseShapeConfig()), cfg)
+        res = receive_one(transmit_burst(frame, PulseShapeConfig()), cfg)
         assert res.failure[0] == DECODED
         assert res.payloads[0].data_bytes == data
 
     def test_tiny_buffer_reports_no_training(self):
         cfg = FrameConfig(pilot_reps=1, modulation=4)
-        res = receive_one(ComplexBuffer(np.ones(10, dtype=complex), 0.25e-6), cfg)
+        res = receive_one(np.ones(10, dtype=complex), cfg)
         assert res.failure[0] == NO_TRAINING
 
     def test_pure_noise_reports_no_training(self):
         cfg = FrameConfig(pilot_reps=4, modulation=16)
         rng = np.random.default_rng(11)
         noise = (rng.normal(size=4096) + 1j * rng.normal(size=4096)) / np.sqrt(2)
-        res = receive_one(ComplexBuffer(noise, 0.25e-6), cfg)
+        res = receive_one(noise, cfg)
         assert res.failure[0] == NO_TRAINING
         assert not res.detected[0]
 
@@ -508,9 +508,8 @@ class TestReceiveFrame:
         rng = np.random.default_rng(12)
         frame = assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0]
         pulse = PulseShapeConfig()
-        buf = tx_buffer(frame, pulse)
-        cut = ComplexBuffer(buf.samples[: len(buf) - 60 * pulse.interpolation], buf.sample_period)
-        res = receive_one(cut, cfg)
+        samples = transmit_burst(frame, pulse)
+        res = receive_one(samples[: len(samples) - 60 * pulse.interpolation], cfg)
         assert res.failure[0] == TRUNCATED
 
     def test_dead_pilot_block_reports_unequalizable(self):
@@ -519,14 +518,13 @@ class TestReceiveFrame:
         frame = assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0]
         layout = compute_layout(cfg)
         pulse = PulseShapeConfig()
-        buf = tx_buffer(frame, pulse)
-        samples = buf.samples.copy()
+        samples = transmit_burst(frame, pulse)
         # Zero the samples carrying the second pilot block.
         a, b = layout.pilot_spans[1]
         lo = a * pulse.interpolation
         hi = b * pulse.interpolation + pulse.tap_count
         samples[lo:hi] = 0
-        res = receive_one(ComplexBuffer(samples, buf.sample_period), cfg)
+        res = receive_one(samples, cfg)
         assert res.failure[0] == UNEQUALIZABLE
         assert res.detected[0]
 
@@ -538,7 +536,7 @@ class TestReceiveFrame:
         bad = frame.copy()
         a, _ = layout.data_spans[0]
         bad[a + 5 : a + 9] = -bad[a + 5 : a + 9]
-        res = receive_one(tx_buffer(bad, PulseShapeConfig()), cfg)
+        res = receive_one(transmit_burst(bad, PulseShapeConfig()), cfg)
         assert res.failure[0] == CRC_FAIL
         assert res.detected[0]
         assert not res.crc_ok[0]
@@ -552,11 +550,11 @@ class TestReceiveFrame:
         data = rng.bytes(cfg.payload_bytes)
         frame = assemble_frames([crc_attach(data)], cfg)[0]
         pulse = PulseShapeConfig()
-        burst = tx_buffer(frame, pulse)
+        burst = transmit_burst(frame, pulse)
         lead = 0.02 * (rng.normal(size=offset) + 1j * rng.normal(size=offset))
         tail = 0.02 * (rng.normal(size=160) + 1j * rng.normal(size=160))
-        samples = np.concatenate([lead, burst.samples, tail])
-        res = receive_one(ComplexBuffer(samples, burst.sample_period), cfg)
+        samples = np.concatenate([lead, burst, tail])
+        res = receive_one(samples, cfg)
         assert res.failure[0] == DECODED
         assert res.payloads[0].data_bytes == data
 
@@ -564,19 +562,20 @@ class TestReceiveFrame:
         cfg = FrameConfig(pilot_reps=4, modulation=16)
         pulse = PulseShapeConfig()
         rng = np.random.default_rng(16)
-        clean = tx_buffer(assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0], pulse)
+        clean = transmit_burst(assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg), pulse)
         impaired, _ = apply_channel(
-            tx_buffer(assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0], pulse),
+            transmit_burst(assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg), pulse),
             ChannelProfile(snr_db=18.0, delta_f_hz=1500.0, theta_in_rad=0.4, seed=6),
+            T_SYM / pulse.interpolation,
             samples_per_symbol=pulse.interpolation,
         )
         n = len(clean)
         noise = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
-        windows = np.stack([clean.samples, noise, impaired.samples])
-        batch = receive_frames(ComplexBuffer(windows, clean.sample_period), cfg)
+        windows = np.stack([clean, noise, impaired])
+        batch = receive_frames(windows, cfg)
         assert batch.failure.tolist() == [DECODED, NO_TRAINING, DECODED]
         for k, w in enumerate(windows):
-            assert_same_row(batch, k, receive_one(ComplexBuffer(w, clean.sample_period), cfg))
+            assert_same_row(batch, k, receive_one(w, cfg))
 
     # lambda=1 fits through the training anchor only. A frame's windows hold
     # 1888 samples; 1887 give phase streams of 472 and 471 symbols.
@@ -587,8 +586,7 @@ class TestReceiveFrame:
         first, kinds = outcome_windows(cfg, pulse, n, seed=30 + reps)
         second, _ = outcome_windows(cfg, pulse, n, seed=40 + reps)
         pool = np.concatenate([first, second])
-        period = 1e-6 / pulse.interpolation
-        singles = [receive_frames(ComplexBuffer(w[np.newaxis], period), cfg) for w in pool]
+        singles = [receive_one(w, cfg) for w in pool]
         codes = [DECODED if kind is None else 1 + FAILURE_KINDS.index(kind) for kind in kinds]
         assert [int(s.failure[0]) for s in singles] == codes + codes
 
@@ -599,7 +597,7 @@ class TestReceiveFrame:
         @given(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=len(pool)))
         @example(list(range(len(pool))))
         def stack_matches_single_windows(picks):
-            batch = receive_frames(ComplexBuffer(pool[picks], period), cfg)
+            batch = receive_frames(pool[picks], cfg)
             assert len(batch) == len(picks)
             for k, i in enumerate(picks):
                 assert_same_row(batch, k, singles[i])
@@ -613,10 +611,10 @@ class TestReceiveFrame:
         cfg = FrameConfig(pilot_reps=4, modulation=16)
         rng = np.random.default_rng(50)
         frame = assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0]
-        buf = tx_buffer(frame, PulseShapeConfig())
-        short = receive_one(ComplexBuffer(buf.samples[1:1788], buf.sample_period), cfg)
+        samples = transmit_burst(frame, PulseShapeConfig())
+        short = receive_one(samples[1:1788], cfg)
         assert short.failure[0] == TRUNCATED
-        full = receive_one(ComplexBuffer(buf.samples[1:1789], buf.sample_period), cfg)
+        full = receive_one(samples[1:1789], cfg)
         assert full.detected[0]
         assert full.payload_start[0] == 191
 
@@ -627,11 +625,10 @@ class TestReceiveFrame:
         cfg = FrameConfig(pilot_reps=4, modulation=16)
         rng = np.random.default_rng(21)
         frame = assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0]
-        buf = tx_buffer(frame, PulseShapeConfig())
-        assert receive_one(buf, cfg).payload_start[0] == 192
-        samples = buf.samples.copy()
+        samples = transmit_burst(frame, PulseShapeConfig())
+        assert receive_one(samples, cfg).payload_start[0] == 192
         samples[1000] = np.nan
-        res = receive_one(ComplexBuffer(samples, buf.sample_period), cfg)
+        res = receive_one(samples, cfg)
         assert res.payload_start[0] == 192
         assert res.detected[0]
         assert res.failure[0] == CRC_FAIL
@@ -644,10 +641,9 @@ class TestReceiveFrame:
         cfg = FrameConfig(pilot_reps=4, modulation=16)
         rng = np.random.default_rng(21)
         frame = assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0]
-        buf = tx_buffer(frame, PulseShapeConfig())
-        samples = buf.samples.copy()
+        samples = transmit_burst(frame, PulseShapeConfig())
         samples[1368] = np.nan
-        res = receive_one(ComplexBuffer(samples, buf.sample_period), cfg)
+        res = receive_one(samples, cfg)
         assert res.payload_start[0] == 192
         assert res.failure[0] == UNEQUALIZABLE
         assert np.isnan(res.estimate.h_blocks[0, 2])
@@ -663,17 +659,16 @@ class TestReceiveFrame:
         cfg = FrameConfig(pilot_reps=4, modulation=16)
         rng = np.random.default_rng(21)
         frame = assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0]
-        buf = tx_buffer(frame, PulseShapeConfig())
-        samples = buf.samples.copy()
+        samples = transmit_burst(frame, PulseShapeConfig())
         samples[sample] = np.inf
-        res = receive_one(ComplexBuffer(samples, buf.sample_period), cfg)
+        res = receive_one(samples, cfg)
         assert res.failure[0] == failure
         assert not res.demapped[0]
 
     def test_batch_needs_two_dimensional_windows(self):
         cfg = FrameConfig(pilot_reps=1, modulation=4)
         with pytest.raises(ValueError, match="shape"):
-            receive_frames(ComplexBuffer(np.ones(64, dtype=complex), 0.25e-6), cfg)
+            receive_frames(np.ones(64, dtype=complex), cfg)
 
     @pytest.mark.parametrize("reps, residual_hz", [(4, 137.6443562915157), (1, 0.0)])
     def test_window_past_the_training_start_fits_without_the_anchor(self, reps, residual_hz):
@@ -688,8 +683,11 @@ class TestReceiveFrame:
         data = rng.bytes(cfg.payload_bytes)
         frame = assemble_frames([crc_attach(data)], cfg)[0]
         profile = ChannelProfile(snr_db=30.0, delta_f_hz=900.0, seed=4)
-        rx, _ = apply_channel(tx_buffer(frame, pulse), profile, samples_per_symbol=pulse.interpolation)
-        res = receive_one(ComplexBuffer(rx.samples[4:], rx.sample_period), cfg)
+        rx, _ = apply_channel(
+            transmit_burst(frame, pulse), profile, T_SYM / pulse.interpolation,
+            samples_per_symbol=pulse.interpolation,
+        )
+        res = receive_one(rx[4:], cfg)
         est = res.estimate
         assert res.failure[0] == DECODED
         assert res.payloads[0].data_bytes == data
@@ -707,7 +705,10 @@ class TestReceiveFrame:
         frame = assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0]
         pulse = PulseShapeConfig()
         profile = ChannelProfile(delta_f_hz=2000.0, drift_hz_per_s=3e5, seed=4)
-        rx, _ = apply_channel(tx_buffer(frame, pulse), profile, samples_per_symbol=pulse.interpolation)
+        rx, _ = apply_channel(
+            transmit_burst(frame, pulse), profile, T_SYM / pulse.interpolation,
+            samples_per_symbol=pulse.interpolation,
+        )
         res = receive_one(rx, cfg)
         assert res.failure[0] == DECODED
         # Drift leaves a positive measured residual frequency.
