@@ -28,6 +28,10 @@ _STREAM_FADING = 0xFA
 _STREAM_NOISE = 0x0E
 _STREAM_WALK = 0x3A
 
+# Bound on a finite snr_db: 10**(snr_db/10) overflows a float above about
+# 3082.5 dB and rounds to 0 below about -3233 dB.
+SNR_DB_LIMIT = 3000.0
+
 # Profile fields that only a finite value gives a meaning.
 _FINITE_FIELDS = (
     "delta_f_hz", "drift_hz_per_s", "theta_in_rad", "rician_k", "freq_walk_std_hz", "delay_spread_s"
@@ -61,8 +65,8 @@ class ChannelProfile:
             value = getattr(self, f.name)
             if f.name in _FINITE_FIELDS and not math.isfinite(value):
                 raise ValueError(f"{f.metadata.get('key', f.name)} must be finite, got {value}")
-        if not self.snr_db > -math.inf:
-            raise ValueError(f"snr_db must be a number or inf, got {self.snr_db}")
+        if not (abs(self.snr_db) <= SNR_DB_LIMIT or self.snr_db == math.inf):
+            raise ValueError(f"snr_db must be inf or within +/-{SNR_DB_LIMIT:g}, got {self.snr_db}")
         for name in ("freq_walk_std_hz", "delay_spread_s"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -90,7 +94,8 @@ def epoch_length_samples(profile: ChannelProfile, samples_per_symbol: int) -> in
 
 
 def _epoch_index(n_samples: int, epoch_len: int | None) -> np.ndarray:
-    if epoch_len is None:
+    # An epoch at least as long as the stream is one epoch, as an infinite one is.
+    if epoch_len is None or epoch_len >= n_samples:
         return np.zeros(n_samples, dtype=np.int64)
     return np.arange(n_samples, dtype=np.int64) // epoch_len
 

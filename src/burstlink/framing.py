@@ -50,7 +50,6 @@ class FrameConfig:
     training_rep_len: int = 32
     training_reps: int = 2
     golay_len: int = 64
-    crc_bits: int = 32
 
     def __post_init__(self) -> None:
         if self.pilot_reps not in SUPPORTED_PILOT_REPS:
@@ -66,8 +65,6 @@ class FrameConfig:
             )
         if self.training_reps < 2:
             raise ValueError("training_reps must be >= 2 for lag correlation")
-        if self.crc_bits != 32:
-            raise ValueError("only 32-bit CRC framing is supported")
 
     @property
     def bits_per_symbol(self) -> int:

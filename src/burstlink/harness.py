@@ -114,8 +114,8 @@ def run_trial_events(
     profile: ChannelProfile,
     frames: int,
     seed: int,
-    detector: DetectorConfig | None = None,
-    pulse: PulseShapeConfig | None = None,
+    detector: DetectorConfig = DetectorConfig(),
+    pulse: PulseShapeConfig = PulseShapeConfig(),
     symbol_period_s: float = 1e-6,
     profile_index: int = 0,
     trial: int = 0,
@@ -132,8 +132,6 @@ def run_trial_events(
         raise ValueError("frames must be >= 1")
     if not 0.0 < symbol_period_s < math.inf:
         raise ValueError(f"symbol_period_s must be finite and positive, got {symbol_period_s}")
-    detector = detector or DetectorConfig()
-    pulse = pulse or PulseShapeConfig()
     payloads = [
         generate_payload(cfg.payload_bytes, [seed, _PAYLOAD_STREAM, k])
         for k in range(frames)

@@ -56,11 +56,6 @@ OUTCOMES = frozenset(
 # Gain floor below which a block cannot be equalized without blowing up.
 H_MIN = 1e-6
 
-# Samples after which the burst AGC freezes its gain; sized to sit inside
-# the training+preamble region at the default interpolation factor.
-AGC_FREEZE_SAMPLES = 512
-RX_AGC_LOOP_GAIN = 0.05
-
 # Frames per full-width training-detection and demap pass. Both build arrays
 # several times their input's size (autocorrelation sums of every phase
 # stream, the distance to every constellation point); a whole trial at once
@@ -403,8 +398,8 @@ def _choose_training_phase(
 def receive_frames(
     windows: np.ndarray,
     cfg: FrameConfig,
-    det: DetectorConfig | None = None,
-    pulse: PulseShapeConfig | None = None,
+    det: DetectorConfig = DetectorConfig(),
+    pulse: PulseShapeConfig = PulseShapeConfig(),
     symbol_period_s: float = 1e-6,
 ) -> FrameBatch:
     """Run the full burst receive pipeline on F frame windows at once.
@@ -419,8 +414,6 @@ def receive_frames(
     """
     if windows.ndim != 2:
         raise ValueError(f"windows must have shape (F, N), got {windows.shape}")
-    det = det or DetectorConfig()
-    pulse = pulse or PulseShapeConfig()
     n_frames = windows.shape[0]
     tables, layout = default_tables(cfg), compute_layout(cfg)
     pilot_index, data_index, data_block = block_indices(cfg)
@@ -428,10 +421,7 @@ def receive_frames(
     head = (cfg.training_reps + 2) * lag  # the training field, then room to refine
     delta_t = lag * symbol_period_s
 
-    leveled = agc(
-        windows, target_power=1.0, loop_gain=RX_AGC_LOOP_GAIN, freeze_after=AGC_FREEZE_SAMPLES
-    )
-    streams, lengths = matched_filter_downsample(leveled, pulse)
+    streams, lengths = matched_filter_downsample(agc(windows), pulse)
     symbols, lengths, coarse = _choose_training_phase(streams, lengths, det, delta_t, lag, head)
     failure = np.where(coarse.detect_index < 0, NO_TRAINING, DECODED).astype(np.int8)
     rows = np.flatnonzero(failure == DECODED)

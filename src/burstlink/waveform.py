@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SUPPORTED_ORDERS = (4, 8, 16, 64)
-
 BITS_PER_SYMBOL = {4: 2, 8: 3, 16: 4, 64: 6}
 
 
@@ -122,9 +120,9 @@ def build_constellation(order: int) -> Constellation:
     rectangular grid (two Gray bits on I, one on Q) scaled to unit average
     power, so nearest neighbors always differ in exactly one bit.
     """
-    if order not in SUPPORTED_ORDERS:
+    if order not in BITS_PER_SYMBOL:
         raise ValueError(
-            f"unsupported modulation order {order}; expected one of {SUPPORTED_ORDERS}"
+            f"unsupported modulation order {order}; expected one of {tuple(BITS_PER_SYMBOL)}"
         )
     bps = BITS_PER_SYMBOL[order]
     q_bits = bps // 2
@@ -274,38 +272,32 @@ def matched_filter_downsample(
     return streams, (n - np.arange(sps) + sps - 1) // sps
 
 
-def agc(
-    x: np.ndarray,
-    target_power: float = 1.0,
-    loop_gain: float = 0.05,
-    freeze_after: int | None = None,
-) -> np.ndarray:
-    """Square-law AGC: per-sample gain driven by the accumulated power error.
+# Burst AGC loop gain, and the sample after which the gain freezes; sized to
+# sit inside the training+preamble region at the default interpolation factor.
+AGC_LOOP_GAIN = 0.05
+AGC_FREEZE_SAMPLES = 512
 
-    The gain is updated multiplicatively, ``g *= 1 + mu * (target - |y|^2) /
-    target``, and clamped to [1e-6, 1e6] so an all-zero input stays all-zero.
-    With ``freeze_after`` set, the gain is held constant from that sample on,
-    which is the burst-mode behavior the receiver uses: acquire on the
-    training and preamble, then keep the payload scaling constant.
+
+def agc(x: np.ndarray) -> np.ndarray:
+    """Burst-mode square-law AGC to unit power.
+
+    The gain is updated per sample, ``g *= 1 + AGC_LOOP_GAIN * (1 - |y|^2)``,
+    clamped to [1e-6, 1e6] so an all-zero input stays all-zero, and held from
+    sample ``AGC_FREEZE_SAMPLES`` on: acquire on the training and preamble,
+    then keep the payload scaling constant.
 
     ``x`` may have shape ``(..., N)``: the loop runs along the last
     axis with one gain per leading index, each step one array operation over
     all of them, so every row comes out exactly as it would alone.
     """
-    if target_power <= 0:
-        raise ValueError("target_power must be positive")
-    if not 0.0 < loop_gain < 1.0:
-        raise ValueError("loop_gain must be in (0, 1)")
     out = np.empty_like(x)
-    n = x.shape[-1]
     gain = np.ones(x.shape[:-1])
-    limit = n if freeze_after is None else min(freeze_after, n)
+    limit = min(AGC_FREEZE_SAMPLES, x.shape[-1])
     with np.errstate(invalid="ignore"):  # gain * inf is inf + nan*j: a NaN, not a warning
         for k in range(limit):
             y = gain * x[..., k]
             out[..., k] = y
-            err = (target_power - (y.real * y.real + y.imag * y.imag)) / target_power
-            gain = np.minimum(np.maximum(gain * (1.0 + loop_gain * err), 1e-6), 1e6)
-        if limit < n:
-            out[..., limit:] = gain[..., None] * x[..., limit:]
+            err = 1.0 - (y.real * y.real + y.imag * y.imag)
+            gain = np.minimum(np.maximum(gain * (1.0 + AGC_LOOP_GAIN * err), 1e-6), 1e6)
+        out[..., limit:] = gain[..., None] * x[..., limit:]
     return out

@@ -227,8 +227,9 @@ def test_sweep_rejects_a_nan_symbol_period(tmp_path, capsys):
     assert not out.exists()
 
 
-# Each value once made sim exit 0 with a row the model cannot explain: every
-# frame lost, or the value silently read as another.
+# Each value once made sim exit 0 with a row the model cannot explain (every
+# frame lost, or the value silently read as another) or, for a finite SNR
+# beyond the float range, end in a traceback.
 @pytest.mark.parametrize(
     "flags, key",
     [
@@ -248,6 +249,8 @@ def test_sweep_rejects_a_nan_symbol_period(tmp_path, capsys):
         (["--rho-threshold", "nan"], "rho_threshold"),
         (["--mf-threshold-factor", "nan"], "mf_threshold_factor"),
         (["--mf-threshold-factor", "inf"], "mf_threshold_factor"),
+        (["--snr-db", "4000"], "snr_db"),
+        (["--snr-db=-4000"], "snr_db"),
     ],
 )
 def test_sim_rejects_channel_and_detector_values_the_model_cannot_use(
@@ -259,6 +262,25 @@ def test_sim_rejects_channel_and_detector_values_the_model_cannot_use(
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {key} must be")
     assert not out.exists()
+
+
+# The edges of the snr_db bound run clean, with RuntimeWarnings as errors.
+@pytest.mark.parametrize("snr_db", ["3000", "-3000"])
+def test_sim_runs_at_the_snr_bound(capsys, snr_db):
+    assert main(["sim", "--mod", "4", "--pilot-reps", "1", "--frames", "2",
+                 "--snr-db=" + snr_db]) == 0
+
+
+# A coherence far longer than the stream once overflowed the epoch index.
+@pytest.mark.parametrize(
+    "flags", [["--fading", "block-rician"], ["--freq-walk-std-hz", "20"]]
+)
+def test_coherence_longer_than_the_stream_is_one_epoch(capsys, flags):
+    huge = _sim_row(capsys, *flags, "--coherence-symbols", "1e300")
+    static = _sim_row(capsys, *flags, "--coherence-symbols", "inf")
+    assert huge.pop("coherence_symbols") == "1e+300"
+    assert static.pop("coherence_symbols") == "inf"
+    assert huge == static
 
 
 def _report_error(tmp_path, capsys, text):

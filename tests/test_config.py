@@ -134,6 +134,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="snr, bogus_key"):
             sweep_spec_from_text("snr = 10\nlambda_list = 1\nbogus_key = 3\n")
 
+    def test_crc_bits_is_an_unknown_key(self):
+        # The CRC width is fixed at 32 bits; it is not a setting.
+        with pytest.raises(ValueError, match=r"unknown config key\(s\): crc_bits"):
+            sweep_spec_from_text("crc_bits = 32\n")
+
     @pytest.mark.parametrize(
         "key,grid_key", [("pilot_reps", "lambda_list"), ("modulation", "modulations")]
     )

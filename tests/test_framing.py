@@ -58,8 +58,9 @@ class TestFrameConfig:
             FrameConfig(pilot_reps=1, modulation=32)
         with pytest.raises(ValueError, match="room for data"):
             FrameConfig(pilot_reps=8, modulation=4, payload_symbols=128)
-        with pytest.raises(ValueError, match="CRC"):
-            FrameConfig(pilot_reps=1, modulation=4, crc_bits=16)
+        # The CRC is always CRC-32: its width is not a field.
+        with pytest.raises(TypeError):
+            FrameConfig(pilot_reps=1, modulation=4, crc_bits=32)
 
 
 class TestLayout:
