@@ -86,17 +86,12 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, stream])
 
 
-def epoch_length_samples(profile: ChannelProfile, samples_per_symbol: int) -> int | None:
-    """Coherence epoch length in samples, or None for an infinite epoch."""
-    if math.isinf(profile.coherence_symbols):
-        return None
-    return int(profile.coherence_symbols) * samples_per_symbol
-
-
-def _epoch_index(n_samples: int, epoch_len: int | None) -> np.ndarray:
-    # An epoch at least as long as the stream is one epoch, as an infinite one is.
-    if epoch_len is None or epoch_len >= n_samples:
+def _epoch_index(n_samples: int, profile: ChannelProfile, samples_per_symbol: int) -> np.ndarray:
+    """Coherence epoch of each sample. An epoch at least as long as the
+    stream, an infinite one included, is one epoch."""
+    if profile.coherence_symbols * samples_per_symbol >= n_samples:
         return np.zeros(n_samples, dtype=np.int64)
+    epoch_len = int(profile.coherence_symbols) * samples_per_symbol
     return np.arange(n_samples, dtype=np.int64) // epoch_len
 
 
@@ -144,8 +139,7 @@ def apply_cfo_phase(
     oscillator = (profile.delta_f_hz, profile.drift_hz_per_s, profile.theta_in_rad)
     if profile.freq_walk_std_hz > 0.0:
         phase = _oscillator_phase(*oscillator, n, sample_period)
-        epoch_len = epoch_length_samples(profile, samples_per_symbol)
-        idx = _epoch_index(n, epoch_len)
+        idx = _epoch_index(n, profile, samples_per_symbol)
         n_epochs = int(idx[-1]) + 1
         steps = _rng(profile.seed, _STREAM_WALK).normal(0.0, profile.freq_walk_std_hz, n_epochs)
         walk_freq = np.cumsum(steps)  # frequency offset during each epoch
@@ -190,8 +184,7 @@ def apply_block_fading(
     n = len(samples)
     if n == 0:
         return samples, np.empty(0, dtype=complex)
-    epoch_len = epoch_length_samples(profile, samples_per_symbol)
-    idx = _epoch_index(n, epoch_len)
+    idx = _epoch_index(n, profile, samples_per_symbol)
     gains = draw_block_gains(profile, int(idx[-1]) + 1)
     return samples * gains[idx], gains
 

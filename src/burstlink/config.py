@@ -9,7 +9,6 @@ sweep specifications; the keys are the fields of the dataclasses they build
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
@@ -36,12 +35,6 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
-def float_or_inf(value: str) -> float:
-    if value.lower() in ("inf", "infinite", "infinity"):
-        return math.inf
-    return float(value)
-
-
 def _as_int_list(value: str) -> tuple[int, ...]:
     return tuple(int(v.strip()) for v in value.split(",") if v.strip())
 
@@ -49,7 +42,7 @@ def _as_int_list(value: str) -> tuple[int, ...]:
 # Text parser per field annotation. The config modules postpone annotation
 # evaluation, so ``Field.type`` is the annotation's source text. A field whose
 # annotation is not listed here (a nested config, say) has no config key.
-_PARSERS = {"int": int, "float": float_or_inf, "str": str, "tuple[int, ...]": _as_int_list}
+_PARSERS = {"int": int, "float": float, "str": str, "tuple[int, ...]": _as_int_list}
 
 
 def config_keys(cls) -> dict[str, tuple[str, Callable[[str], object]]]:
@@ -102,7 +95,7 @@ class SweepSpec:
     trials_per_cell: int = 3
     master_seed: int = 0
     symbol_period_s: float = 1e-6
-    frame_template: FrameConfig | None = None
+    frame_template: FrameConfig = FrameConfig(pilot_reps=1, modulation=4)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     pulse: PulseShapeConfig = field(default_factory=PulseShapeConfig)
 
@@ -121,8 +114,6 @@ class SweepSpec:
             raise ValueError("trials_per_cell must be >= 1")
 
     def frame_config(self, pilot_reps: int, modulation: int) -> FrameConfig:
-        if self.frame_template is None:
-            return FrameConfig(pilot_reps=pilot_reps, modulation=modulation)
         return replace(self.frame_template, pilot_reps=pilot_reps, modulation=modulation)
 
     @property
@@ -150,13 +141,10 @@ def sweep_spec_from_text(text: str) -> SweepSpec:
             raise ValueError(
                 f"config key {key} is set per sweep cell; use {grid_key} instead"
             )
-    template = None
-    if _fields_from_kv(FrameConfig, kv):
-        template = frame_config_from_kv(kv)
     return SweepSpec(
         **_fields_from_kv(SweepSpec, kv),
         profiles=(channel_profile_from_kv(kv),),
-        frame_template=template,
+        frame_template=frame_config_from_kv(kv),
         detector=DetectorConfig(**_fields_from_kv(DetectorConfig, kv)),
     )
 

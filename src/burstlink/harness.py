@@ -130,6 +130,8 @@ def run_trial_events(
     """
     if frames < 1:
         raise ValueError("frames must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0.0 < symbol_period_s < math.inf:
         raise ValueError(f"symbol_period_s must be finite and positive, got {symbol_period_s}")
     payloads = [
@@ -441,35 +443,6 @@ def _parse_columns(names: tuple[str, ...], columns):
 def results_from_event_rows(trials: list[tuple[dict, int, FrameEvents]]) -> list[TrialResult]:
     """Aggregate each trial ``read_events_csv`` returns, in its order."""
     return [aggregate_events(events, snapshot, seed) for snapshot, seed, events in trials]
-
-
-def goodput_improvement_table(results: list[TrialResult]) -> dict[int, dict]:
-    """Per-modulation gain from one pilot repetition to the best setting.
-
-    Averages goodput over trials per (modulation, pilot_reps) cell, then
-    reports the best cell and its percent improvement over pilot_reps=1.
-    """
-    cells: dict[tuple[int, int], list[float]] = {}
-    for result in results:
-        key = (result.config["modulation"], result.config["pilot_reps"])
-        cells.setdefault(key, []).append(result.goodput_bps)
-    means = {key: sum(v) / len(v) for key, v in cells.items()}
-
-    table: dict[int, dict] = {}
-    for modulation in sorted({mod for mod, _ in means}):
-        by_reps = {reps: g for (mod, reps), g in means.items() if mod == modulation}
-        if 1 not in by_reps:
-            continue
-        base = by_reps[1]
-        best_reps = max(by_reps, key=lambda r: (by_reps[r], -r))
-        gain = (by_reps[best_reps] - base) / base * 100.0 if base > 0 else math.inf
-        table[modulation] = {
-            "baseline_bps": base,
-            "best_pilot_reps": best_reps,
-            "best_bps": by_reps[best_reps],
-            "gain_percent": gain,
-        }
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,6 @@ def golay_frame_detect(
     lo, hi = (0, n_metric) if search is None else search
     lo = np.broadcast_to(np.maximum(0, lo), x.shape[:-1])
     hi = np.broadcast_to(np.minimum(n_metric, hi), x.shape[:-1])
-    a, b = pair.a.astype(complex), pair.b.astype(complex)
     threshold = cfg.mf_threshold_factor * 2.0 * n_g
     starts = np.full(x.shape[:-1], -1, dtype=np.int64)
     for row in np.ndindex(x.shape[:-1]):
@@ -285,8 +284,8 @@ def golay_frame_detect(
         if first >= stop:
             continue
         span = x[row][first : stop + 2 * n_g - 1]
-        corr_a = np.abs(np.correlate(span, a, mode="valid"))
-        corr_b = np.abs(np.correlate(span, b, mode="valid"))
+        corr_a = np.abs(np.correlate(span, pair.a, mode="valid"))
+        corr_b = np.abs(np.correlate(span, pair.b, mode="valid"))
         metric = corr_a[: stop - first] + corr_b[n_g:]
         metric[np.isnan(metric)] = -np.inf
         peak = int(np.argmax(metric))

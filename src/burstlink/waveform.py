@@ -21,13 +21,14 @@ class Constellation:
     """Unit-average-power QAM constellation with an explicit bit labeling.
 
     ``points[bit_labels[g]]`` is the symbol transmitted for the bit group
-    whose unsigned integer value is ``g`` (MSB first within the group).
+    whose unsigned integer value is ``g`` (MSB first within the group), and
+    ``point_bits[p]`` is the bit group of point ``p``, MSB first.
     """
 
-    order: int
     points: np.ndarray
     bits_per_symbol: int
-    bit_labels: tuple[int, ...]
+    bit_labels: np.ndarray
+    point_bits: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ def _axis_levels(bits: int) -> np.ndarray:
     return np.arange(-(n - 1), n, 2, dtype=float)
 
 
-def _grid_constellation(i_bits: int, q_bits: int) -> tuple[np.ndarray, tuple[int, ...]]:
+def _grid_constellation(i_bits: int, q_bits: int) -> tuple[np.ndarray, np.ndarray]:
     """Rectangular grid with per-axis Gray labeling.
 
     The first ``i_bits`` of a group select the in-phase level, the remaining
@@ -109,7 +110,7 @@ def _grid_constellation(i_bits: int, q_bits: int) -> tuple[np.ndarray, tuple[int
         q_code = group & ((1 << q_bits) - 1)
         idx = _gray_to_index(i_code) * n_q + _gray_to_index(q_code)
         labels[group] = idx
-    return points, tuple(labels)
+    return points, np.array(labels)
 
 
 @functools.cache
@@ -128,8 +129,14 @@ def build_constellation(order: int) -> Constellation:
     q_bits = bps // 2
     i_bits = bps - q_bits
     points, labels = _grid_constellation(i_bits, q_bits)
+    groups = np.empty_like(labels)
+    groups[labels] = np.arange(order)
+    point_bits = ((groups[:, None] >> np.arange(bps - 1, -1, -1)) & 1).astype(np.uint8)
     return Constellation(
-        order=order, points=read_only(points), bits_per_symbol=bps, bit_labels=labels
+        points=read_only(points),
+        bits_per_symbol=bps,
+        bit_labels=read_only(labels),
+        point_bits=read_only(point_bits),
     )
 
 
@@ -146,8 +153,7 @@ def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
     groups = bits.reshape(-1, bps)
     weights = 1 << np.arange(bps - 1, -1, -1)
     values = groups @ weights
-    labels = np.asarray(constellation.bit_labels)
-    return constellation.points[labels[values]]
+    return constellation.points[constellation.bit_labels[values]]
 
 
 def demap_symbols(
@@ -163,15 +169,7 @@ def demap_symbols(
     symbols = np.asarray(symbols, dtype=complex)
     d2 = np.abs(symbols[..., None] - constellation.points) ** 2
     nearest = np.argmin(d2, axis=-1)
-
-    labels = np.asarray(constellation.bit_labels)
-    inverse = np.empty_like(labels)
-    inverse[labels] = np.arange(len(labels))
-    values = inverse[nearest]
-
-    bps = constellation.bits_per_symbol
-    shifts = np.arange(bps - 1, -1, -1)
-    bits = ((values[..., None] >> shifts) & 1).astype(np.uint8)
+    bits = constellation.point_bits[nearest]
     return bits.reshape(symbols.shape[:-1] + (-1,)), constellation.points[nearest]
 
 

@@ -1,11 +1,19 @@
 """Tests for the command-line interface."""
 
+import importlib
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from burstlink.cli import main
-from burstlink.harness import EVENT_COLUMNS
+from burstlink.harness import EVENT_COLUMNS, RESULT_COLUMNS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SWEEP_CFG = """
 lambda_list = 1,4
@@ -182,6 +190,33 @@ def test_multi_trial_capture_rejected(tmp_path, capsys, capture):
     assert not target.exists()
 
 
+def test_module_entry_runs_in_a_fresh_interpreter():
+    # ``import burstlink`` imports no module, so ``burstlink.cli`` alone must
+    # load every module it needs.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "burstlink.cli", "sim",
+         "--frames", "2", "--mod", "4", "--pilot-reps", "1"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == ",".join(RESULT_COLUMNS)
+
+
+def test_every_module_qualified_name_in_the_readme_resolves():
+    modules = "channel|cli|config|framing|harness|metrics|sync|waveform"
+    cited = re.findall(
+        rf"`(?:burstlink\.)?({modules})\.([A-Za-z_]\w*)`", (ROOT / "README.md").read_text()
+    )
+    assert cited
+    missing = [
+        f"{module}.{name}"
+        for module, name in cited
+        if not hasattr(importlib.import_module(f"burstlink.{module}"), name)
+    ]
+    assert missing == []
+
+
 def _sim_row(capsys, *flags):
     argv = ["sim", "--mod", "16qam", "--pilot-reps", "4", "--snr-db", "20",
             "--frames", "3", *flags]
@@ -228,8 +263,9 @@ def test_sweep_rejects_a_nan_symbol_period(tmp_path, capsys):
 
 
 # Each value once made sim exit 0 with a row the model cannot explain (every
-# frame lost, or the value silently read as another) or, for a finite SNR
-# beyond the float range, end in a traceback.
+# frame lost, or the value silently read as another), for a finite SNR
+# beyond the float range end in a traceback, or, for a negative seed, end in
+# an error that named no key.
 @pytest.mark.parametrize(
     "flags, key",
     [
@@ -251,6 +287,7 @@ def test_sweep_rejects_a_nan_symbol_period(tmp_path, capsys):
         (["--mf-threshold-factor", "inf"], "mf_threshold_factor"),
         (["--snr-db", "4000"], "snr_db"),
         (["--snr-db=-4000"], "snr_db"),
+        (["--seed", "-1"], "seed"),
     ],
 )
 def test_sim_rejects_channel_and_detector_values_the_model_cannot_use(
