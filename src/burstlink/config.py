@@ -9,6 +9,7 @@ sweep specifications; the keys are the fields of the dataclasses they build
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
@@ -112,6 +113,13 @@ class SweepSpec:
             raise ValueError("frames_per_trial must be >= 1")
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be >= 1")
+        # A bad cell would otherwise fail only when its trials run, after others ran.
+        for pilot_reps, modulation in itertools.product(self.lambda_list, self.modulations):
+            try:
+                self.frame_config(pilot_reps, modulation).payload_bytes
+            except ValueError as exc:
+                cell = f"pilot_reps={pilot_reps}, modulation={modulation}"
+                raise ValueError(f"sweep cell {cell}: {exc}") from None
 
     def frame_config(self, pilot_reps: int, modulation: int) -> FrameConfig:
         return replace(self.frame_template, pilot_reps=pilot_reps, modulation=modulation)

@@ -11,9 +11,10 @@ windows of a batch, along the last axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .framing import (
     FrameConfig,
@@ -32,6 +33,8 @@ from .waveform import (
     demap_symbols,
     generate_golay_pair,
     matched_filter_downsample,
+    matched_filter_head,
+    matched_filter_phase,
 )
 
 FAILURE_KINDS = ("no-training", "no-frame", "truncated", "unequalizable", "crc-fail")
@@ -236,8 +239,13 @@ def detect_training(
     )
 
 
-def nco_correct(x: np.ndarray, freq_hz: float | np.ndarray, sample_period: float) -> np.ndarray:
-    """De-rotate by ``exp(-j*2*pi*f*n*T)``, n counted from the first sample.
+def nco_correct(
+    x: np.ndarray, freq_hz: float | np.ndarray, sample_period: float, index=None
+) -> np.ndarray:
+    """De-rotate by ``exp(-j*2*pi*f*n*T)``, n counted from the first sample
+    or, if given, ``index``: each entry's own sample index, broadcast against
+    ``x``. Entries are rotated alone, so part of a stream rotated at its own
+    indices is that part of the whole rotated, bit for bit.
 
     ``freq_hz`` may hold one frequency per leading index of ``x`` (..., n);
     rows whose frequency is zero pass through unchanged, and with no nonzero
@@ -246,7 +254,7 @@ def nco_correct(x: np.ndarray, freq_hz: float | np.ndarray, sample_period: float
     freq = np.asarray(freq_hz, dtype=float)
     if not freq.any() or x.shape[-1] == 0:
         return x
-    n = np.arange(x.shape[-1])
+    n = np.arange(x.shape[-1]) if index is None else index
     rot = np.exp(-2j * np.pi * freq[..., None] * n * sample_period)
     out = x * rot
     still = freq == 0.0
@@ -256,10 +264,7 @@ def nco_correct(x: np.ndarray, freq_hz: float | np.ndarray, sample_period: float
 
 
 def golay_frame_detect(
-    x: np.ndarray,
-    pair: GolayPair,
-    cfg: DetectorConfig,
-    search: tuple | None = None,
+    x: np.ndarray, pair: GolayPair, cfg: DetectorConfig, search: tuple | None = None
 ) -> np.ndarray:
     """Locate the payload start via the summed Golay correlator magnitudes.
 
@@ -268,30 +273,26 @@ def golay_frame_detect(
     for a unit channel. Returns, per row of ``x`` (..., n), the index of the
     first payload symbol where the peak clears ``mf_threshold_factor * 2 *
     length`` and -1 where nothing cleared; a NaN never wins. ``search``
-    bounds broadcast over the leading shape. Only the search span is
-    correlated, row by row (``np.correlate`` has no batched form).
+    bounds broadcast over the leading shape. All rows are correlated at every
+    offset at once (``np.vecdot``, bit for bit ``np.correlate``), so a caller
+    passes only the span it searches.
     """
     x = np.asarray(x, dtype=complex)
     n_g = pair.length
     n_metric = x.shape[-1] - 2 * n_g + 1
+    if n_metric < 1:
+        return np.full(x.shape[:-1], -1, dtype=np.int64)
     lo, hi = (0, n_metric) if search is None else search
-    lo = np.broadcast_to(np.maximum(0, lo), x.shape[:-1])
-    hi = np.broadcast_to(np.minimum(n_metric, hi), x.shape[:-1])
-    threshold = cfg.mf_threshold_factor * 2.0 * n_g
-    starts = np.full(x.shape[:-1], -1, dtype=np.int64)
-    for row in np.ndindex(x.shape[:-1]):
-        first, stop = int(lo[row]), int(hi[row])
-        if first >= stop:
-            continue
-        span = x[row][first : stop + 2 * n_g - 1]
-        corr_a = np.abs(np.correlate(span, pair.a, mode="valid"))
-        corr_b = np.abs(np.correlate(span, pair.b, mode="valid"))
-        metric = corr_a[: stop - first] + corr_b[n_g:]
-        metric[np.isnan(metric)] = -np.inf
-        peak = int(np.argmax(metric))
-        if metric[peak] > threshold:
-            starts[row] = first + peak + 2 * n_g
-    return starts
+    at = np.arange(n_metric)
+    outside = (at < np.asarray(lo)[..., None]) | (at >= np.asarray(hi)[..., None])
+    windows = sliding_window_view(x, n_g, axis=-1)
+    with np.errstate(invalid="ignore"):  # vecdot warns on an inf sample; np.correlate did not
+        corr_a = np.abs(np.vecdot(pair.a, windows[..., :n_metric, :]))
+        corr_b = np.abs(np.vecdot(pair.b, windows[..., n_g:, :]))
+    metric = corr_a + corr_b
+    metric[np.isnan(metric) | outside] = -np.inf
+    cleared = metric.max(axis=-1) > cfg.mf_threshold_factor * 2.0 * n_g
+    return np.where(cleared, np.argmax(metric, axis=-1) + 2 * n_g, -1)
 
 
 def estimate_channel(rx_pilot: np.ndarray, ref_pilot: np.ndarray) -> np.ndarray:
@@ -343,55 +344,70 @@ def _pilot_slope_hz(h_blocks, positions, symbol_period: float) -> np.ndarray:
     return slope
 
 
-def _choose_training_phase(
-    streams: np.ndarray,
-    lengths: np.ndarray,
-    det: DetectorConfig,
-    delta_t: float,
-    lag: int,
-    head: int,
+def _search_training(
+    streams: np.ndarray, lengths: np.ndarray, det: DetectorConfig, delta_t: float, lag: int, n: int
 ) -> tuple[np.ndarray, np.ndarray, CoarseSyncResult]:
-    """Run training detection on every decimation phase of every row.
-
-    The training repeats at every phase, so rho alone cannot tell the
-    phases apart; the correlation magnitude can, because sample power
-    concentrates at the true symbol instants after matched filtering.
-
-    ``streams`` (F, P, n) holds phase p of every row in ``streams[:, p]``,
-    zero past its ``lengths[p]`` samples, as ``matched_filter_downsample``
-    gives it. All rows are searched first over their first ``head`` samples.
-    The running sums are sequential, so there the metric equals the
-    full-width one bit for bit, and a phase's result is final when it found
-    training with ``detect_index + lag < head``: the first crossing and its
-    whole refinement window lie in the head. Rows with any phase not final
-    are searched again over the full width, ``_ROW_CHUNK`` rows at a time.
-    Returns each row's chosen stream, its length, and the coarse results as
-    arrays, ``detect_index`` -1 where no phase found training.
+    """Training detection over the first ``n`` samples of every decimation
+    phase of every row: ``streams`` (F, P, >= n), phase p zero past
+    ``lengths[p]``. The training repeats at every phase, so rho alone cannot
+    tell the phases apart; |C| can, because sample power concentrates at the
+    true symbol instants after matched filtering. The running sums are
+    sequential, so over n samples the metric is the full-width one bit for
+    bit, and a row is final when n is the full width ``lengths[0]`` or every
+    phase found training with ``detect_index + lag < n`` (its refinement
+    window lies in those samples). Returns per row whether it is final, the
+    phase of largest |C| and the coarse result there.
     """
-    n_rows, width = streams.shape[0], streams.shape[-1]
-    phase = np.zeros(n_rows, dtype=np.int64)
-    zeros = np.zeros(n_rows)
+    c, _, rho = autocorrelation_metric(streams[:, :, :n], lag)
+    # A zero rho never crosses, so the padding cannot be detected.
+    rho[:, np.arange(n) >= lengths[:, None]] = 0.0
+    found = detect_training(rho, c, det, delta_t, lag)
+    hit = found.detect_index >= 0
+    final = (hit & (found.detect_index + lag < n)).all(axis=-1) | (n >= lengths[0])
+    best = np.argmax(np.where(hit, np.abs(found.c_peak), -np.inf), axis=-1)
+    at = np.arange(len(best)), best
+    return final, best, CoarseSyncResult(*(getattr(found, f.name)[at] for f in fields(found)))
+
+
+def _choose_training_phase(
+    x: np.ndarray, pulse: PulseShapeConfig, det: DetectorConfig, delta_t: float, lag: int, head: int
+) -> tuple[np.ndarray, np.ndarray, CoarseSyncResult]:
+    """Matched-filter the sample rows ``x`` (F, N) and pick each row's
+    training phase, filtering only what the search reads: every phase over
+    the first ``head`` symbols, then a row final there at its chosen phase
+    only. The other rows (all when the head is not whole filter overlaps) are
+    filtered in full by ``matched_filter_downsample`` and searched over the
+    full width, ``_ROW_CHUNK`` rows at a time. Returns each row's chosen
+    symbol stream, zero past its length, that length, and the coarse results
+    as arrays, ``detect_index`` -1 where no phase found training.
+    """
+    (n_rows, n), sps = x.shape, pulse.interpolation
+    width = -(-n // sps)
+    lengths = (n - np.arange(sps) + sps - 1) // sps
+    symbols = np.zeros((n_rows, width), dtype=complex)
+    phase, zeros = np.zeros(n_rows, dtype=np.int64), np.zeros(n_rows)
     coarse = CoarseSyncResult(np.full(n_rows, -1), zeros + 0j, zeros.copy(), zeros.copy())
 
-    def search(rows: np.ndarray, n: int) -> np.ndarray:
-        """Detect over the first n samples; keep the final rows, return the rest."""
-        c, _, rho = autocorrelation_metric(streams[rows, :, :n], lag)
-        # A zero rho never crosses, so the padding cannot be detected.
-        rho[:, np.arange(n) >= lengths[:, None]] = 0.0
-        found = detect_training(rho, c, det, delta_t, lag)
-        hit = found.detect_index >= 0
-        final = (hit & (found.detect_index + lag < n)).all(axis=-1) | (n == width)
-        best = np.argmax(np.where(hit, np.abs(found.c_peak), -np.inf), axis=-1)[final]
-        pick = np.flatnonzero(final), best
-        phase[rows[final]] = best
-        for name in ("detect_index", "c_peak", "rho_peak", "delta_f_est_hz"):
-            getattr(coarse, name)[rows[final]] = getattr(found, name)[pick]
-        return rows[~final]
+    def keep(rows, final, best, found) -> None:
+        phase[rows[final]] = best[final]
+        for f in fields(coarse):
+            getattr(coarse, f.name)[rows[final]] = getattr(found, f.name)[final]
 
-    rows = search(np.arange(n_rows), min(head, width)) if width >= 2 * lag else ()
-    for r0 in range(0, len(rows), _ROW_CHUNK):
-        search(rows[r0 : r0 + _ROW_CHUNK], width)
-    return streams[np.arange(n_rows), phase], lengths[phase], coarse
+    rest = np.arange(n_rows)
+    if width >= 2 * lag and head * sps + pulse.tap_count - 1 <= n:
+        heads = matched_filter_head(x, pulse, head)
+        final, best, found = _search_training(heads, lengths, det, delta_t, lag, head)
+        keep(rest, final, best, found)
+        symbols[:, :head] = heads[rest, best]
+        symbols[:, head:] = matched_filter_phase(x, pulse, np.where(final, best, -1), head)
+        rest = rest[~final]
+    for r0 in range(0, len(rest), _ROW_CHUNK):
+        rows = rest[r0 : r0 + _ROW_CHUNK]
+        streams, _ = matched_filter_downsample(x[rows], pulse)
+        if width >= 2 * lag:
+            keep(rows, *_search_training(streams, lengths, det, delta_t, lag, width))
+        symbols[rows] = streams[np.arange(len(rows)), phase[rows]]
+    return symbols, lengths[phase], coarse
 
 
 def receive_frames(
@@ -420,26 +436,23 @@ def receive_frames(
     head = (cfg.training_reps + 2) * lag  # the training field, then room to refine
     delta_t = lag * symbol_period_s
 
-    streams, lengths = matched_filter_downsample(agc(windows), pulse)
-    symbols, lengths, coarse = _choose_training_phase(streams, lengths, det, delta_t, lag, head)
+    symbols, lengths, coarse = _choose_training_phase(agc(windows), pulse, det, delta_t, lag, head)
     failure = np.where(coarse.detect_index < 0, NO_TRAINING, DECODED).astype(np.int8)
     rows = np.flatnonzero(failure == DECODED)
-    corrected = nco_correct(symbols, coarse.delta_f_est_hz, symbol_period_s)
 
     # With more than two training repetitions the detector may sit anywhere
     # on the correlation plateau, so the forward search spans the remaining
-    # repetitions; it stops where each row's own stream ends.
+    # repetitions; it stops where each row's own stream ends. Only the
+    # symbols it reads are de-rotated here, at their own indices.
     expected = coarse.detect_index[rows] + 1
+    first = np.maximum(expected - lag, 0)
+    stop = np.minimum(expected + cfg.training_reps * lag, lengths[rows] - 2 * cfg.golay_len + 1)
+    at = first[:, None] + np.arange((stop - first).max(initial=0) + 2 * cfg.golay_len - 1)
+    at = np.minimum(at, symbols.shape[-1] - 1)  # past a row's own span: never searched
+    span = nco_correct(symbols[rows[:, None], at], coarse.delta_f_est_hz[rows], symbol_period_s, at)
+    found = golay_frame_detect(span, generate_golay_pair(cfg.golay_len), det, (0, stop - first))
     start = np.full(n_frames, -1, dtype=np.int64)
-    start[rows] = golay_frame_detect(
-        corrected[rows],
-        generate_golay_pair(cfg.golay_len),
-        det,
-        search=(
-            expected - lag,
-            np.minimum(expected + cfg.training_reps * lag, lengths[rows] - 2 * cfg.golay_len + 1),
-        ),
-    )
+    start[rows] = np.where(found >= 0, first + found, -1)
     failure[rows[start[rows] < 0]] = NO_FRAME
     rows = rows[start[rows] >= 0]
 
@@ -457,7 +470,8 @@ def receive_frames(
     coarse.detect_index[redo] = exact_end[redo]
     coarse.c_peak[redo] = c_exact
     coarse.delta_f_est_hz[redo] = [estimate_coarse_cfo(c, delta_t) for c in c_exact.tolist()]
-    corrected[redo] = nco_correct(symbols[redo], coarse.delta_f_est_hz[redo], symbol_period_s)
+    corrected = np.zeros_like(symbols)  # the de-rotation by each row's final estimate
+    corrected[rows] = nco_correct(symbols[rows], coarse.delta_f_est_hz[rows], symbol_period_s)
 
     short = start[rows] + cfg.payload_symbols > lengths[rows]
     failure[rows[short]] = TRUNCATED

@@ -12,6 +12,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 BITS_PER_SYMBOL = {4: 2, 8: 3, 16: 4, 64: 6}
 
@@ -268,6 +269,43 @@ def matched_filter_downsample(
             trimmed[row][:n] = np.convolve(x[row], taps)[cfg.tap_count - 1 :]
     streams = trimmed.reshape(x.shape[:-1] + (width, sps)).swapaxes(-1, -2)
     return streams, (n - np.arange(sps) + sps - 1) // sps
+
+
+def matched_filter_head(x: np.ndarray, cfg: PulseShapeConfig, n: int) -> np.ndarray:
+    """``matched_filter_downsample(x, cfg)[0][..., :n]`` bit for bit, filtering
+    only those outputs; needs ``n * P + tap_count - 1 <= N``, so that each is
+    a full overlap of the taps: one ``np.vecdot`` with the reversed taps as
+    its first (conjugated) operand, the dot product ``np.convolve`` takes."""
+    sps, taps = cfg.interpolation, design_srrc(cfg)
+    windows = sliding_window_view(x, cfg.tap_count, axis=-1)[..., : n * sps, :]
+    with np.errstate(invalid="ignore"):  # vecdot warns on an inf sample; np.convolve does not
+        out = np.vecdot(taps[::-1].astype(np.result_type(x, taps)), windows)
+    return out.reshape(x.shape[:-1] + (n, sps)).swapaxes(-1, -2)
+
+
+def matched_filter_phase(
+    x: np.ndarray, cfg: PulseShapeConfig, phase: np.ndarray, start: int
+) -> np.ndarray:
+    """Row r's phase ``phase[r]`` of ``matched_filter_downsample(x, cfg)`` from
+    symbol ``start`` on, bit for bit, filtering only those outputs: (F,
+    ceil(N/P) - start) for samples (F, N >= tap_count), zero past each length
+    and in rows of negative phase. Full overlaps are taken as in
+    ``matched_filter_head``; the last ``tap_count - 1`` outputs come from
+    ``np.convolve`` of the last ``tap_count`` samples, since on a shorter
+    slice it swaps its operands, which can change the last bit."""
+    taps, sps, t = design_srrc(cfg), cfg.interpolation, cfg.tap_count
+    n, reverse = x.shape[-1], taps[::-1].astype(np.result_type(x, taps))
+    windows = sliding_window_view(x, t, axis=-1)
+    out = np.zeros((x.shape[0], -(-n // sps) - start), dtype=reverse.dtype)
+    with np.errstate(invalid="ignore"):
+        for row in np.flatnonzero(phase >= 0).tolist():
+            p = int(phase[row])
+            body = np.vecdot(reverse, windows[row, p + start * sps :: sps])
+            # Output k of the tail convolution's trimmed part is output n - t + k.
+            k = p + (start + len(body)) * sps - (n - t)
+            tail = np.convolve(x[row, n - t :], taps)[t - 1 + k :: sps]
+            out[row, : len(body) + len(tail)] = np.concatenate([body, tail])
+    return out
 
 
 # Burst AGC loop gain, and the sample after which the gain freezes; sized to

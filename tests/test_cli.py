@@ -456,3 +456,20 @@ def test_sweep_with_unknown_config_key_is_an_error(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
     assert "unknown config key(s): snr" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_sweep_with_a_bad_cell_fails_before_any_trial(tmp_path, capsys, monkeypatch):
+    # 8QAM at lambda=1 gives 708 data bits, not whole bytes; the 4QAM cells
+    # before it in the grid are valid.
+    ran = []
+    monkeypatch.setattr("burstlink.harness.run_trial_events", lambda **job: ran.append(job))
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "payload_symbols = 252\nmodulations = 4,8\nlambda_list = 1,2\ntrials_per_cell = 2\n"
+    )
+    out = tmp_path / "r.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "sweep cell pilot_reps=1, modulation=8: data field of 708 bits" in err
+    assert not out.exists()
+    assert ran == []

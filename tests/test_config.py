@@ -157,6 +157,28 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=f"{key} repeats the entry {value}"):
             sweep_spec_from_text(line + "\n")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "payload_symbols = 252\nmodulations = 4,8\nlambda_list = 1,2\n",
+                "sweep cell pilot_reps=1, modulation=8: data field of 708 bits is not byte aligned",
+            ),
+            (
+                "lambda_list = 1,3\n",
+                "sweep cell pilot_reps=3, modulation=4: pilot_reps must be one of",
+            ),
+            (
+                "payload_symbols = 40\nmodulations = 4\nlambda_list = 2\n",
+                "sweep cell pilot_reps=2, modulation=4: data field too small to hold the CRC",
+            ),
+        ],
+    )
+    def test_every_cell_checked_when_built(self, text, message):
+        # The grid's 4QAM cells are valid; the first bad cell is named.
+        with pytest.raises(ValueError, match=message):
+            sweep_spec_from_text(text)
+
     def test_written_config_and_example_load(self):
         spec = SweepSpec(
             frame_template=FrameConfig(pilot_reps=1, modulation=4, pilot_block_len=8),

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from burstlink import sync
 from burstlink.channel import ChannelProfile, apply_channel
-from burstlink.framing import FrameConfig, assemble_frames, compute_layout, crc_attach, default_tables
+from burstlink.framing import (
+    SUPPORTED_PILOT_REPS,
+    FrameConfig,
+    assemble_frames,
+    compute_layout,
+    crc_attach,
+    default_tables,
+)
 from burstlink.harness import transmit_burst
 from burstlink.sync import (
     CRC_FAIL,
@@ -19,6 +26,7 @@ from burstlink.sync import (
     NO_TRAINING,
     TRUNCATED,
     UNEQUALIZABLE,
+    CoarseSyncResult,
     DetectorConfig,
     autocorrelation_metric,
     detect_training,
@@ -29,7 +37,13 @@ from burstlink.sync import (
     receive_frames,
     residual_offset,
 )
-from burstlink.waveform import PulseShapeConfig, generate_golay_pair
+from burstlink.waveform import (
+    BITS_PER_SYMBOL,
+    PulseShapeConfig,
+    agc,
+    generate_golay_pair,
+    matched_filter_downsample,
+)
 
 M = 32
 T_SYM = 1e-6
@@ -170,11 +184,11 @@ def phase_streams(rows, lengths):
     return block, np.array(lengths)
 
 
-def choose_phase(streams, head):
+def search(streams, n):
     # An inf sample makes inf * 0 products in the running sums; both passes
     # meet the same ones.
     with np.errstate(invalid="ignore"):
-        return sync._choose_training_phase(*streams, DetectorConfig(), DELTA_T, M, head)
+        return sync._search_training(*streams, DetectorConfig(), DELTA_T, M, n)
 
 
 def assert_same_bits(a, b):
@@ -183,12 +197,44 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def assert_same_coarse(got, want, rows=slice(None)):
+    for f in fields(got):
+        assert_same_bits(getattr(got, f.name)[rows], getattr(want, f.name)[rows])
+
+
 def assert_same_choice(got, want):
     (symbols, lengths, coarse), (want_symbols, want_lengths, want_coarse) = got, want
     assert_same_bits(symbols, want_symbols)
     assert_same_bits(lengths, want_lengths)
-    for f in fields(coarse):
-        assert_same_bits(getattr(coarse, f.name), getattr(want_coarse, f.name))
+    assert_same_coarse(coarse, want_coarse)
+
+
+PULSE = PulseShapeConfig()
+
+
+def full_width_choice(x, pulse, det, delta_t, lag, head):
+    """Reference acquisition: every phase of every row filtered over the full
+    width by ``matched_filter_downsample``, then searched over all of it."""
+    streams, lengths = matched_filter_downsample(x, pulse)
+    rows, width = np.arange(len(x)), streams.shape[-1]
+    phase, zeros = np.zeros(len(x), dtype=np.int64), np.zeros(len(x))
+    coarse = CoarseSyncResult(np.full(len(x), -1), zeros + 0j, zeros, zeros.copy())
+    if width >= 2 * lag:
+        _, phase, coarse = sync._search_training(streams, lengths, det, delta_t, lag, width)
+    return streams[rows, phase], lengths[phase], coarse
+
+
+def late_frame(offset, seed=0, cfg=FrameConfig(pilot_reps=1, modulation=4), width=1888):
+    """A frame window: ``offset`` samples of faint noise, then a frame,
+    cut or zero-padded to ``width`` samples."""
+    rng = np.random.default_rng(seed)
+    burst = transmit_burst(assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg), PULSE)
+    lead = 0.35 * (rng.normal(size=(offset, 2)) @ [1, 1j])
+    return np.concatenate([lead, burst, np.zeros(width, dtype=complex)])[:width]
+
+
+def choose_phase(x, chooser=sync._choose_training_phase):
+    return chooser(x, PULSE, DetectorConfig(), DELTA_T, M, HEAD)
 
 
 class TestTrainingHeadSearch:
@@ -211,23 +257,91 @@ class TestTrainingHeadSearch:
     @example(rows=[("training", 0, 66, 0)], short_phases=0)
     @example(rows=[("split", 0, 0, 316)], short_phases=0)
     def test_head_search_equals_full_width_search(self, rows, short_phases):
+        # A row the head search calls final has the full-width result.
         lengths = [472] * (4 - short_phases) + [471] * short_phases
         streams = phase_streams(rows, lengths)
-        assert_same_choice(choose_phase(streams, HEAD), choose_phase(streams, max(lengths)))
+        final, phase, coarse = search(streams, HEAD)
+        full_final, full_phase, full_coarse = search(streams, max(lengths))
+        assert full_final.all()
+        assert_same_bits(phase[final], full_phase[final])
+        assert_same_coarse(coarse, full_coarse, final)
 
     def test_training_past_the_head_is_found_by_the_full_width_pass(self, monkeypatch):
-        widths = []
+        # Training 10 symbols in is final in the head. Training 66 symbols in
+        # first crosses inside the head but peaks past it, and training 200
+        # symbols in lies past it: only those two rows are filtered in full,
+        # in one full-width pass.
+        widths, filtered = [], []
 
         def spy(x, lag):
             widths.append(x.shape[-1])
             return autocorrelation_metric(x, lag)
 
+        def spy_filter(x, pulse):
+            filtered.append(len(x))
+            return matched_filter_downsample(x, pulse)
+
         monkeypatch.setattr(sync, "autocorrelation_metric", spy)
-        streams = phase_streams([("training", 1, 10, 0), ("training", 2, 200, 0)], [472, 471])
-        got = choose_phase(streams, HEAD)
-        assert widths == [HEAD, 472]
-        assert got[2].detect_index.tolist() == [10 + 2 * M - 1, 200 + 2 * M - 1]
-        assert_same_choice(got, choose_phase(streams, 472))
+        monkeypatch.setattr(sync, "matched_filter_downsample", spy_filter)
+        x = agc(np.stack([late_frame(4 * offset) for offset in (10, 66, 200)]))
+        got = choose_phase(x)
+        assert (widths, filtered) == ([HEAD, 472], [2])
+        assert got[2].detect_index.tolist() == [offset + 2 * M - 1 for offset in (10, 66, 200)]
+        assert_same_choice(got, choose_phase(x, full_width_choice))
+
+
+def assert_same_batch(got, want):
+    assert got.payloads == want.payloads
+    for a, b in ((got, want), (got.coarse, want.coarse), (got.estimate, want.estimate)):
+        for f in fields(a):
+            if isinstance(getattr(a, f.name), np.ndarray):
+                assert_same_bits(getattr(a, f.name), getattr(b, f.name))
+
+
+class TestAcquisitionBitIdentity:
+    # The receiver filters every phase over the training-search head and the
+    # chosen phase past it; filtering everything first must give the same bits.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cell=st.tuples(
+            st.sampled_from(SUPPORTED_PILOT_REPS), st.sampled_from(tuple(BITS_PER_SYMBOL))
+        ),
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 2**32 - 1),
+                st.one_of(st.integers(0, 40), st.integers(0, 600)),
+                st.sampled_from((None,) * 4 + (np.nan, np.inf)),
+                st.integers(0, 1887),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        # The head is whole filter overlaps from HEAD * 4 + 96 = 608 samples.
+        width=st.one_of(st.just(1888), st.integers(200, 1888)),
+    )
+    @example(cell=(4, 16), rows=[(0, 264, None, 0)], width=1888)
+    @example(cell=(1, 4), rows=[(1, 0, np.inf, 300), (2, 5, np.nan, 1000)], width=608)
+    @example(cell=(1, 4), rows=[(1, 0, None, 0)], width=607)
+    def test_acquisition_and_batch_equal_full_filtering(self, cell, rows, width):
+        # Rows (seed, offset, bad, spot): a frame over a CFO and noise channel
+        # behind ``offset`` samples of faint noise, with sample ``spot`` set
+        # to ``bad``. The first example's training first crosses inside the
+        # head but peaks past it, so that row falls back to full filtering.
+        cfg = FrameConfig(pilot_reps=cell[0], modulation=cell[1])
+        windows = []
+        for seed, offset, bad, spot in rows:
+            profile = ChannelProfile(snr_db=25.0, delta_f_hz=1500.0, theta_in_rad=0.4, seed=seed)
+            rx, _ = apply_channel(late_frame(offset, seed, cfg, width), profile, T_SYM / 4, 4)
+            if bad is not None:
+                rx[spot % width] = bad
+            windows.append(rx)
+        windows = np.stack(windows)
+        x = agc(windows)
+        assert_same_choice(choose_phase(x), choose_phase(x, full_width_choice))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sync, "_choose_training_phase", full_width_choice)
+            want = receive_frames(windows, cfg)
+        assert_same_batch(receive_frames(windows, cfg), want)
 
 
 class TestEstimateCoarseCfo:
@@ -273,6 +387,14 @@ class TestNcoCorrect:
         assert_same_bits(out[2], x[2])
         assert_same_bits(out[1], nco_correct(x[1], 700.0, T_SYM))
 
+    def test_part_rotated_at_its_own_indices_is_that_part_of_the_whole(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(3, 472, 2)) @ [1, 1j]
+        freq = np.array([1500.0, 0.0, -7300.0])
+        at = np.array([[5], [0], [200]]) + np.arange(223)
+        part = nco_correct(x[np.arange(3)[:, None], at], freq, T_SYM, at)
+        assert_same_bits(part, np.take_along_axis(nco_correct(x, freq, T_SYM), at, -1))
+
 
 class TestGolayDetect:
     def test_clean_preamble_locates_payload_start(self):
@@ -307,6 +429,34 @@ class TestGolayDetect:
         x = np.concatenate([np.zeros(100), preamble, np.zeros(100)])
         assert golay_frame_detect(x, pair, DetectorConfig(), search=(0, 50)) == -1
         assert golay_frame_detect(x, pair, DetectorConfig(), search=(60, 140)) == 228
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), n=st.integers(0, 400), bad=st.sampled_from((np.nan, np.inf))
+    )
+    def test_rows_match_per_row_correlation(self, seed, n, bad):
+        # The reference correlates each row's own search span with np.correlate.
+        pair, det = generate_golay_pair(32), DetectorConfig()
+        rng = np.random.default_rng(seed)
+        x = 0.3 * (rng.normal(size=(4, n, 2)) @ [1, 1j])
+        preamble = np.concatenate([pair.a, pair.b])
+        for row, at in enumerate(rng.integers(0, max(n - 63, 1), size=4)):
+            x[row, at : at + 64] += rng.uniform(0.2, 1.5) * preamble[: n - at]
+        if n:
+            x[0, rng.integers(n)] = bad
+        lo, hi = rng.integers(-10, n + 10, size=(2, 4))
+        want = np.full(4, -1)
+        for row in range(4):
+            first, stop = max(lo[row], 0), min(hi[row], n - 63)
+            if first < stop:
+                span = x[row, first : stop + 63]
+                metric = np.abs(np.correlate(span, pair.a, "valid"))[: stop - first]
+                metric += np.abs(np.correlate(span, pair.b, "valid"))[32:]
+                metric[np.isnan(metric)] = -np.inf
+                peak = int(np.argmax(metric))
+                if metric[peak] > det.mf_threshold_factor * 64:
+                    want[row] = first + peak + 64
+        assert_same_bits(golay_frame_detect(x, pair, det, search=(lo, hi)), want)
 
 
 class TestEstimateChannel:

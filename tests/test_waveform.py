@@ -1,9 +1,12 @@
 """Tests for constellations, Golay sequences, pulse shaping, and AGC."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from burstlink.waveform import (
     AGC_FREEZE_SAMPLES,
@@ -17,6 +20,8 @@ from burstlink.waveform import (
     generate_golay_pair,
     map_bits,
     matched_filter_downsample,
+    matched_filter_head,
+    matched_filter_phase,
     shape_and_upsample,
 )
 
@@ -278,6 +283,70 @@ class TestShaping:
         for phase, n in enumerate(lengths):
             assert np.array_equal(streams[phase, :n], full[phase :: cfg.interpolation])
             assert np.all(streams[phase, n:] == 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(97, 2000),
+        seed=st.integers(0, 2**32 - 1),
+        bad=st.sampled_from((None, np.nan, np.inf, -np.inf)),
+        data=st.data(),
+    )
+    def test_head_and_phase_are_slices_of_the_full_filter(self, n, seed, bad, data):
+        # Each output the receiver filters alone equals the full filter's, as
+        # bytes, for any length, start and phase, with an inf or NaN sample.
+        cfg = PulseShapeConfig()
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        if bad is not None:
+            x[data.draw(st.integers(0, 2)), data.draw(st.integers(0, n - 1))] = bad
+        streams, lengths = matched_filter_downsample(x, cfg)
+        width = streams.shape[-1]
+        start = data.draw(st.integers(0, width - 1))
+        phase = np.array([data.draw(st.integers(-1, cfg.interpolation - 1)) for _ in range(3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = matched_filter_phase(x, cfg, phase, start)
+        for row, p in enumerate(phase):
+            want = streams[row, p, start:] if p >= 0 else np.zeros(width - start, dtype=complex)
+            assert got[row].tobytes() == want.tobytes()
+        head = (n - cfg.tap_count + 1) // cfg.interpolation
+        if head:
+            assert matched_filter_head(x, cfg, head).tobytes() == streams[..., :head].tobytes()
+
+
+class TestMatchedFilterKernel:
+    """The numpy identities the receiver's partial filtering rests on. A
+    numpy or BLAS upgrade that breaks one fails here by name."""
+
+    cfg = PulseShapeConfig()
+    taps = design_srrc(cfg)
+    t = cfg.tap_count
+    x = np.random.default_rng(1).normal(size=(1888, 2)) @ [1, 1j]
+
+    def test_vecdot_with_reversed_taps_is_the_full_overlap_convolution(self):
+        full = np.convolve(self.x, self.taps)[self.t - 1 : len(self.x)]
+        windows = sliding_window_view(self.x, self.t)
+        assert np.vecdot(self.taps[::-1].astype(complex), windows).tobytes() == full.tobytes()
+
+    def test_tail_comes_from_a_slice_of_tap_count_samples(self):
+        # On a slice shorter than its taps np.convolve swaps its operands,
+        # and here the last bit of an output then differs.
+        n, t = len(self.x), self.t
+        last = np.convolve(self.x, self.taps)[n:]
+        assert np.convolve(self.x[n - t :], self.taps)[t:].tobytes() == last.tobytes()
+        short = np.convolve(self.x[n - t + 1 :], self.taps)[t - 1 :]
+        assert np.allclose(short, last, rtol=0, atol=1e-14)
+        assert short.tobytes() != last.tobytes()
+
+    def test_vecdot_warns_on_inf_where_convolve_does_not(self):
+        x = self.x.copy()
+        x[500] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.convolve(x, self.taps)
+            matched_filter_head(x[None], self.cfg, 100)
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            np.vecdot(self.taps[::-1].astype(complex), sliding_window_view(x, self.t))
 
 
 def scalar_agc(x):
