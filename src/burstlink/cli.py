@@ -162,6 +162,8 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ValueError("--workers must be >= 1")
     spec = load_sweep_config(args.config)
     if args.seed is not None:
         spec = replace(spec, master_seed=args.seed)

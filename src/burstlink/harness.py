@@ -221,6 +221,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[TrialRun]:
     """Execute the full grid. Results are ordered by cell enumeration and do
     not depend on the worker count."""
     jobs = _sweep_jobs(spec)
+    workers = min(workers, len(jobs))  # a pool forks all its workers at the first submit
     if workers <= 1:
         return [_run_job(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -32,9 +32,7 @@ from .waveform import (
     build_constellation,
     demap_symbols,
     generate_golay_pair,
-    matched_filter_downsample,
-    matched_filter_head,
-    matched_filter_phase,
+    matched_filter,
 )
 
 FAILURE_KINDS = ("no-training", "no-frame", "truncated", "unequalizable", "crc-fail")
@@ -375,37 +373,34 @@ def _choose_training_phase(
     """Matched-filter the sample rows ``x`` (F, N) and pick each row's
     training phase, filtering only what the search reads: every phase over
     the first ``head`` symbols, then a row final there at its chosen phase
-    only. The other rows (all when the head is not whole filter overlaps) are
-    filtered in full by ``matched_filter_downsample`` and searched over the
-    full width, ``_ROW_CHUNK`` rows at a time. Returns each row's chosen
-    symbol stream, zero past its length, that length, and the coarse results
-    as arrays, ``detect_index`` -1 where no phase found training.
+    only. The other rows are filtered at every phase past the head and
+    searched over the full width, ``_ROW_CHUNK`` rows at a time. Returns each
+    row's chosen symbol stream, zero past its length, that length, and the
+    coarse results as arrays, ``detect_index`` -1 where no phase found training.
     """
     (n_rows, n), sps = x.shape, pulse.interpolation
     width = -(-n // sps)
+    head = min(head, width)
     lengths = (n - np.arange(sps) + sps - 1) // sps
-    symbols = np.zeros((n_rows, width), dtype=complex)
-    phase, zeros = np.zeros(n_rows, dtype=np.int64), np.zeros(n_rows)
+
+    def every_phase(rows_x, first, count):  # (rows, P, count) from symbol ``first``
+        out = matched_filter(rows_x, pulse, first * sps, count * sps)
+        return out.reshape(len(rows_x), count, sps).swapaxes(-1, -2)
+
+    heads = every_phase(x, 0, head)
+    final, phase, zeros = np.ones(n_rows, bool), np.zeros(n_rows, np.int64), np.zeros(n_rows)
     coarse = CoarseSyncResult(np.full(n_rows, -1), zeros + 0j, zeros.copy(), zeros.copy())
-
-    def keep(rows, final, best, found) -> None:
-        phase[rows[final]] = best[final]
-        for f in fields(coarse):
-            getattr(coarse, f.name)[rows[final]] = getattr(found, f.name)[final]
-
-    rest = np.arange(n_rows)
-    if width >= 2 * lag and head * sps + pulse.tap_count - 1 <= n:
-        heads = matched_filter_head(x, pulse, head)
-        final, best, found = _search_training(heads, lengths, det, delta_t, lag, head)
-        keep(rest, final, best, found)
-        symbols[:, :head] = heads[rest, best]
-        symbols[:, head:] = matched_filter_phase(x, pulse, np.where(final, best, -1), head)
-        rest = rest[~final]
+    if width >= 2 * lag:
+        final, phase, coarse = _search_training(heads, lengths, det, delta_t, lag, head)
+    past = matched_filter(x, pulse, np.where(final, head * sps + phase, -1), width - head, sps)
+    symbols = np.concatenate([heads[np.arange(n_rows), phase], past], axis=-1, dtype=complex)
+    rest = np.flatnonzero(~final)
     for r0 in range(0, len(rest), _ROW_CHUNK):
         rows = rest[r0 : r0 + _ROW_CHUNK]
-        streams, _ = matched_filter_downsample(x[rows], pulse)
-        if width >= 2 * lag:
-            keep(rows, *_search_training(streams, lengths, det, delta_t, lag, width))
+        streams = np.concatenate([heads[rows], every_phase(x[rows], head, width - head)], axis=-1)
+        _, phase[rows], found = _search_training(streams, lengths, det, delta_t, lag, width)
+        for f in fields(coarse):
+            getattr(coarse, f.name)[rows] = getattr(found, f.name)
         symbols[rows] = streams[np.arange(len(rows)), phase[rows]]
     return symbols, lengths[phase], coarse
 

@@ -271,40 +271,37 @@ def matched_filter_downsample(
     return streams, (n - np.arange(sps) + sps - 1) // sps
 
 
-def matched_filter_head(x: np.ndarray, cfg: PulseShapeConfig, n: int) -> np.ndarray:
-    """``matched_filter_downsample(x, cfg)[0][..., :n]`` bit for bit, filtering
-    only those outputs; needs ``n * P + tap_count - 1 <= N``, so that each is
-    a full overlap of the taps: one ``np.vecdot`` with the reversed taps as
-    its first (conjugated) operand, the dot product ``np.convolve`` takes."""
-    sps, taps = cfg.interpolation, design_srrc(cfg)
-    windows = sliding_window_view(x, cfg.tap_count, axis=-1)[..., : n * sps, :]
-    with np.errstate(invalid="ignore"):  # vecdot warns on an inf sample; np.convolve does not
-        out = np.vecdot(taps[::-1].astype(np.result_type(x, taps)), windows)
-    return out.reshape(x.shape[:-1] + (n, sps)).swapaxes(-1, -2)
-
-
-def matched_filter_phase(
-    x: np.ndarray, cfg: PulseShapeConfig, phase: np.ndarray, start: int
+def matched_filter(
+    x: np.ndarray, cfg: PulseShapeConfig, start, count: int, step: int = 1
 ) -> np.ndarray:
-    """Row r's phase ``phase[r]`` of ``matched_filter_downsample(x, cfg)`` from
-    symbol ``start`` on, bit for bit, filtering only those outputs: (F,
-    ceil(N/P) - start) for samples (F, N >= tap_count), zero past each length
-    and in rows of negative phase. Full overlaps are taken as in
-    ``matched_filter_head``; the last ``tap_count - 1`` outputs come from
-    ``np.convolve`` of the last ``tap_count`` samples, since on a shorter
-    slice it swaps its operands, which can change the last bit."""
-    taps, sps, t = design_srrc(cfg), cfg.interpolation, cfg.tap_count
-    n, reverse = x.shape[-1], taps[::-1].astype(np.result_type(x, taps))
-    windows = sliding_window_view(x, t, axis=-1)
-    out = np.zeros((x.shape[0], -(-n // sps) - start), dtype=reverse.dtype)
-    with np.errstate(invalid="ignore"):
-        for row in np.flatnonzero(phase >= 0).tolist():
-            p = int(phase[row])
-            body = np.vecdot(reverse, windows[row, p + start * sps :: sps])
-            # Output k of the tail convolution's trimmed part is output n - t + k.
-            k = p + (start + len(body)) * sps - (n - t)
-            tail = np.convolve(x[row, n - t :], taps)[t - 1 + k :: sps]
-            out[row, : len(body) + len(tail)] = np.concatenate([body, tail])
+    """Outputs ``start[r] + step * k``, k < ``count``, of each row r of the
+    filter ``matched_filter_downsample`` decimates, bit for bit, filtering
+    only those: (F, count) for samples (F, N). ``start`` is one int for all
+    rows or one per row; a negative start leaves its row zero, as every
+    output from N on is. Full overlaps are ``np.vecdot`` with the reversed
+    taps as its first (conjugated) operand, the dot product ``np.convolve``
+    takes, once over all rows when they share a start. The last ``tap_count
+    - 1`` outputs come from ``np.convolve`` of the row's last ``min(N,
+    tap_count)`` samples: on a shorter slice it swaps its operands, which can
+    change the last bit, and a zero-padded vecdot sums in another order."""
+    taps, t, n = design_srrc(cfg), cfg.tap_count, x.shape[-1]
+    reverse = taps[::-1].astype(np.result_type(x, taps))
+    out = np.zeros((len(x), count), dtype=reverse.dtype)
+    windows = sliding_window_view(x, t, axis=-1) if n >= t else None
+    tail_from, shared = max(n - t, 0), np.ndim(start) == 0
+    with np.errstate(invalid="ignore"):  # vecdot warns on an inf sample; np.convolve does not
+        for r, s in enumerate([int(start)] if shared else np.asarray(start).tolist()):
+            if s < 0:
+                continue
+            rows = slice(None) if shared else r
+            body = min(max(-((t - 1 - n + s) // step), 0), count)  # outputs up to N - t
+            stop = min(max(-((s - n) // step), 0), count)  # outputs before N
+            if body:
+                np.vecdot(reverse, windows[rows, s : s + body * step : step], out=out[rows, :body])
+            if stop > body:  # output j is tail output j + tap_count - 1 - tail_from
+                at = slice(s + body * step + t - 1 - tail_from, None, step)
+                for row in range(len(x)) if shared else (r,):
+                    out[row, body:stop] = np.convolve(x[row, tail_from:], taps)[at][: stop - body]
     return out
 
 

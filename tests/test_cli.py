@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from burstlink import harness
 from burstlink.cli import main
 from burstlink.harness import EVENT_COLUMNS, RESULT_COLUMNS
 
@@ -102,6 +103,57 @@ def test_sweep_determinism_and_seed_override(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     assert main(["sweep", "--config", str(cfg), "--seed", "8", "--out", str(out3)]) == 0
     assert out1.read_bytes() != out3.read_bytes()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of each pool ``run_sweep`` opens; the pool runs
+    its jobs in this process, so nothing is forked."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+def test_sweep_pool_is_no_larger_than_the_grid(tmp_path, pool_sizes):
+    # SWEEP_CFG has 2 x 2 cells of 2 trials: 8 jobs, so 8 workers at most;
+    # a one-job grid runs serially whatever --workers says.
+    cfg, one = tmp_path / "sweep.cfg", tmp_path / "one.cfg"
+    cfg.write_text(SWEEP_CFG)
+    one.write_text("lambda_list = 1\nmodulations = 4\nframes_per_trial = 2\ntrials_per_cell = 1\n")
+    outs = [tmp_path / f"{k}.csv" for k in range(3)]
+    assert main(["sweep", "--config", str(cfg), "--workers", "16", "--out", str(outs[0])]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(outs[1])]) == 0
+    assert main(["sweep", "--config", str(one), "--workers", "16", "--out", str(outs[2])]) == 0
+    assert pool_sizes == [8]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert len(outs[2].read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_rejects_fewer_than_one_worker(tmp_path, capsys, pool_sizes, workers):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    out = tmp_path / "r.csv"
+    assert main(["sweep", "--config", str(cfg), "--workers", workers, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --workers must be >= 1\n"
+    assert captured.out == ""
+    assert not out.exists()
+    assert pool_sizes == []
 
 
 def test_sweep_report_round_trip(tmp_path):

@@ -42,6 +42,7 @@ from burstlink.waveform import (
     PulseShapeConfig,
     agc,
     generate_golay_pair,
+    matched_filter,
     matched_filter_downsample,
 )
 
@@ -269,23 +270,30 @@ class TestTrainingHeadSearch:
     def test_training_past_the_head_is_found_by_the_full_width_pass(self, monkeypatch):
         # Training 10 symbols in is final in the head. Training 66 symbols in
         # first crosses inside the head but peaks past it, and training 200
-        # symbols in lies past it: only those two rows are filtered in full,
-        # in one full-width pass.
-        widths, filtered = [], []
+        # symbols in lies past it: only those two rows are filtered at every
+        # phase past the head, never over the head again, and searched in one
+        # full-width pass.
+        widths, calls = [], []
 
         def spy(x, lag):
             widths.append(x.shape[-1])
             return autocorrelation_metric(x, lag)
 
-        def spy_filter(x, pulse):
-            filtered.append(len(x))
-            return matched_filter_downsample(x, pulse)
+        def spy_filter(x, pulse, start, count, step=1):
+            calls.append((len(x), np.asarray(start).tolist(), count, step))
+            return matched_filter(x, pulse, start, count, step)
 
         monkeypatch.setattr(sync, "autocorrelation_metric", spy)
-        monkeypatch.setattr(sync, "matched_filter_downsample", spy_filter)
+        monkeypatch.setattr(sync, "matched_filter", spy_filter)
         x = agc(np.stack([late_frame(4 * offset) for offset in (10, 66, 200)]))
         got = choose_phase(x)
-        assert (widths, filtered) == ([HEAD, 472], [2])
+        past, width = 4 * HEAD, 472
+        assert widths == [HEAD, width]
+        heads, chosen, fallback = calls
+        assert heads == (3, 0, past, 1)
+        assert (chosen[0], chosen[1][1:], chosen[2:]) == (3, [-1, -1], (width - HEAD, 4))
+        assert past <= chosen[1][0] < past + 4
+        assert fallback == (2, past, 4 * (width - HEAD), 1)
         assert got[2].detect_index.tolist() == [offset + 2 * M - 1 for offset in (10, 66, 200)]
         assert_same_choice(got, choose_phase(x, full_width_choice))
 

@@ -19,9 +19,8 @@ from burstlink.waveform import (
     design_srrc,
     generate_golay_pair,
     map_bits,
+    matched_filter,
     matched_filter_downsample,
-    matched_filter_head,
-    matched_filter_phase,
     shape_and_upsample,
 )
 
@@ -284,34 +283,36 @@ class TestShaping:
             assert np.array_equal(streams[phase, :n], full[phase :: cfg.interpolation])
             assert np.all(streams[phase, n:] == 0)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
-        n=st.integers(97, 2000),
+        n=st.integers(1, 2000),
         seed=st.integers(0, 2**32 - 1),
         bad=st.sampled_from((None, np.nan, np.inf, -np.inf)),
+        step=st.sampled_from((1, PulseShapeConfig().interpolation)),
+        per_row=st.booleans(),
         data=st.data(),
     )
-    def test_head_and_phase_are_slices_of_the_full_filter(self, n, seed, bad, data):
-        # Each output the receiver filters alone equals the full filter's, as
-        # bytes, for any length, start and phase, with an inf or NaN sample.
+    def test_matched_filter_equals_the_full_filter(self, n, seed, bad, step, per_row, data):
+        # Each output matched_filter gives equals the full filter's, as bytes,
+        # for any length (shorter than the taps too), start and step, with an
+        # inf or NaN sample; a negative start and outputs from N on are zero.
         cfg = PulseShapeConfig()
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
         if bad is not None:
             x[data.draw(st.integers(0, 2)), data.draw(st.integers(0, n - 1))] = bad
-        streams, lengths = matched_filter_downsample(x, cfg)
-        width = streams.shape[-1]
-        start = data.draw(st.integers(0, width - 1))
-        phase = np.array([data.draw(st.integers(-1, cfg.interpolation - 1)) for _ in range(3)])
+        streams, _ = matched_filter_downsample(x, cfg)
+        trimmed = streams.swapaxes(-1, -2).reshape(3, -1)  # zero from sample N on
+        span = st.integers(-2, trimmed.shape[-1] + 2)
+        start = [data.draw(span) for _ in range(3)] if per_row else [data.draw(span)] * 3
+        count = data.draw(st.integers(0, -(-trimmed.shape[-1] // step) + 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = matched_filter_phase(x, cfg, phase, start)
-        for row, p in enumerate(phase):
-            want = streams[row, p, start:] if p >= 0 else np.zeros(width - start, dtype=complex)
-            assert got[row].tobytes() == want.tobytes()
-        head = (n - cfg.tap_count + 1) // cfg.interpolation
-        if head:
-            assert matched_filter_head(x, cfg, head).tobytes() == streams[..., :head].tobytes()
+            got = matched_filter(x, cfg, np.array(start) if per_row else start[0], count, step)
+        padded = np.concatenate([trimmed, np.zeros((3, step * count + 2))], axis=-1)
+        for row, s in enumerate(start):
+            want = padded[row, s : s + step * count : step] if s >= 0 else np.zeros(count)
+            assert got[row].tobytes() == want.astype(complex).tobytes()
 
 
 class TestMatchedFilterKernel:
@@ -338,13 +339,29 @@ class TestMatchedFilterKernel:
         assert np.allclose(short, last, rtol=0, atol=1e-14)
         assert short.tobytes() != last.tobytes()
 
+    def test_vecdot_over_a_zero_padded_tail_is_not_the_convolution(self):
+        # Padding the row with tap_count - 1 zeros makes every tail output a
+        # full overlap, but vecdot then sums in another order than
+        # np.convolve's partial sums, so the tail keeps np.convolve.
+        rng, t = np.random.default_rng(2), self.t
+        differ = 0
+        for _ in range(20):
+            x = rng.normal(size=(t, 2)) @ [1, 1j]
+            padded = np.concatenate([x, np.zeros(t - 1)])
+            windows = sliding_window_view(padded, t)[1:]
+            tail = np.vecdot(self.taps[::-1].astype(complex), windows)
+            want = np.convolve(x, self.taps)[t:]
+            assert np.allclose(tail, want, rtol=0, atol=1e-14)
+            differ += tail.tobytes() != want.tobytes()
+        assert differ >= 15
+
     def test_vecdot_warns_on_inf_where_convolve_does_not(self):
         x = self.x.copy()
         x[500] = np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             np.convolve(x, self.taps)
-            matched_filter_head(x[None], self.cfg, 100)
+            matched_filter(x[None], self.cfg, 0, len(x))
         with pytest.warns(RuntimeWarning, match="invalid value"):
             np.vecdot(self.taps[::-1].astype(complex), sliding_window_view(x, self.t))
 
