@@ -87,8 +87,13 @@ class FrameConfig:
         return 2 * self.golay_len
 
     @property
+    def payload_start(self) -> int:
+        """Index of the first payload symbol: training, then preamble, come first."""
+        return self.training_symbols + self.preamble_symbols
+
+    @property
     def total_symbols(self) -> int:
-        return self.training_symbols + self.preamble_symbols + self.payload_symbols
+        return self.payload_start + self.payload_symbols
 
     @property
     def data_bits(self) -> int:
@@ -114,21 +119,6 @@ class FrameConfig:
 
 
 @dataclass(frozen=True)
-class FrameLayout:
-    """Index spans (start, stop) tiling one frame exactly."""
-
-    training_span: tuple[int, int]
-    preamble_span: tuple[int, int]
-    pilot_spans: tuple[tuple[int, int], ...]
-    data_spans: tuple[tuple[int, int], ...]
-    total_symbols: int
-
-    @property
-    def payload_start(self) -> int:
-        return self.preamble_span[1]
-
-
-@dataclass(frozen=True)
 class PacketPayload:
     """User data bytes with their 32-bit CRC."""
 
@@ -146,48 +136,22 @@ class SymbolTables:
 
 
 @functools.cache
-def compute_layout(cfg: FrameConfig) -> FrameLayout:
-    """Symbol spans for one frame: training, preamble, then pilot/data pairs.
-
-    When the data budget does not divide evenly over the pilot repetitions,
-    the earlier data segments take the remainder (longer segments first).
-    """
-    t_end = cfg.training_symbols
-    p_end = t_end + cfg.preamble_symbols
-
-    base, rem = divmod(cfg.data_symbols, cfg.pilot_reps)
-    pilot_spans = []
-    data_spans = []
-    pos = p_end
-    for i in range(cfg.pilot_reps):
-        pilot_spans.append((pos, pos + cfg.pilot_block_len))
-        pos += cfg.pilot_block_len
-        seg = base + (1 if i < rem else 0)
-        data_spans.append((pos, pos + seg))
-        pos += seg
-    assert pos == p_end + cfg.payload_symbols
-
-    return FrameLayout(
-        training_span=(0, t_end),
-        preamble_span=(t_end, p_end),
-        pilot_spans=tuple(pilot_spans),
-        data_spans=tuple(data_spans),
-        total_symbols=pos,
-    )
-
-
-@functools.cache
 def block_indices(cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frame-relative symbol indices for gathering a frame's blocks at once.
+    """The payload layout as frame-relative symbol indices: pilot block,
+    data segment, pilot block, ... from ``cfg.payload_start`` to the end.
 
     Returns the pilot symbols of each block, shape (pilot_reps,
     pilot_block_len); the data symbols in frame order, shape
-    (data_symbols,); and, per data symbol, the pilot block it follows.
+    (data_symbols,); and, per data symbol, the pilot block it follows. When
+    the data budget does not divide evenly over the pilot repetitions, the
+    earlier data segments take the remainder (longer segments first).
     """
-    layout = compute_layout(cfg)
-    pilots = np.array([np.arange(a, b) for a, b in layout.pilot_spans])
-    data = np.concatenate([np.arange(a, b) for a, b in layout.data_spans])
-    block = np.repeat(np.arange(cfg.pilot_reps), [b - a for a, b in layout.data_spans])
+    base, rem = divmod(cfg.data_symbols, cfg.pilot_reps)
+    segment = base + (np.arange(cfg.pilot_reps) < rem)
+    pilot_end = cfg.payload_start + np.cumsum(segment + cfg.pilot_block_len) - segment
+    pilots = pilot_end[:, None] + np.arange(-cfg.pilot_block_len, 0)
+    data = np.setdiff1d(np.arange(cfg.payload_start, cfg.total_symbols), pilots)
+    block = np.repeat(np.arange(cfg.pilot_reps), segment)
     return read_only(pilots), read_only(data), read_only(block)
 
 
@@ -237,11 +201,10 @@ def assemble_frames(payloads: list[PacketPayload], cfg: FrameConfig) -> np.ndarr
     data_syms = map_bits(bits, build_constellation(cfg.modulation))
 
     tables = default_tables(cfg)
-    layout = compute_layout(cfg)
     pilots, data, _ = block_indices(cfg)
-    frames = np.empty((len(payloads), layout.total_symbols), dtype=complex)
-    frames[:, slice(*layout.training_span)] = np.tile(tables.training, cfg.training_reps)
-    frames[:, slice(*layout.preamble_span)] = tables.preamble
+    frames = np.empty((len(payloads), cfg.total_symbols), dtype=complex)
+    frames[:, : cfg.training_symbols] = np.tile(tables.training, cfg.training_reps)
+    frames[:, cfg.training_symbols : cfg.payload_start] = tables.preamble
     frames[:, pilots] = tables.pilot
     frames[:, data] = data_syms.reshape(len(payloads), cfg.data_symbols)
     return frames

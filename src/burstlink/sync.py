@@ -20,7 +20,6 @@ from .framing import (
     FrameConfig,
     PacketPayload,
     block_indices,
-    compute_layout,
     crc_check,
     default_tables,
     unpack_wire_bytes,
@@ -203,6 +202,7 @@ def detect_training(
     lag: int,
 ) -> CoarseSyncResult:
     """First threshold crossing of rho, refined within the next ``lag`` samples.
+    Only a positive rho crosses, so a zero threshold finds the first energy.
 
     Among the above-threshold indices in the refinement window the detector
     keeps the largest ``|C|`` (latest on a tie). The unnormalized correlation
@@ -211,10 +211,7 @@ def detect_training(
     ``rho`` and ``c`` (..., n) are searched along the last axis.
     """
     rho, c = np.asarray(rho), np.asarray(c)
-    if cfg.rho_threshold > 0.0:
-        above = rho >= cfg.rho_threshold
-    else:
-        above = rho > 0.0
+    above = (rho >= cfg.rho_threshold) & (rho > 0.0)
     width = rho.shape[-1]
     first = np.argmax(above, axis=-1)
     window = first[..., None] + np.arange(lag + 1)
@@ -425,7 +422,7 @@ def receive_frames(
     if windows.ndim != 2:
         raise ValueError(f"windows must have shape (F, N), got {windows.shape}")
     n_frames = windows.shape[0]
-    tables, layout = default_tables(cfg), compute_layout(cfg)
+    tables = default_tables(cfg)
     pilot_index, data_index, data_block = block_indices(cfg)
     lag = cfg.training_rep_len
     head = (cfg.training_reps + 2) * lag  # the training field, then room to refine
@@ -451,28 +448,32 @@ def receive_frames(
     failure[rows[start[rows] < 0]] = NO_FRAME
     rows = rows[start[rows] >= 0]
 
-    # The Golay peak pins frame timing exactly; re-derive the coarse estimate
-    # from the last full-overlap training window of the uncorrected stream.
-    # That frees the frequency estimate from plateau-pick ambiguity and from
-    # AGC-settling tilt across the training field.
-    exact_end = start - cfg.preamble_symbols - 1
-    redo = rows[exact_end[rows] >= 2 * lag - 1]
-    window = exact_end[redo, None] + np.arange(1 - lag, 1)
-    c_exact = np.sum(
-        symbols[redo[:, None], window] * np.conj(symbols[redo[:, None], window - lag]), axis=-1
-    )
+    # The Golay peak pins frame timing exactly, so each located frame is
+    # gathered once as a frame-relative row, stream symbol ``at`` in column
+    # ``at - origin``; every later stage reads columns of it. Columns before
+    # a row's window repeat its first symbol and are never read.
+    origin = start[rows] - cfg.payload_start
+    at = origin[:, None] + np.arange(cfg.total_symbols)
+    frames = symbols[rows[:, None], np.clip(at, 0, symbols.shape[-1] - 1)]
+
+    # Re-derive the coarse estimate from the last full-overlap training
+    # window of the uncorrected frame. That frees the frequency estimate
+    # from plateau-pick ambiguity and from AGC-settling tilt across the
+    # training field.
+    t_end = cfg.training_symbols
+    redo = np.flatnonzero(origin >= 2 * lag - t_end)
+    late, early = frames[redo, t_end - lag : t_end], frames[redo, t_end - 2 * lag : t_end - lag]
+    c_exact = np.sum(late * np.conj(early), axis=-1)
     redo, c_exact = redo[c_exact != 0], c_exact[c_exact != 0]
-    coarse.detect_index[redo] = exact_end[redo]
-    coarse.c_peak[redo] = c_exact
-    coarse.delta_f_est_hz[redo] = [estimate_coarse_cfo(c, delta_t) for c in c_exact.tolist()]
-    corrected = np.zeros_like(symbols)  # the de-rotation by each row's final estimate
-    corrected[rows] = nco_correct(symbols[rows], coarse.delta_f_est_hz[rows], symbol_period_s)
+    coarse.detect_index[rows[redo]] = origin[redo] + t_end - 1
+    coarse.c_peak[rows[redo]] = c_exact
+    coarse.delta_f_est_hz[rows[redo]] = [estimate_coarse_cfo(c, delta_t) for c in c_exact.tolist()]
+    frames = nco_correct(frames, coarse.delta_f_est_hz[rows], symbol_period_s, at)
 
     short = start[rows] + cfg.payload_symbols > lengths[rows]
     failure[rows[short]] = TRUNCATED
-    rows = rows[~short]
+    rows, origin, at, frames = rows[~short], origin[~short], at[~short], frames[~short]
 
-    # Training, pilot and data symbols are gathered by frame-relative index.
     est = ChannelEstimate(
         h_blocks=np.zeros((n_frames, cfg.pilot_reps), dtype=complex),
         block_positions=np.zeros((n_frames, cfg.pilot_reps)),
@@ -481,25 +482,21 @@ def receive_frames(
         residual_freq_hz=np.zeros(n_frames),
         mean_residual_phase_deg=np.zeros(n_frames),
     )
-    origin = start[rows] - layout.payload_start
-    t_start, t_stop = origin + layout.training_span[0], origin + layout.training_span[1]
-    anchored = (t_start >= 0) & (t_stop <= lengths[rows])
-    anchor_rows = rows[anchored]
-    est.train_gain[anchor_rows] = estimate_channel(
-        corrected[anchor_rows[:, None], np.arange(*layout.training_span) + origin[anchored, None]],
-        np.tile(tables.training, cfg.training_reps),
+    # The training anchor is in the window where the frame starts in it; the
+    # truncation check has already put the frame's end there.
+    anchored = origin >= 0
+    est.train_gain[rows[anchored]] = estimate_channel(
+        frames[anchored, :t_end], np.tile(tables.training, cfg.training_reps)
     )
-    est.train_position[anchor_rows] = 0.5 * (t_start + t_stop - 1)[anchored]
-    pilot_at = origin[:, None, None] + pilot_index
-    est.h_blocks[rows] = estimate_channel(corrected[rows[:, None, None], pilot_at], tables.pilot)
-    centers = np.array([0.5 * (a + b - 1) for a, b in layout.pilot_spans])
-    est.block_positions[rows] = origin[:, None] + centers
+    est.train_position[rows[anchored]] = origin[anchored] + 0.5 * (t_end - 1)
+    # np.take gathers C-ordered, so each block's mean sums in pilot order.
+    est.h_blocks[rows] = estimate_channel(np.take(frames, pilot_index, axis=1), tables.pilot)
+    est.block_positions[rows] = origin[:, None] + pilot_index.mean(axis=-1)
     # A non-finite estimate (a NaN or inf sample under a pilot block or the
     # training anchor) cannot be fitted or divided by.
     finite = np.isfinite(est.h_blocks[rows]).all(axis=-1) & np.isfinite(est.train_gain[rows])
     failure[rows[~finite]] = UNEQUALIZABLE
-    rows, origin, anchored = rows[finite], origin[finite], anchored[finite]
-    pilot_at = pilot_at[finite]
+    rows, at, frames, anchored = rows[finite], at[finite], frames[finite], anchored[finite]
 
     # Residual offset is measured before the fine stage corrects it; the
     # training anchor joins the fit as the first block on the rows where it
@@ -519,18 +516,15 @@ def receive_frames(
     fine_freq = est.residual_freq_hz[rows]
     if cfg.pilot_reps >= 2:
         fine_freq = _pilot_slope_hz(est.h_blocks[rows], est.block_positions[rows], symbol_period_s)
-    refined = nco_correct(corrected[rows], fine_freq, symbol_period_s)
-    local = np.arange(len(rows))[:, None]
-    gains = estimate_channel(refined[local[..., None], pilot_at], tables.pilot)
+    refined = nco_correct(frames, fine_freq, symbol_period_s, at)
+    gains = estimate_channel(np.take(refined, pilot_index, axis=1), tables.pilot)
     flat = (np.abs(gains) <= H_MIN).any(axis=-1)
     failure[rows[flat]] = UNEQUALIZABLE
 
     demapped = rows[~flat]
     equalized = np.zeros((n_frames, cfg.data_symbols), dtype=complex)
     decisions = np.zeros_like(equalized)
-    equalized[demapped] = (
-        refined[local[~flat], origin[~flat, None] + data_index] / gains[~flat][:, data_block]
-    )
+    equalized[demapped] = refined[~flat][:, data_index] / gains[~flat][:, data_block]
     constellation = build_constellation(cfg.modulation)
     bits = np.empty((len(demapped), cfg.data_bits), dtype=np.uint8)
     for r0 in range(0, len(demapped), _ROW_CHUNK):

@@ -17,7 +17,7 @@ from burstlink.config import SweepSpec
 from burstlink.framing import (
     FrameConfig,
     assemble_frames,
-    compute_layout,
+    block_indices,
     crc_attach,
     default_tables,
 )
@@ -72,14 +72,14 @@ def test_criterion_01_loopback_identity():
         for mod in ALL_MODS:
             started = time.perf_counter()
             cfg = FrameConfig(pilot_reps=reps, modulation=mod)
-            layout = compute_layout(cfg)
+            _, data_index, _ = block_indices(cfg)
             for _ in range(3):
                 data = rng.bytes(cfg.payload_bytes)
                 frame = assemble_frames([crc_attach(data)], cfg)[0]
                 res = receive_frames(transmit_burst(frame, pulse)[np.newaxis], cfg)
                 assert res.failure[0] == DECODED, (reps, mod, res.failure[0])
                 assert res.payloads[0].data_bytes == data, (reps, mod)
-                tx_data = np.concatenate([frame[a:b] for a, b in layout.data_spans])
+                tx_data = frame[data_index]
                 worst_evm = max(worst_evm, evm_metric(res.equalized[0], tx_data))
             worst_time = max(worst_time, time.perf_counter() - started)
     ok = worst_evm < 0.1 and worst_time < 10.0
@@ -164,10 +164,8 @@ def test_criterion_04_pilot_data_table():
     got = {}
     for reps in ALL_LAMBDAS:
         cfg = FrameConfig(pilot_reps=reps, modulation=16)
-        layout = compute_layout(cfg)
-        pilots = sum(b - a for a, b in layout.pilot_spans)
-        datas = sum(b - a for a, b in layout.data_spans)
-        got[reps] = (pilots, datas)
+        pilots, datas, _ = block_indices(cfg)
+        got[reps] = (pilots.size, datas.size)
     report("04", got == expected, f"pilot/data pairs {got}")
 
 

@@ -8,7 +8,6 @@ from burstlink.framing import (
     PacketPayload,
     assemble_frames,
     block_indices,
-    compute_layout,
     crc_attach,
     crc_check,
     default_tables,
@@ -67,35 +66,39 @@ class TestLayout:
     @pytest.mark.parametrize("reps", PILOT_DATA_TABLE)
     @pytest.mark.parametrize("mod", (4, 8, 16, 64))
     def test_spans_tile_frame_exactly(self, reps, mod):
+        # The pilot and data indices fill the frame from the end of the
+        # training and preamble on, each symbol once.
         cfg = FrameConfig(pilot_reps=reps, modulation=mod)
-        layout = compute_layout(cfg)
-        spans = [layout.training_span, layout.preamble_span]
-        for pilot, data in zip(layout.pilot_spans, layout.data_spans):
-            spans.extend([pilot, data])
-        pos = 0
-        for start, stop in spans:
-            assert start == pos
-            assert stop >= start
-            pos = stop
-        assert pos == layout.total_symbols == cfg.total_symbols
+        pilots, data, block = block_indices(cfg)
+        assert data.shape == block.shape == (cfg.data_symbols,)
+        tiled = np.sort(np.concatenate([pilots.ravel(), data]))
+        assert np.array_equal(tiled, np.arange(cfg.payload_start, cfg.total_symbols))
+        # Each pilot block is one run, and the data after it are its segment.
+        assert (np.diff(pilots, axis=-1) == 1).all()
+        assert np.array_equal(np.diff(data) > 1, np.diff(block) > 0)
+        assert (data > pilots[block, -1]).all()
 
     def test_pilot_span_count_and_length(self):
         cfg = FrameConfig(pilot_reps=4, modulation=16)
-        layout = compute_layout(cfg)
-        assert len(layout.pilot_spans) == 4
-        assert all(b - a == 16 for a, b in layout.pilot_spans)
+        pilots, _, _ = block_indices(cfg)
+        assert pilots.shape == (4, 16)
 
     def test_uneven_data_split_longer_segments_first(self):
         cfg = FrameConfig(pilot_reps=6, modulation=4)
-        lengths = [b - a for a, b in compute_layout(cfg).data_spans]
-        assert lengths == [27, 27, 27, 27, 26, 26]
+        _, _, block = block_indices(cfg)
+        assert np.bincount(block).tolist() == [27, 27, 27, 27, 26, 26]
 
     def test_two_rep_pilot_offsets(self):
         cfg = FrameConfig(pilot_reps=2, modulation=16)
-        layout = compute_layout(cfg)
-        base = layout.payload_start
-        offsets = [a - base for a, _ in layout.pilot_spans]
-        assert offsets == [0, 128]
+        pilots, _, _ = block_indices(cfg)
+        assert (pilots[:, 0] - cfg.payload_start).tolist() == [0, 128]
+
+    def test_payload_start_is_derived_not_settable(self):
+        cfg = FrameConfig(pilot_reps=2, modulation=16, training_reps=3, golay_len=32)
+        assert cfg.payload_start == 3 * 32 + 2 * 32
+        assert cfg.total_symbols == cfg.payload_start + cfg.payload_symbols
+        with pytest.raises(TypeError):
+            FrameConfig(pilot_reps=2, modulation=16, payload_start=0)
 
 
 class TestCrc:
@@ -178,7 +181,7 @@ BUILDERS = {
         lambda: default_tables(FrameConfig(pilot_reps=4, modulation=16)),
         lambda t: [t.training, t.pilot, t.preamble],
     ),
-    "compute_layout": (lambda: compute_layout(FrameConfig(pilot_reps=4, modulation=16)), None),
+    "block_indices": (lambda: block_indices(FrameConfig(pilot_reps=4, modulation=16)), list),
 }
 
 
@@ -188,7 +191,7 @@ class TestCachedBuilders:
         build, _ = BUILDERS[name]
         assert build() is build()
 
-    @pytest.mark.parametrize("name", [n for n in BUILDERS if n != "compute_layout"])
+    @pytest.mark.parametrize("name", BUILDERS)
     def test_cached_arrays_are_read_only(self, name):
         build, arrays = BUILDERS[name]
         for array in arrays(build()):

@@ -1,5 +1,6 @@
 """Tests for synchronization, channel estimation, and the RX pipeline."""
 
+import hashlib
 import math
 from dataclasses import fields
 
@@ -14,7 +15,7 @@ from burstlink.framing import (
     SUPPORTED_PILOT_REPS,
     FrameConfig,
     assemble_frames,
-    compute_layout,
+    block_indices,
     crc_attach,
     default_tables,
 )
@@ -23,6 +24,7 @@ from burstlink.sync import (
     CRC_FAIL,
     DECODED,
     FAILURE_KINDS,
+    NO_FRAME,
     NO_TRAINING,
     TRUNCATED,
     UNEQUALIZABLE,
@@ -537,7 +539,7 @@ def outcome_windows(cfg, pulse, n, seed):
     """One n-sample window per receiver outcome; returns the (6, n) windows
     and the expected failures, ``None`` for the decoded row."""
     rng = np.random.default_rng(seed)
-    layout = compute_layout(cfg)
+    pilot_index, data_index, _ = block_indices(cfg)
     sps = pulse.interpolation
 
     def frame():
@@ -550,12 +552,12 @@ def outcome_windows(cfg, pulse, n, seed):
     # A constant in place of the Golay preamble keeps the power the AGC sees
     # but correlates with neither sequence.
     no_preamble = frame()
-    no_preamble[slice(*layout.preamble_span)] = 1.0
+    no_preamble[cfg.training_symbols : cfg.payload_start] = 1.0
     dead = transmit_burst(frame(), pulse)
-    a, b = layout.pilot_spans[-1]
+    a, b = pilot_index[-1, 0], pilot_index[-1, -1] + 1
     dead[a * sps : b * sps + pulse.tap_count] = 0
     corrupt = frame()
-    a = layout.data_spans[0][0]
+    a = data_index[0]
     corrupt[a + 5 : a + 9] = -corrupt[a + 5 : a + 9]
     impaired, _ = apply_channel(
         transmit_burst(corrupt, pulse),
@@ -674,11 +676,11 @@ class TestReceiveFrame:
         cfg = FrameConfig(pilot_reps=2, modulation=4)
         rng = np.random.default_rng(13)
         frame = assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0]
-        layout = compute_layout(cfg)
+        pilot_index, _, _ = block_indices(cfg)
         pulse = PulseShapeConfig()
         samples = transmit_burst(frame, pulse)
         # Zero the samples carrying the second pilot block.
-        a, b = layout.pilot_spans[1]
+        a, b = pilot_index[1, 0], pilot_index[1, -1] + 1
         lo = a * pulse.interpolation
         hi = b * pulse.interpolation + pulse.tap_count
         samples[lo:hi] = 0
@@ -690,9 +692,8 @@ class TestReceiveFrame:
         cfg = FrameConfig(pilot_reps=1, modulation=4)
         rng = np.random.default_rng(14)
         frame = assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0]
-        layout = compute_layout(cfg)
         bad = frame.copy()
-        a, _ = layout.data_spans[0]
+        a = block_indices(cfg)[1][0]
         bad[a + 5 : a + 9] = -bad[a + 5 : a + 9]
         res = receive_one(transmit_burst(bad, PulseShapeConfig()), cfg)
         assert res.failure[0] == CRC_FAIL
@@ -872,3 +873,124 @@ class TestReceiveFrame:
         # Drift leaves a positive measured residual frequency.
         assert res.estimate.residual_freq_hz[0] > 10.0
         assert res.estimate.mean_residual_phase_deg[0] > 0.0
+
+
+def pinned_windows(cfg, seed):
+    """Ten seeded windows of one length, over 20 dB channels with CFOs up to
+    15 kHz: a frame 12 symbols in; windows cut 4, 40 and 64 symbols into the frame;
+    a frame 40 symbols in that runs past the window's end; a NaN sample
+    under pilot block 2; an inf sample under the data; a frame without its
+    preamble; noise; and a frame at -5 dB."""
+    pulse = PulseShapeConfig()
+    sps = pulse.interpolation
+    rng = np.random.default_rng(seed)
+    n = (cfg.total_symbols + 24) * sps
+
+    def noise(count, scale):
+        return scale * (rng.normal(size=count) + 1j * rng.normal(size=count))
+
+    def frame():
+        return assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes))], cfg)[0]
+
+    def window(symbols, lead=12, cut=0, df=1500.0, snr_db=20.0, bad=None):
+        x = np.concatenate([noise(lead * sps, 0.3), transmit_burst(symbols, pulse)])[cut * sps :]
+        profile = ChannelProfile(
+            snr_db=snr_db, delta_f_hz=df, theta_in_rad=0.4, seed=int(rng.integers(1 << 16))
+        )
+        x, _ = apply_channel(x, profile, T_SYM / sps, samples_per_symbol=sps)
+        if bad is not None:
+            symbol, value = bad  # frame symbol s leaves the filter near sample 4 s + 48
+            x[(lead - cut + symbol) * sps + 48] = value
+        return np.concatenate([x, noise(n, 0.02)])[:n]
+
+    no_preamble = frame()
+    no_preamble[cfg.training_symbols : cfg.payload_start] = 1.0
+    pilot_2 = block_indices(cfg)[0][2, 8]  # the middle of pilot block 2
+    return np.stack(
+        [
+            window(frame(), df=-9000.0),
+            window(frame(), lead=0, cut=4, df=4000.0),
+            window(frame(), lead=0, cut=40),
+            window(frame(), lead=0, cut=64),
+            window(frame(), lead=40, df=12000.0),
+            window(frame(), bad=(pilot_2, np.nan)),
+            window(frame(), bad=(cfg.payload_start + 40, np.inf)),
+            window(no_preamble),
+            noise(n, 0.7),
+            window(frame(), snr_db=-5.0, df=-15000.0),
+        ]
+    )
+
+
+# SHA-256 of each FrameBatch field for pinned_windows(cfg, 18) with three
+# training repetitions: a receiver change that moves any field of any row,
+# including the rows the seed-42 digests never log, fails here.
+FRAME_BATCH_DIGESTS = {
+    "failure": "1eb8db32f61c6b3fc4bf0bafefaaa2469082173c8228277e27c9245a78d93f2e",
+    "payload_start": "b05f602947337e3c72e735022c4af34599596133b7fe16c30fabe8534db6fd90",
+    "equalized": "0a9434cd3de1bae330fbf7a3e728378475ad0d6c44f1c707767ffbbd7f65a660",
+    "decisions": "b4c8694e2b9669473d842de2d1650c330980ace5c4b44b921a3412c25490e116",
+    "coarse.detect_index": "b32b7c85a0885d9bdfbe6767059797d0378b04065cd4d9e8e1426fde0e47fa0a",
+    "coarse.c_peak": "f253f2128b69096085f17e528130e7f38cdbb91f03364c3058f2adad07a41bd6",
+    "coarse.rho_peak": "be020e548a97c1e51171237aefaf0fd79178e3c5491afa9784e8386a295f00e5",
+    "coarse.delta_f_est_hz": "318a6ef56bfc97a2a0cd34256abfaf28755eabf57e8af790285f220a087f36b6",
+    "estimate.h_blocks": "197fd9469b0f7f6767ae531c27aa37d4f95d37aee52ddd7fdbd107ffb91e76fd",
+    "estimate.block_positions": "db0081d23446c96eaa5646f9084585a805de2cf26c7f04922f9d29076cb1264a",
+    "estimate.train_gain": "c22e4c139def3a2076a3b282138404b15c50729dc3dea3007b8b5f4312b28d9d",
+    "estimate.train_position": "a48959b17d1eb5e99091afae59f4409ef2549b04fcd6102f7a6093a4170e0c95",
+    "estimate.residual_freq_hz": "b10e06873d1ab2b1f86522d580fb719d0d1e4e2c92815dacc43635cd441ddcda",
+    "estimate.mean_residual_phase_deg": (
+        "8576c74a2f3e43290706d08348e2434c67b489b0e360b163fcf51d1df9b3b6e4"
+    ),
+    "payloads": "29bef69c6f7abcc65bd8310429fe7aa543c02ff33944e2360611e4d2df7cb5ce",
+}
+
+
+class TestFrameBatchDigests:
+    def test_every_field_matches_pinned_digest(self):
+        cfg = FrameConfig(pilot_reps=4, modulation=16, training_reps=3)
+        batch = receive_frames(pinned_windows(cfg, 18), cfg)
+        # Frames located before the window's start (origin -4, which still
+        # re-derives its coarse estimate from the last two repetitions, and
+        # -40, which cannot), a located frame that is truncated, and every
+        # failure kind.
+        assert batch.failure.tolist() == [DECODED] * 3 + [TRUNCATED] * 2 + [
+            UNEQUALIZABLE, CRC_FAIL, NO_FRAME, NO_TRAINING, NO_TRAINING
+        ]
+        origin = batch.payload_start[:7] - cfg.payload_start
+        assert origin.tolist() == [12, -4, -40, 87, 40, 12, 12]
+        assert batch.coarse.detect_index[[1, 4]].tolist() == [-4 + 95, 40 + 95]
+        got = {}
+        groups = (batch, ""), (batch.coarse, "coarse."), (batch.estimate, "estimate.")
+        for group, prefix in groups:
+            for f in fields(group):
+                a = getattr(group, f.name)
+                if isinstance(a, np.ndarray):
+                    data = f"{a.dtype.str}{a.shape}".encode() + a.tobytes()
+                    got[prefix + f.name] = hashlib.sha256(data).hexdigest()
+        wire = b"".join(
+            b"-" if p is None else p.data_bytes + p.crc.to_bytes(4, "little")
+            for p in batch.payloads
+        )
+        got["payloads"] = hashlib.sha256(wire).hexdigest()
+        assert got == FRAME_BATCH_DIGESTS
+
+
+class TestGatherOrder:
+    """Why the receiver gathers pilot blocks with ``np.take``. A numpy
+    upgrade that changes either identity fails here by name."""
+
+    pilot_index = block_indices(FrameConfig(pilot_reps=8, modulation=16))[0]
+
+    def test_fancy_gather_is_not_c_ordered_and_its_mean_sums_in_another_order(self):
+        rng = np.random.default_rng(3)
+        differ = 0
+        for _ in range(10):
+            a = rng.normal(size=(50, 448, 2)) @ [1, 1j]
+            fancy, took = a[:, self.pilot_index], np.take(a, self.pilot_index, axis=1)
+            assert np.array_equal(fancy, took)
+            assert took.flags.c_contiguous and not fancy.flags.c_contiguous
+            want, got = np.mean(took, axis=-1), np.mean(fancy, axis=-1)
+            assert np.allclose(got, want, rtol=0, atol=1e-15)
+            differ += int((got != want).sum())
+        assert differ >= 2000  # of 4000 block means
