@@ -156,24 +156,12 @@ def apply_cfo_phase(
     return samples * oscillator_rotation(*oscillator, n, sample_period).copy()
 
 
-def draw_block_gains(profile: ChannelProfile, n_epochs: int) -> np.ndarray:
-    """Per-epoch complex gains with unit mean-square magnitude."""
-    rng = _rng(profile.seed, _STREAM_FADING)
-    scatter = (rng.normal(size=n_epochs) + 1j * rng.normal(size=n_epochs)) / np.sqrt(2.0)
-    if profile.fading == "block-rayleigh":
-        return scatter
-    if profile.fading == "block-rician":
-        k = profile.rician_k
-        return np.sqrt(k / (k + 1.0)) + scatter * np.sqrt(1.0 / (k + 1.0))
-    raise ValueError("fading mode 'none' has no gains to draw")
-
-
 def apply_block_fading(
     samples: np.ndarray,
     profile: ChannelProfile,
     samples_per_symbol: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Multiply each coherence epoch by a fresh complex gain.
+    """Multiply each coherence epoch by a fresh unit-power complex gain.
 
     Epochs are aligned to the first sample on symbol boundaries, not frame
     boundaries, so frames of a continuous burst stream straddle epochs.
@@ -185,7 +173,12 @@ def apply_block_fading(
     if n == 0:
         return samples, np.empty(0, dtype=complex)
     idx = _epoch_index(n, profile, samples_per_symbol)
-    gains = draw_block_gains(profile, int(idx[-1]) + 1)
+    n_epochs = int(idx[-1]) + 1
+    rng = _rng(profile.seed, _STREAM_FADING)
+    gains = (rng.normal(size=n_epochs) + 1j * rng.normal(size=n_epochs)) / np.sqrt(2.0)
+    if profile.fading == "block-rician":
+        k = profile.rician_k
+        gains = np.sqrt(k / (k + 1.0)) + gains * np.sqrt(1.0 / (k + 1.0))
     return samples * gains[idx], gains
 
 

@@ -10,7 +10,7 @@ sweep specifications; the keys are the fields of the dataclasses they build
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from .channel import ChannelProfile
@@ -68,13 +68,9 @@ def _fields_from_kv(cls, kv: dict[str, str]) -> dict[str, object]:
     return out
 
 
-# Frame keys a sweep takes from its grid rather than from its template, each
-# with the grid key that sets it.
+# Frame keys a sweep takes from its grid rather than from its frame geometry,
+# each with the grid key that sets it.
 _GRID_FRAME_FIELDS = {"pilot_reps": "lambda_list", "modulation": "modulations"}
-
-
-def frame_config_from_kv(kv: dict[str, str]) -> FrameConfig:
-    return replace(FrameConfig(pilot_reps=1, modulation=4), **_fields_from_kv(FrameConfig, kv))
 
 
 def channel_profile_from_kv(kv: dict[str, str]) -> ChannelProfile:
@@ -96,7 +92,8 @@ class SweepSpec:
     trials_per_cell: int = 3
     master_seed: int = 0
     symbol_period_s: float = 1e-6
-    frame_template: FrameConfig = FrameConfig(pilot_reps=1, modulation=4)
+    # FrameConfig keys other than the grid's pilot_reps and modulation.
+    frame_geometry: dict[str, int] = field(default_factory=dict)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     pulse: PulseShapeConfig = field(default_factory=PulseShapeConfig)
 
@@ -116,13 +113,13 @@ class SweepSpec:
         # A bad cell would otherwise fail only when its trials run, after others ran.
         for pilot_reps, modulation in itertools.product(self.lambda_list, self.modulations):
             try:
-                self.frame_config(pilot_reps, modulation).payload_bytes
+                self.frame_config(pilot_reps, modulation)
             except ValueError as exc:
                 cell = f"pilot_reps={pilot_reps}, modulation={modulation}"
                 raise ValueError(f"sweep cell {cell}: {exc}") from None
 
     def frame_config(self, pilot_reps: int, modulation: int) -> FrameConfig:
-        return replace(self.frame_template, pilot_reps=pilot_reps, modulation=modulation)
+        return FrameConfig(pilot_reps=pilot_reps, modulation=modulation, **self.frame_geometry)
 
     @property
     def cell_count(self) -> int:
@@ -152,7 +149,7 @@ def sweep_spec_from_text(text: str) -> SweepSpec:
     return SweepSpec(
         **_fields_from_kv(SweepSpec, kv),
         profiles=(channel_profile_from_kv(kv),),
-        frame_template=frame_config_from_kv(kv),
+        frame_geometry=_fields_from_kv(FrameConfig, kv),
         detector=DetectorConfig(**_fields_from_kv(DetectorConfig, kv)),
     )
 

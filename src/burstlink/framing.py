@@ -37,7 +37,7 @@ _QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class FrameConfig:
-    """All frame-structure parameters.
+    """All frame-structure parameters, checked when built: one that exists is a usable frame.
 
     ``payload_symbols`` counts the pilot+data section only; training and
     preamble are on top of it.
@@ -58,6 +58,9 @@ class FrameConfig:
             )
         if self.modulation not in BITS_PER_SYMBOL:
             raise ValueError(f"unsupported modulation order {self.modulation}")
+        for name in ("pilot_block_len", "training_rep_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.pilot_block_len * self.pilot_reps >= self.payload_symbols:
             raise ValueError(
                 "pilot symbols must leave room for data: "
@@ -65,6 +68,13 @@ class FrameConfig:
             )
         if self.training_reps < 2:
             raise ValueError("training_reps must be >= 2 for lag correlation")
+        generate_golay_pair(self.golay_len)  # rejects a length it cannot build
+        if self.data_bits % 8:
+            raise ValueError(
+                f"data field of {self.data_bits} bits is not byte aligned for this config"
+            )
+        if self.payload_bytes <= 0:
+            raise ValueError("data field too small to hold the CRC")
 
     @property
     def bits_per_symbol(self) -> int:
@@ -102,20 +112,12 @@ class FrameConfig:
     @property
     def frame_bytes(self) -> int:
         """Data-field bytes per frame, CRC included."""
-        bits = self.data_bits
-        if bits % 8:
-            raise ValueError(
-                f"data field of {bits} bits is not byte aligned for this config"
-            )
-        return bits // 8
+        return self.data_bits // 8
 
     @property
     def payload_bytes(self) -> int:
         """User bytes per frame, CRC excluded."""
-        n = self.frame_bytes - CRC_BYTES
-        if n <= 0:
-            raise ValueError("data field too small to hold the CRC")
-        return n
+        return self.frame_bytes - CRC_BYTES
 
 
 @dataclass(frozen=True)

@@ -178,8 +178,8 @@ def run_trial_events(
         energy(batch.equalized - batch.decisions),
         energy(batch.decisions),
         tuple(np.where(demapped, cfg.data_symbols, 0).tolist()),
-        tuple(batch.estimate.residual_freq_hz.tolist()),
-        tuple(batch.estimate.mean_residual_phase_deg.tolist()),
+        tuple(batch.residual_freq_hz.tolist()),
+        tuple(batch.mean_residual_phase_deg.tolist()),
     )
 
     snapshot = _config_snapshot(

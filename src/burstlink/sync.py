@@ -91,39 +91,28 @@ class CoarseSyncResult:
 
 
 @dataclass(frozen=True, eq=False)
-class ChannelEstimate:
-    """Per-pilot-block channel estimates and residual-offset measurements,
-    one row per frame and blocks along the last axis.
+class FrameBatch:
+    """receive_frames' report on F frame windows, one row per window.
 
-    ``train_gain``/``train_position`` anchor the residual-frequency fit at
-    the training field, which is what makes the measurement defined for a
-    single pilot repetition; a NaN ``train_position`` means the row has no
-    anchor.
+    ``failure`` holds outcome codes. Every array has a leading frame axis:
+    pilot blocks lie along the last axis of ``h_blocks``/``block_positions``,
+    and ``equalized``/``decisions`` have shape (F, data_symbols). Stages a
+    row never reached leave zeros, ``payload_start`` is -1 where no preamble
+    was found, and ``train_position`` is NaN where the row has no training
+    anchor for the residual-frequency fit. Where the coarse estimate is
+    re-derived from the exact training window, ``coarse.detect_index``,
+    ``c_peak`` and ``delta_f_est_hz`` come from it; ``rho_peak`` stays the detector's.
     """
 
+    failure: np.ndarray
+    payload_start: np.ndarray
+    coarse: CoarseSyncResult
     h_blocks: np.ndarray
     block_positions: np.ndarray
     train_gain: np.ndarray
     train_position: np.ndarray
     residual_freq_hz: np.ndarray
     mean_residual_phase_deg: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class FrameBatch:
-    """receive_frames' report on F frame windows, one row per window.
-
-    ``failure`` holds outcome codes. ``coarse`` and ``estimate`` carry their
-    fields as arrays with a leading frame axis (``train_position`` is NaN
-    without a training anchor); ``equalized`` and ``decisions`` have shape
-    (F, data_symbols). Stages a row never reached leave zeros, and
-    ``payload_start`` is -1 where no preamble was found.
-    """
-
-    failure: np.ndarray
-    payload_start: np.ndarray
-    coarse: CoarseSyncResult
-    estimate: ChannelEstimate
     equalized: np.ndarray
     decisions: np.ndarray
     payloads: tuple[PacketPayload | None, ...]
@@ -474,38 +463,34 @@ def receive_frames(
     failure[rows[short]] = TRUNCATED
     rows, origin, at, frames = rows[~short], origin[~short], at[~short], frames[~short]
 
-    est = ChannelEstimate(
-        h_blocks=np.zeros((n_frames, cfg.pilot_reps), dtype=complex),
-        block_positions=np.zeros((n_frames, cfg.pilot_reps)),
-        train_gain=np.zeros(n_frames, dtype=complex),
-        train_position=np.full(n_frames, np.nan),
-        residual_freq_hz=np.zeros(n_frames),
-        mean_residual_phase_deg=np.zeros(n_frames),
-    )
+    h_blocks = np.zeros((n_frames, cfg.pilot_reps), dtype=complex)
+    block_positions = np.zeros((n_frames, cfg.pilot_reps))
+    train_gain, train_position = np.zeros(n_frames, dtype=complex), np.full(n_frames, np.nan)
+    residual_freq_hz, mean_residual_phase_deg = np.zeros(n_frames), np.zeros(n_frames)
     # The training anchor is in the window where the frame starts in it; the
     # truncation check has already put the frame's end there.
     anchored = origin >= 0
-    est.train_gain[rows[anchored]] = estimate_channel(
+    train_gain[rows[anchored]] = estimate_channel(
         frames[anchored, :t_end], np.tile(tables.training, cfg.training_reps)
     )
-    est.train_position[rows[anchored]] = origin[anchored] + 0.5 * (t_end - 1)
+    train_position[rows[anchored]] = origin[anchored] + 0.5 * (t_end - 1)
     # np.take gathers C-ordered, so each block's mean sums in pilot order.
-    est.h_blocks[rows] = estimate_channel(np.take(frames, pilot_index, axis=1), tables.pilot)
-    est.block_positions[rows] = origin[:, None] + pilot_index.mean(axis=-1)
+    h_blocks[rows] = estimate_channel(np.take(frames, pilot_index, axis=1), tables.pilot)
+    block_positions[rows] = origin[:, None] + pilot_index.mean(axis=-1)
     # A non-finite estimate (a NaN or inf sample under a pilot block or the
     # training anchor) cannot be fitted or divided by.
-    finite = np.isfinite(est.h_blocks[rows]).all(axis=-1) & np.isfinite(est.train_gain[rows])
+    finite = np.isfinite(h_blocks[rows]).all(axis=-1) & np.isfinite(train_gain[rows])
     failure[rows[~finite]] = UNEQUALIZABLE
     rows, at, frames, anchored = rows[finite], at[finite], frames[finite], anchored[finite]
 
     # Residual offset is measured before the fine stage corrects it; the
     # training anchor joins the fit as the first block on the rows where it
     # lies in the window. The two groups are fitted apart, each over whole rows.
-    h_fit = np.concatenate([est.train_gain[:, None], est.h_blocks], axis=-1)
-    at_fit = np.concatenate([est.train_position[:, None], est.block_positions], axis=-1)
+    h_fit = np.concatenate([train_gain[:, None], h_blocks], axis=-1)
+    at_fit = np.concatenate([train_position[:, None], block_positions], axis=-1)
     spacing = cfg.payload_symbols / cfg.pilot_reps
     for group, first in ((rows[anchored], 0), (rows[~anchored], 1)):
-        est.residual_freq_hz[group], est.mean_residual_phase_deg[group] = residual_offset(
+        residual_freq_hz[group], mean_residual_phase_deg[group] = residual_offset(
             h_fit[group, first:], at_fit[group, first:], spacing, symbol_period_s
         )
 
@@ -513,9 +498,9 @@ def receive_frames(
     # re-estimate each block so equalization sees the corrected pilots.
     # With several pilots the fit uses only their phases; with one pilot the
     # training anchor is the only second point available.
-    fine_freq = est.residual_freq_hz[rows]
+    fine_freq = residual_freq_hz[rows]
     if cfg.pilot_reps >= 2:
-        fine_freq = _pilot_slope_hz(est.h_blocks[rows], est.block_positions[rows], symbol_period_s)
+        fine_freq = _pilot_slope_hz(h_blocks[rows], block_positions[rows], symbol_period_s)
     refined = nco_correct(frames, fine_freq, symbol_period_s, at)
     gains = estimate_channel(np.take(refined, pilot_index, axis=1), tables.pilot)
     flat = (np.abs(gains) <= H_MIN).any(axis=-1)
@@ -537,5 +522,8 @@ def receive_frames(
         payloads[k] = payload
         if not crc_check(payload):
             failure[k] = CRC_FAIL
-    return FrameBatch(failure, start, coarse, est, equalized, decisions, tuple(payloads))
+    return FrameBatch(
+        failure, start, coarse, h_blocks, block_positions, train_gain, train_position,
+        residual_freq_hz, mean_residual_phase_deg, equalized, decisions, tuple(payloads),
+    )
 

@@ -125,6 +125,10 @@ class TestBlockFading:
         with pytest.raises(ValueError, match="fading"):
             ChannelProfile(fading="rayleigh")
 
+    def test_negative_rician_k_rejected(self):
+        with pytest.raises(ValueError, match="rician_k must be >= 0"):
+            ChannelProfile(fading="block-rician", rician_k=-1.0)
+
 
 class TestAwgn:
     def test_infinite_snr_is_identity(self):

@@ -386,6 +386,12 @@ def test_report_on_empty_event_log_is_an_error(tmp_path, capsys):
     assert "line 1: empty event log" in _report_error(tmp_path, capsys, "")
 
 
+def test_report_on_wrong_event_log_header_is_an_error(tmp_path, capsys):
+    # A results CSV is not an event log; line 1 is blank, so its header is line 2.
+    text = "\n" + ",".join(RESULT_COLUMNS) + "\n"
+    assert "line 2: unrecognized event log header" in _report_error(tmp_path, capsys, text)
+
+
 def test_report_on_short_event_row_is_an_error(tmp_path, capsys):
     # Line 2 is blank, so the short row is line 3 of the file.
     text = ",".join(EVENT_COLUMNS) + "\n\n0,16,4\n"
@@ -525,3 +531,28 @@ def test_sweep_with_a_bad_cell_fails_before_any_trial(tmp_path, capsys, monkeypa
     assert "sweep cell pilot_reps=1, modulation=8: data field of 708 bits" in err
     assert not out.exists()
     assert ran == []
+
+
+# Each must fail before any trial: a zero pilot block would report every
+# frame unequalizable behind numpy warnings, a zero or negative training
+# repetition would fail mid-trial with numpy's own error, and a Golay length
+# that is not a power of two would fail when the first trial built its tables.
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("pilot_block_len = 0", "pilot_block_len must be >= 1, got 0"),
+        ("training_rep_len = 0", "training_rep_len must be >= 1, got 0"),
+        ("training_rep_len = -2", "training_rep_len must be >= 1, got -2"),
+        ("golay_len = 48", "Golay length must be a power of two in [2, 4096], got 48"),
+    ],
+)
+def test_sweep_with_a_bad_frame_geometry_fails_at_load(tmp_path, capsys, line, message):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG + line + "\n")
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
+                 "--events-out", str(tmp_path / "e.csv"), "--sigmf-out", str(tmp_path / "sigmf")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: sweep cell pilot_reps=1, modulation=4: {message}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]

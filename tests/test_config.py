@@ -10,7 +10,6 @@ from burstlink.config import (
     SweepSpec,
     channel_profile_from_kv,
     channel_profile_to_kv,
-    frame_config_from_kv,
     load_sweep_config,
     parse_kv_text,
     sweep_spec_from_text,
@@ -55,9 +54,9 @@ class TestKvText:
 
 class TestFrameConfigKv:
     def test_round_trip(self):
-        cfg = FrameConfig(pilot_reps=6, modulation=64, payload_symbols=256)
-        text = "pilot_reps = 6\nmodulation = 64\npayload_symbols = 256\n"
-        assert frame_config_from_kv(parse_kv_text(text)) == cfg
+        cfg = FrameConfig(pilot_reps=6, modulation=64, payload_symbols=256, golay_len=32)
+        text = "lambda_list = 6\nmodulations = 64\npayload_symbols = 256\ngolay_len = 32\n"
+        assert sweep_spec_from_text(text).frame_config(6, 64) == cfg
 
 
 class TestChannelProfileKv:
@@ -115,6 +114,8 @@ class TestSweepSpec:
             SweepSpec(lambda_list=())
         with pytest.raises(ValueError):
             SweepSpec(frames_per_trial=0)
+        with pytest.raises(ValueError, match="trials_per_cell must be >= 1"):
+            SweepSpec(trials_per_cell=0)
 
     def test_frame_config_override(self):
         spec = sweep_spec_from_text("pilot_block_len = 8\npayload_symbols = 128\n")
@@ -172,16 +173,36 @@ class TestSweepSpec:
                 "payload_symbols = 40\nmodulations = 4\nlambda_list = 2\n",
                 "sweep cell pilot_reps=2, modulation=4: data field too small to hold the CRC",
             ),
+            (
+                "pilot_block_len = 0\nlambda_list = 2\nmodulations = 16\n",
+                "sweep cell pilot_reps=2, modulation=16: pilot_block_len must be >= 1, got 0",
+            ),
+            (
+                "training_rep_len = -2\n",
+                "sweep cell pilot_reps=1, modulation=4: training_rep_len must be >= 1, got -2",
+            ),
+            (
+                "golay_len = 48\nlambda_list = 4\n",
+                "sweep cell pilot_reps=4, modulation=4: Golay length must be a power of two",
+            ),
         ],
     )
     def test_every_cell_checked_when_built(self, text, message):
-        # The grid's 4QAM cells are valid; the first bad cell is named.
+        # The first bad cell in grid order is named.
         with pytest.raises(ValueError, match=message):
             sweep_spec_from_text(text)
 
+    def test_only_the_grid_cells_are_built(self):
+        # At 258 payload symbols only the grid's own cell is a whole-byte
+        # frame; the (1, 4QAM) frame, which the grid never runs, is not.
+        spec = sweep_spec_from_text("payload_symbols = 258\nlambda_list = 2\nmodulations = 16\n")
+        assert spec.frame_config(2, 16).payload_bytes == 109
+        with pytest.raises(ValueError, match="not byte aligned"):
+            FrameConfig(pilot_reps=1, modulation=4, payload_symbols=258)
+
     def test_written_config_and_example_load(self):
         spec = SweepSpec(
-            frame_template=FrameConfig(pilot_reps=1, modulation=4, pilot_block_len=8),
+            frame_geometry={"pilot_block_len": 8},
             detector=DetectorConfig(rho_threshold=0.6),
         )
         text = "pilot_block_len = 8\nrho_threshold = 0.6\n"

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burstlink.framing import (
+    SUPPORTED_PILOT_REPS,
     FrameConfig,
     PacketPayload,
     assemble_frames,
@@ -14,6 +17,7 @@ from burstlink.framing import (
     unpack_wire_bytes,
 )
 from burstlink.waveform import (
+    BITS_PER_SYMBOL,
     PulseShapeConfig,
     build_constellation,
     demap_symbols,
@@ -60,6 +64,49 @@ class TestFrameConfig:
         # The CRC is always CRC-32: its width is not a field.
         with pytest.raises(TypeError):
             FrameConfig(pilot_reps=1, modulation=4, crc_bits=32)
+
+    @pytest.mark.parametrize(
+        "geometry,message",
+        [
+            ({"pilot_block_len": 0}, "pilot_block_len must be >= 1, got 0"),
+            ({"pilot_block_len": -3}, "pilot_block_len must be >= 1, got -3"),
+            ({"training_rep_len": 0}, "training_rep_len must be >= 1, got 0"),
+            ({"training_rep_len": -2}, "training_rep_len must be >= 1, got -2"),
+            ({"training_reps": 1}, "training_reps must be >= 2"),
+            ({"golay_len": 1}, r"power of two in \[2, 4096\], got 1$"),
+            ({"golay_len": 48}, r"power of two in \[2, 4096\], got 48"),
+            ({"golay_len": 8192}, r"power of two in \[2, 4096\], got 8192"),
+            ({"payload_symbols": 258}, "data field of 484 bits is not byte aligned"),
+            ({"pilot_reps": 2, "payload_symbols": 40}, "data field too small to hold the CRC"),
+        ],
+    )
+    def test_bad_geometry_rejected_when_built(self, geometry, message):
+        # Built anyway, most of these would fail later: in a size property,
+        # in the first trial's table build, or mid-receive with a numpy error.
+        with pytest.raises(ValueError, match=message):
+            FrameConfig(**{"pilot_reps": 1, "modulation": 4, **geometry})
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        pilot_reps=st.sampled_from(SUPPORTED_PILOT_REPS + (3,)),
+        modulation=st.sampled_from(tuple(BITS_PER_SYMBOL) + (32,)),
+        payload_symbols=st.integers(-2, 600),
+        pilot_block_len=st.integers(-1, 24),
+        training_rep_len=st.integers(-1, 48),
+        training_reps=st.integers(1, 4),
+        golay_len=st.sampled_from((1, 2, 8, 48, 64, 256)),
+    )
+    def test_a_built_config_is_a_usable_frame(self, **geometry):
+        try:
+            cfg = FrameConfig(**geometry)
+        except ValueError:
+            return
+        assert cfg.frame_bytes * 8 == cfg.data_bits
+        assert cfg.payload_bytes >= 1
+        assert len(default_tables(cfg).preamble) == cfg.preamble_symbols
+        pilots, data, _ = block_indices(cfg)
+        tiled = np.sort(np.concatenate([pilots.ravel(), data]))
+        assert np.array_equal(tiled, np.arange(cfg.payload_start, cfg.total_symbols))
 
 
 class TestLayout:

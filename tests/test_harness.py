@@ -45,6 +45,15 @@ from burstlink.metrics import TrialResult, aggregate_events
 from burstlink.waveform import PulseShapeConfig, shape_and_upsample
 
 
+def perfbench_module(name):
+    """Load ``perfbench/<name>.py``, which is not a package, by its path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_transmit_burst_shapes_the_frame_rows_back_to_back():
     cfg = FrameConfig(pilot_reps=2, modulation=16)
     pulse = PulseShapeConfig()
@@ -132,14 +141,16 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             run_trial_events(cfg, CLEAN, frames=2, seed=-1)
 
+    def test_fewer_than_one_frame_rejected(self):
+        cfg = FrameConfig(pilot_reps=1, modulation=4)
+        with pytest.raises(ValueError, match="frames must be >= 1"):
+            run_trial_events(cfg, CLEAN, frames=0, seed=1)
+
     def test_seed42_rows_match_recorded_digests(self):
         # Pins outputs byte for byte, not just run to run (criterion 08): the
         # first seed-42 trial-impaired rows of the benchmark must hash to the
         # digests it recorded.
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads = perfbench_module("workloads")
         bl = workloads.import_program()
         expected = workloads.load_expected()
         assert expected["seed"] == workloads.DEFAULT_SEED
@@ -421,6 +432,14 @@ class TestSigmf:
         problems = validate_sigmf(doc)
         assert any("experiment:altitude_m" in p for p in problems)
 
+    def test_non_object_and_missing_global_detected(self):
+        assert validate_sigmf([]) == ["document is not a JSON object"]
+        doc, _ = self._doc()
+        del doc["global"]
+        problems = validate_sigmf(doc)
+        assert problems[0] == "missing 'global' object"
+        assert "missing global field 'core:datatype'" in problems
+
     def test_write_rejects_invalid(self, tmp_path):
         with pytest.raises(ValueError, match="invalid SigMF"):
             write_sigmf({"global": {}}, str(tmp_path / "x.sigmf-meta"))
@@ -453,10 +472,7 @@ DEAD_HOOKS = frozenset(
 
 
 def test_every_live_benchmark_hook_resolves():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = perfbench_module("tracer")
     missing = {
         f"{layer}.{name}"
         for layer, names in tracer.HOOKS.items()
@@ -464,3 +480,15 @@ def test_every_live_benchmark_hook_resolves():
         if not callable(getattr(importlib.import_module(f"burstlink.{layer}"), name, None))
     }
     assert missing == DEAD_HOOKS
+
+
+def test_sweep_grid_workload_runs_against_this_library(tmp_path):
+    # The benchmark's sweep-grid workload reads SweepSpec's fields and
+    # frame_config and calls run_trial_events by position; a rename there
+    # fails here rather than in the benchmark run.
+    workloads = perfbench_module("workloads")
+    bl = workloads.import_program()
+    expected = workloads.load_expected()
+    grid = workloads.SweepGrid(bl, workloads.DEFAULT_SEED, str(tmp_path), expected, 1)
+    assert grid.frames_per_call == 3000
+    grid.warm_up()

@@ -44,6 +44,10 @@ class TestEvm:
 
 
 class TestSinr:
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            sinr_estimate(np.array([]), np.array([]))
+
     def test_exact_decisions_give_infinity(self):
         s = np.array([1 + 0j, 0 + 1j])
         assert sinr_estimate(s, s) == math.inf
@@ -167,3 +171,9 @@ class TestAggregation:
                 mean_residual_phase_deg=0,
                 duration_s=1.0,
             )
+
+    def test_goodput_above_throughput_rejected(self):
+        counts = dict(frames_sent=2, frames_detected=1, crc_pass=1)
+        rates = dict(evm_percent=0, evm_decision_percent=0, sinr_db=0, mean_residual_phase_deg=0)
+        with pytest.raises(ValueError, match="goodput cannot exceed throughput"):
+            TrialResult(**counts, **rates, goodput_bps=2.0, throughput_bps=1.0, duration_s=1.0)

@@ -302,7 +302,7 @@ class TestTrainingHeadSearch:
 
 def assert_same_batch(got, want):
     assert got.payloads == want.payloads
-    for a, b in ((got, want), (got.coarse, want.coarse), (got.estimate, want.estimate)):
+    for a, b in ((got, want), (got.coarse, want.coarse)):
         for f in fields(a):
             if isinstance(getattr(a, f.name), np.ndarray):
                 assert_same_bits(getattr(a, f.name), getattr(b, f.name))
@@ -586,7 +586,7 @@ def receive_one(samples, cfg):
 def assert_same_row(batch, k, single):
     """Row k of ``batch`` equals the one row of ``single``, array for array."""
     assert batch.payloads[k] == single.payloads[0]
-    pairs = (batch, single), (batch.coarse, single.coarse), (batch.estimate, single.estimate)
+    pairs = (batch, single), (batch.coarse, single.coarse)
     for got, want in pairs:
         for f in fields(got):
             g, w = getattr(got, f.name), getattr(want, f.name)
@@ -805,9 +805,9 @@ class TestReceiveFrame:
         res = receive_one(samples, cfg)
         assert res.payload_start[0] == 192
         assert res.failure[0] == UNEQUALIZABLE
-        assert np.isnan(res.estimate.h_blocks[0, 2])
-        assert res.estimate.residual_freq_hz[0] == 0.0
-        assert res.estimate.mean_residual_phase_deg[0] == 0.0
+        assert np.isnan(res.h_blocks[0, 2])
+        assert res.residual_freq_hz[0] == 0.0
+        assert res.mean_residual_phase_deg[0] == 0.0
         assert not res.demapped[0]
 
     @pytest.mark.parametrize("sample, failure", [(300, NO_TRAINING), (1368, UNEQUALIZABLE)])
@@ -847,16 +847,15 @@ class TestReceiveFrame:
             samples_per_symbol=pulse.interpolation,
         )
         res = receive_one(rx[4:], cfg)
-        est = res.estimate
         assert res.failure[0] == DECODED
         assert res.payloads[0].data_bytes == data
-        assert np.isnan(est.train_position[0])
+        assert np.isnan(res.train_position[0])
         freq, phase_deg = residual_offset(
-            est.h_blocks[:1], est.block_positions[:1], cfg.payload_symbols / reps, T_SYM
+            res.h_blocks[:1], res.block_positions[:1], cfg.payload_symbols / reps, T_SYM
         )
-        assert_same_bits(est.residual_freq_hz[:1], freq)
-        assert_same_bits(est.mean_residual_phase_deg[:1], phase_deg)
-        assert est.residual_freq_hz[0] == pytest.approx(residual_hz, rel=1e-12, abs=0.0)
+        assert_same_bits(res.residual_freq_hz[:1], freq)
+        assert_same_bits(res.mean_residual_phase_deg[:1], phase_deg)
+        assert res.residual_freq_hz[0] == pytest.approx(residual_hz, rel=1e-12, abs=0.0)
 
     def test_residual_measurement_under_linear_drift(self):
         cfg = FrameConfig(pilot_reps=8, modulation=4)
@@ -871,8 +870,8 @@ class TestReceiveFrame:
         res = receive_one(rx, cfg)
         assert res.failure[0] == DECODED
         # Drift leaves a positive measured residual frequency.
-        assert res.estimate.residual_freq_hz[0] > 10.0
-        assert res.estimate.mean_residual_phase_deg[0] > 0.0
+        assert res.residual_freq_hz[0] > 10.0
+        assert res.mean_residual_phase_deg[0] > 0.0
 
 
 def pinned_windows(cfg, seed):
@@ -934,14 +933,12 @@ FRAME_BATCH_DIGESTS = {
     "coarse.c_peak": "f253f2128b69096085f17e528130e7f38cdbb91f03364c3058f2adad07a41bd6",
     "coarse.rho_peak": "be020e548a97c1e51171237aefaf0fd79178e3c5491afa9784e8386a295f00e5",
     "coarse.delta_f_est_hz": "318a6ef56bfc97a2a0cd34256abfaf28755eabf57e8af790285f220a087f36b6",
-    "estimate.h_blocks": "197fd9469b0f7f6767ae531c27aa37d4f95d37aee52ddd7fdbd107ffb91e76fd",
-    "estimate.block_positions": "db0081d23446c96eaa5646f9084585a805de2cf26c7f04922f9d29076cb1264a",
-    "estimate.train_gain": "c22e4c139def3a2076a3b282138404b15c50729dc3dea3007b8b5f4312b28d9d",
-    "estimate.train_position": "a48959b17d1eb5e99091afae59f4409ef2549b04fcd6102f7a6093a4170e0c95",
-    "estimate.residual_freq_hz": "b10e06873d1ab2b1f86522d580fb719d0d1e4e2c92815dacc43635cd441ddcda",
-    "estimate.mean_residual_phase_deg": (
-        "8576c74a2f3e43290706d08348e2434c67b489b0e360b163fcf51d1df9b3b6e4"
-    ),
+    "h_blocks": "197fd9469b0f7f6767ae531c27aa37d4f95d37aee52ddd7fdbd107ffb91e76fd",
+    "block_positions": "db0081d23446c96eaa5646f9084585a805de2cf26c7f04922f9d29076cb1264a",
+    "train_gain": "c22e4c139def3a2076a3b282138404b15c50729dc3dea3007b8b5f4312b28d9d",
+    "train_position": "a48959b17d1eb5e99091afae59f4409ef2549b04fcd6102f7a6093a4170e0c95",
+    "residual_freq_hz": "b10e06873d1ab2b1f86522d580fb719d0d1e4e2c92815dacc43635cd441ddcda",
+    "mean_residual_phase_deg": "8576c74a2f3e43290706d08348e2434c67b489b0e360b163fcf51d1df9b3b6e4",
     "payloads": "29bef69c6f7abcc65bd8310429fe7aa543c02ff33944e2360611e4d2df7cb5ce",
 }
 
@@ -961,7 +958,7 @@ class TestFrameBatchDigests:
         assert origin.tolist() == [12, -4, -40, 87, 40, 12, 12]
         assert batch.coarse.detect_index[[1, 4]].tolist() == [-4 + 95, 40 + 95]
         got = {}
-        groups = (batch, ""), (batch.coarse, "coarse."), (batch.estimate, "estimate.")
+        groups = (batch, ""), (batch.coarse, "coarse.")
         for group, prefix in groups:
             for f in fields(group):
                 a = getattr(group, f.name)

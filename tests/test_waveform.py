@@ -204,6 +204,8 @@ class TestSrrc:
             PulseShapeConfig(roll_off=0.0)
         with pytest.raises(ValueError):
             PulseShapeConfig(interpolation=1)
+        with pytest.raises(ValueError, match="span_symbols must be >= 1"):
+            PulseShapeConfig(span_symbols=0)
 
 
 class TestShaping:
