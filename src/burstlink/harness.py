@@ -46,7 +46,7 @@ def _derive_seed(parts: list[int]) -> int:
 
 def transmit_burst(frames_symbols: np.ndarray, pulse: PulseShapeConfig) -> np.ndarray:
     """Shape (F, S) frames, one per row, back to back at unit average power."""
-    shaped = shape_and_upsample(np.reshape(frames_symbols, -1), pulse)
+    shaped = shape_and_upsample(frames_symbols, pulse)
     return shaped * math.sqrt(pulse.interpolation)
 
 

@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 BITS_PER_SYMBOL = {4: 2, 8: 3, 16: 4, 64: 6}
 
@@ -233,18 +233,43 @@ def design_srrc(cfg: PulseShapeConfig) -> np.ndarray:
     return read_only(taps / np.sqrt(np.sum(taps**2)))
 
 
-def shape_and_upsample(symbols: np.ndarray, cfg: PulseShapeConfig) -> np.ndarray:
-    """Zero-stuff by the interpolation factor and convolve with SRRC taps.
+def shape_and_upsample(frames: np.ndarray, cfg: PulseShapeConfig) -> np.ndarray:
+    """Zero-stuff (F, S) frames back to back by the interpolation factor and
+    convolve the stream with the SRRC taps; a 1-D input is one frame.
 
-    Output length is ``interpolation * n_symbols + tap_count - 1``; empty
-    input yields an empty array.
+    The result is ``np.convolve`` of the stuffed stream bit for bit, taken as
+    ``matched_filter`` takes it: ``interpolation * frames.size + tap_count -
+    1`` outputs, none for empty input. An output whose window lies in the
+    leading symbol columns every row shares (bit-equal) is computed for row
+    0 and copied to the others.
     """
-    symbols = np.asarray(symbols, dtype=complex)
-    if symbols.size == 0:
+    frames = np.atleast_2d(np.ascontiguousarray(frames, dtype=complex))
+    if frames.size == 0:
         return np.empty(0, dtype=complex)
-    stuffed = np.zeros(symbols.size * cfg.interpolation, dtype=complex)
-    stuffed[:: cfg.interpolation] = symbols
-    return np.convolve(stuffed, design_srrc(cfg))
+    taps, p, t = design_srrc(cfg), cfg.interpolation, cfg.tap_count
+    f, width, n = len(frames), frames.shape[1] * p, frames.size * p
+    stuffed = np.zeros(n + t - 1, dtype=complex)  # zeros past n only pad the tail windows
+    stuffed[:n].reshape(f, width)[:, ::p] = frames
+    if n < t:
+        return np.convolve(stuffed[:n], taps)
+    words = frames.view(np.uint64)  # two words per symbol
+    shared = int(np.argmin(np.append((words == words[0]).all(axis=0), False))) // 2
+    lo, hi = t - 1, max(shared * p, t - 1)  # outputs [lo, hi) of a row read only shared columns
+    out = np.empty(n + t - 1, dtype=complex)
+    reverse = taps[::-1].astype(complex)
+
+    def rows(a, start, *shape):  # row r of the view starts at a[start + r * width]
+        return as_strided(a[start:], shape, (width * a.itemsize,) + a.strides * (len(shape) - 1))
+
+    with np.errstate(invalid="ignore"):  # vecdot warns on an inf sample; np.convolve does not
+        np.vecdot(reverse, rows(stuffed, 0, 1, hi - lo, t), out=rows(out, lo, 1, hi - lo))
+        rows(out, lo, f, hi - lo)[1:] = out[lo:hi]
+        # Each row's outputs from hi on, up to the next row's lo, in one call.
+        run = width - (hi - lo)
+        np.vecdot(reverse, rows(stuffed, hi - lo, f, run, t), out=rows(out, hi, f, run))
+    out[:lo] = np.convolve(stuffed[:t], taps)[:lo]
+    out[n:] = np.convolve(stuffed[n - t : n], taps)[t:]
+    return out
 
 
 def matched_filter_downsample(
@@ -325,12 +350,14 @@ def agc(x: np.ndarray) -> np.ndarray:
     """
     out = np.empty_like(x)
     gain = np.ones(x.shape[:-1])
+    # Constants as arrays of the gain's shape: a Python float costs every
+    # small ufunc call a conversion.
+    one, loop_gain, low, high = (np.full(gain.shape, v) for v in (1.0, AGC_LOOP_GAIN, 1e-6, 1e6))
     limit = min(AGC_FREEZE_SAMPLES, x.shape[-1])
     with np.errstate(invalid="ignore"):  # gain * inf is inf + nan*j: a NaN, not a warning
         for k in range(limit):
-            y = gain * x[..., k]
-            out[..., k] = y
-            err = 1.0 - (y.real * y.real + y.imag * y.imag)
-            gain = np.minimum(np.maximum(gain * (1.0 + AGC_LOOP_GAIN * err), 1e-6), 1e6)
+            y = np.multiply(gain, x[..., k], out=out[..., k])
+            err = one - (y.real * y.real + y.imag * y.imag)
+            gain = np.minimum(np.maximum(gain * (one + loop_gain * err), low), high)
         out[..., limit:] = gain[..., None] * x[..., limit:]
     return out

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from burstlink.framing import FrameConfig, assemble_frames, crc_attach
 from burstlink.waveform import (
     AGC_FREEZE_SAMPLES,
     AGC_LOOP_GAIN,
@@ -208,7 +209,56 @@ class TestSrrc:
             PulseShapeConfig(span_symbols=0)
 
 
+def zero_stuffed_convolution(frames, cfg):
+    """Reference: the frames' symbols back to back, zero-stuffed by the
+    interpolation factor, through one ``np.convolve`` with the SRRC taps."""
+    symbols = np.asarray(frames, dtype=complex).reshape(-1)
+    if symbols.size == 0:
+        return np.empty(0, dtype=complex)
+    stuffed = np.zeros(symbols.size * cfg.interpolation, dtype=complex)
+    stuffed[:: cfg.interpolation] = symbols
+    return np.convolve(stuffed, design_srrc(cfg))
+
+
+def random_frames(n_frames, pilot_reps, modulation, seed):
+    cfg = FrameConfig(pilot_reps=pilot_reps, modulation=modulation)
+    rng = np.random.default_rng(seed)
+    return assemble_frames([crc_attach(rng.bytes(cfg.payload_bytes)) for _ in range(n_frames)], cfg)
+
+
 class TestShaping:
+    # Each case is compared as bytes with the zero-stuffed convolution of the
+    # whole stream: the shared-prefix outputs, the frame boundaries and the
+    # stream's head and tail.
+    @pytest.mark.parametrize("n_frames", (1, 2, 50))
+    @pytest.mark.parametrize(("pilot_reps", "modulation"), ((4, 16), (8, 64)))
+    def test_frames_match_the_zero_stuffed_convolution(self, n_frames, pilot_reps, modulation):
+        cfg = PulseShapeConfig()
+        frames = random_frames(n_frames, pilot_reps, modulation, seed=n_frames)
+        want = zero_stuffed_convolution(frames, cfg).tobytes()
+        assert shape_and_upsample(frames, cfg).tobytes() == want
+        if n_frames > 1:  # the training and preamble columns are shared
+            assert np.array_equal(frames[1:, :64], np.broadcast_to(frames[0, :64], (n_frames - 1, 64)))
+
+    def test_rows_sharing_no_prefix(self):
+        cfg = PulseShapeConfig()
+        frames = random_frames(3, 4, 16, seed=11)
+        frames[1, 0] = frames[1, 0].conjugate()  # only the imaginary word differs
+        assert shape_and_upsample(frames, cfg).tobytes() == zero_stuffed_convolution(frames, cfg).tobytes()
+
+    def test_rows_identical_in_every_column(self):
+        cfg = PulseShapeConfig()
+        frames = np.repeat(random_frames(1, 2, 16, seed=12), 4, axis=0)
+        assert shape_and_upsample(frames, cfg).tobytes() == zero_stuffed_convolution(frames, cfg).tobytes()
+
+    @pytest.mark.parametrize(
+        "symbols", ([], [1.0 + 0j], [0.7 + 0.1j, -0.3 + 1.2j]), ids=("empty", "one", "two")
+    )
+    def test_inputs_shorter_than_the_taps(self, symbols):
+        cfg = PulseShapeConfig()
+        symbols = np.array(symbols, dtype=complex)
+        assert shape_and_upsample(symbols, cfg).tobytes() == zero_stuffed_convolution(symbols, cfg).tobytes()
+
     def test_unit_impulse_gives_tap_copy(self):
         cfg = PulseShapeConfig()
         taps = design_srrc(cfg)
@@ -398,6 +448,27 @@ class TestAgc:
         assert np.array_equal(out, ref)
         assert np.max(np.abs(out[2] / x[2])) == pytest.approx(1e6)
         assert np.min(np.abs(out[3] / x[3])) == pytest.approx(1e-6)
+
+    @pytest.mark.parametrize("n_rows", (1, 3))
+    @pytest.mark.parametrize("bad", (np.inf, 1j * np.inf), ids=("inf", "j-inf"))
+    def test_nan_after_an_inf_sample_matches_bit_for_bit(self, n_rows, bad):
+        # Two special samples in every row, which the drawn-row test never
+        # places. Over several rows, a loop on a contiguous copy of the head
+        # gives these NaNs another sign bit than the strided multiply does.
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(n_rows, 700)) + 1j * rng.normal(size=(n_rows, 700))
+        x[:, 5] = bad
+        x[:, 9] = np.nan
+        ref = np.stack([scalar_agc(row) for row in x])
+        assert agc(x).tobytes() == ref.tobytes()
+
+    def test_more_than_one_leading_axis(self):
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(2, 3, 600)) + 1j * rng.normal(size=(2, 3, 600))
+        x *= np.array([[1e-7, 1.0, 30.0], [0.0, 1e4, 0.2]])[..., None]
+        out = agc(x)
+        for row in np.ndindex(x.shape[:-1]):
+            assert out[row].tobytes() == scalar_agc(x[row]).tobytes()
 
     def test_changing_one_row_leaves_the_others_unchanged(self):
         rng = np.random.default_rng(22)
