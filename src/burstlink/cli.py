@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -107,6 +108,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_experiment_flags(args: argparse.Namespace) -> None:
+    """Reject a non-finite SigMF experiment value before any trial runs:
+    JSON cannot hold it."""
+    for key in ("altitude_m", "link_distance_m"):
+        value = getattr(args, key)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value}")
+
+
 def _write_trial_sigmf(result, args, path: str, sample_rate_hz: float, sample_count=None):
     doc = emit_sigmf(
         result,
@@ -131,6 +141,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         raise ValueError("--trials must be >= 1")
     if args.trials > 1 and (args.iq_out or args.sigmf_out):
         raise ValueError("--iq-out and --sigmf-out record one trial; use --trials 1")
+    _check_experiment_flags(args)
     profile = _config_from_args(ChannelProfile, args)
     detector = _config_from_args(DetectorConfig, args)
     cfg = FrameConfig(pilot_reps=args.pilot_reps, modulation=args.mod)
@@ -164,15 +175,17 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ValueError("--workers must be >= 1")
+    _check_experiment_flags(args)
     spec = load_sweep_config(args.config)
     if args.seed is not None:
         spec = replace(spec, master_seed=args.seed)
+    if args.sigmf_out:
+        os.makedirs(args.sigmf_out, exist_ok=True)
     runs = run_sweep(spec, workers=args.workers)
     write_results_csv([r.result for r in runs], args.out)
     if args.events_out:
         write_events_csv(runs, args.events_out)
     if args.sigmf_out:
-        os.makedirs(args.sigmf_out, exist_ok=True)
         sample_rate = spec.pulse.interpolation / spec.symbol_period_s
         for run in runs:
             path = os.path.join(args.sigmf_out, run_id(run.result) + ".sigmf-meta")

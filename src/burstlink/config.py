@@ -10,6 +10,7 @@ sweep specifications; the keys are the fields of the dataclasses they build
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -110,6 +111,10 @@ class SweepSpec:
             raise ValueError("frames_per_trial must be >= 1")
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be >= 1")
+        if not 0.0 < self.symbol_period_s < math.inf:
+            raise ValueError(
+                f"symbol_period_s must be finite and positive, got {self.symbol_period_s}"
+            )
         # A bad cell would otherwise fail only when its trials run, after others ran.
         for pilot_reps, modulation in itertools.product(self.lambda_list, self.modulations):
             try:

@@ -554,8 +554,9 @@ def write_sigmf(doc: dict, path: str) -> None:
     problems = validate_sigmf(doc)
     if problems:
         raise ValueError("refusing to write invalid SigMF: " + "; ".join(problems))
+    text = sigmf_to_json(doc)  # before the file opens, so a bad value leaves none
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(sigmf_to_json(doc))
+        fh.write(text)
 
 
 def run_id(result: TrialResult) -> str:

@@ -11,7 +11,7 @@ windows of a batch, along the last axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -79,18 +79,6 @@ class DetectorConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class CoarseSyncResult:
-    """Training detection outcome and coarse frequency estimate, one entry
-    per row; ``detect_index`` is -1 (and the other entries 0) where nothing
-    crossed the threshold."""
-
-    detect_index: np.ndarray
-    c_peak: np.ndarray
-    rho_peak: np.ndarray
-    delta_f_est_hz: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class FrameBatch:
     """receive_frames' report on F frame windows, one row per window.
 
@@ -99,14 +87,19 @@ class FrameBatch:
     and ``equalized``/``decisions`` have shape (F, data_symbols). Stages a
     row never reached leave zeros, ``payload_start`` is -1 where no preamble
     was found, and ``train_position`` is NaN where the row has no training
-    anchor for the residual-frequency fit. Where the coarse estimate is
-    re-derived from the exact training window, ``coarse.detect_index``,
-    ``c_peak`` and ``delta_f_est_hz`` come from it; ``rho_peak`` stays the detector's.
+    anchor for the residual-frequency fit. ``detect_index``, ``c_peak`` and
+    ``rho_peak`` are the training detector's, -1 and zeros where it found
+    nothing, and ``delta_f_est_hz`` is the coarse estimate from ``c_peak``.
+    Where the coarse estimate is re-derived from the exact training window,
+    ``detect_index``, ``c_peak`` and ``delta_f_est_hz`` come from it.
     """
 
     failure: np.ndarray
     payload_start: np.ndarray
-    coarse: CoarseSyncResult
+    detect_index: np.ndarray
+    c_peak: np.ndarray
+    rho_peak: np.ndarray
+    delta_f_est_hz: np.ndarray
     h_blocks: np.ndarray
     block_positions: np.ndarray
     train_gain: np.ndarray
@@ -184,19 +177,17 @@ def estimate_coarse_cfo(c_peak: complex, delta_t: float) -> float:
 
 
 def detect_training(
-    rho: np.ndarray,
-    c: np.ndarray,
-    cfg: DetectorConfig,
-    delta_t: float,
-    lag: int,
-) -> CoarseSyncResult:
+    rho: np.ndarray, c: np.ndarray, cfg: DetectorConfig, lag: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First threshold crossing of rho, refined within the next ``lag`` samples.
     Only a positive rho crosses, so a zero threshold finds the first energy.
+    Returns per row ``(detect_index, c_peak, rho_peak)``: the index and the
+    C and rho there, or -1 and zeros where nothing crossed.
 
     Among the above-threshold indices in the refinement window the detector
     keeps the largest ``|C|`` (latest on a tie). The unnormalized correlation
-    peaks at full training overlap, which is where the frequency estimate is
-    valid; rho itself can wobble off-peak under ISI or noise. Rows of
+    peaks at full training overlap, which is where ``estimate_coarse_cfo``
+    is valid; rho itself can wobble off-peak under ISI or noise. Rows of
     ``rho`` and ``c`` (..., n) are searched along the last axis.
     """
     rho, c = np.asarray(rho), np.asarray(c)
@@ -213,13 +204,10 @@ def detect_training(
     idx = (first + lag - np.argmax(keep[..., ::-1], axis=-1))[..., None]
     c_peak = np.take_along_axis(c, idx, -1)[..., 0]
     found = above.any(axis=-1) & (c_peak != 0)
-    delta_f = np.zeros(found.shape)
-    delta_f[found] = [estimate_coarse_cfo(v, delta_t) for v in c_peak[found].tolist()]
-    return CoarseSyncResult(
-        detect_index=np.where(found, idx[..., 0], -1),
-        c_peak=np.where(found, c_peak, 0),
-        rho_peak=np.where(found, np.take_along_axis(rho, idx, -1)[..., 0], 0.0),
-        delta_f_est_hz=delta_f,
+    return (
+        np.where(found, idx[..., 0], -1),
+        np.where(found, c_peak, 0),
+        np.where(found, np.take_along_axis(rho, idx, -1)[..., 0], 0.0),
     )
 
 
@@ -329,8 +317,8 @@ def _pilot_slope_hz(h_blocks, positions, symbol_period: float) -> np.ndarray:
 
 
 def _search_training(
-    streams: np.ndarray, lengths: np.ndarray, det: DetectorConfig, delta_t: float, lag: int, n: int
-) -> tuple[np.ndarray, np.ndarray, CoarseSyncResult]:
+    streams: np.ndarray, lengths: np.ndarray, det: DetectorConfig, lag: int, n: int
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Training detection over the first ``n`` samples of every decimation
     phase of every row: ``streams`` (F, P, >= n), phase p zero past
     ``lengths[p]``. The training repeats at every phase, so rho alone cannot
@@ -340,29 +328,29 @@ def _search_training(
     bit, and a row is final when n is the full width ``lengths[0]`` or every
     phase found training with ``detect_index + lag < n`` (its refinement
     window lies in those samples). Returns per row whether it is final, the
-    phase of largest |C| and the coarse result there.
+    phase of largest |C| and ``detect_training``'s arrays at that phase.
     """
     c, _, rho = autocorrelation_metric(streams[:, :, :n], lag)
     # A zero rho never crosses, so the padding cannot be detected.
     rho[:, np.arange(n) >= lengths[:, None]] = 0.0
-    found = detect_training(rho, c, det, delta_t, lag)
-    hit = found.detect_index >= 0
-    final = (hit & (found.detect_index + lag < n)).all(axis=-1) | (n >= lengths[0])
-    best = np.argmax(np.where(hit, np.abs(found.c_peak), -np.inf), axis=-1)
+    index, c_peak, rho_peak = detect_training(rho, c, det, lag)
+    hit = index >= 0
+    final = (hit & (index + lag < n)).all(axis=-1) | (n >= lengths[0])
+    best = np.argmax(np.where(hit, np.abs(c_peak), -np.inf), axis=-1)
     at = np.arange(len(best)), best
-    return final, best, CoarseSyncResult(*(getattr(found, f.name)[at] for f in fields(found)))
+    return final, best, (index[at], c_peak[at], rho_peak[at])
 
 
 def _choose_training_phase(
-    x: np.ndarray, pulse: PulseShapeConfig, det: DetectorConfig, delta_t: float, lag: int, head: int
-) -> tuple[np.ndarray, np.ndarray, CoarseSyncResult]:
+    x: np.ndarray, pulse: PulseShapeConfig, det: DetectorConfig, lag: int, head: int
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Matched-filter the sample rows ``x`` (F, N) and pick each row's
     training phase, filtering only what the search reads: every phase over
     the first ``head`` symbols, then a row final there at its chosen phase
     only. The other rows are filtered at every phase past the head and
     searched over the full width, ``_ROW_CHUNK`` rows at a time. Returns each
-    row's chosen symbol stream, zero past its length, that length, and the
-    coarse results as arrays, ``detect_index`` -1 where no phase found training.
+    row's chosen symbol stream, zero past its length, that length, and
+    ``detect_training``'s arrays there, -1 and zeros where no phase found training.
     """
     (n_rows, n), sps = x.shape, pulse.interpolation
     width = -(-n // sps)
@@ -374,21 +362,21 @@ def _choose_training_phase(
         return out.reshape(len(rows_x), count, sps).swapaxes(-1, -2)
 
     heads = every_phase(x, 0, head)
-    final, phase, zeros = np.ones(n_rows, bool), np.zeros(n_rows, np.int64), np.zeros(n_rows)
-    coarse = CoarseSyncResult(np.full(n_rows, -1), zeros + 0j, zeros.copy(), zeros.copy())
+    final, phase = np.ones(n_rows, bool), np.zeros(n_rows, np.int64)
+    peaks = np.full(n_rows, -1), np.zeros(n_rows, complex), np.zeros(n_rows)
     if width >= 2 * lag:
-        final, phase, coarse = _search_training(heads, lengths, det, delta_t, lag, head)
+        final, phase, peaks = _search_training(heads, lengths, det, lag, head)
     past = matched_filter(x, pulse, np.where(final, head * sps + phase, -1), width - head, sps)
     symbols = np.concatenate([heads[np.arange(n_rows), phase], past], axis=-1, dtype=complex)
     rest = np.flatnonzero(~final)
     for r0 in range(0, len(rest), _ROW_CHUNK):
         rows = rest[r0 : r0 + _ROW_CHUNK]
         streams = np.concatenate([heads[rows], every_phase(x[rows], head, width - head)], axis=-1)
-        _, phase[rows], found = _search_training(streams, lengths, det, delta_t, lag, width)
-        for f in fields(coarse):
-            getattr(coarse, f.name)[rows] = getattr(found, f.name)
+        _, phase[rows], found = _search_training(streams, lengths, det, lag, width)
+        for kept, value in zip(peaks, found):
+            kept[rows] = value
         symbols[rows] = streams[np.arange(len(rows)), phase[rows]]
-    return symbols, lengths[phase], coarse
+    return symbols, lengths[phase], peaks
 
 
 def receive_frames(
@@ -417,20 +405,24 @@ def receive_frames(
     head = (cfg.training_reps + 2) * lag  # the training field, then room to refine
     delta_t = lag * symbol_period_s
 
-    symbols, lengths, coarse = _choose_training_phase(agc(windows), pulse, det, delta_t, lag, head)
-    failure = np.where(coarse.detect_index < 0, NO_TRAINING, DECODED).astype(np.int8)
+    symbols, lengths, (detect_index, c_peak, rho_peak) = _choose_training_phase(
+        agc(windows), pulse, det, lag, head
+    )
+    failure = np.where(detect_index < 0, NO_TRAINING, DECODED).astype(np.int8)
     rows = np.flatnonzero(failure == DECODED)
+    delta_f_est_hz = np.zeros(n_frames)
+    delta_f_est_hz[rows] = [estimate_coarse_cfo(v, delta_t) for v in c_peak[rows].tolist()]
 
     # With more than two training repetitions the detector may sit anywhere
     # on the correlation plateau, so the forward search spans the remaining
     # repetitions; it stops where each row's own stream ends. Only the
     # symbols it reads are de-rotated here, at their own indices.
-    expected = coarse.detect_index[rows] + 1
+    expected = detect_index[rows] + 1
     first = np.maximum(expected - lag, 0)
     stop = np.minimum(expected + cfg.training_reps * lag, lengths[rows] - 2 * cfg.golay_len + 1)
     at = first[:, None] + np.arange((stop - first).max(initial=0) + 2 * cfg.golay_len - 1)
     at = np.minimum(at, symbols.shape[-1] - 1)  # past a row's own span: never searched
-    span = nco_correct(symbols[rows[:, None], at], coarse.delta_f_est_hz[rows], symbol_period_s, at)
+    span = nco_correct(symbols[rows[:, None], at], delta_f_est_hz[rows], symbol_period_s, at)
     found = golay_frame_detect(span, generate_golay_pair(cfg.golay_len), det, (0, stop - first))
     start = np.full(n_frames, -1, dtype=np.int64)
     start[rows] = np.where(found >= 0, first + found, -1)
@@ -454,10 +446,10 @@ def receive_frames(
     late, early = frames[redo, t_end - lag : t_end], frames[redo, t_end - 2 * lag : t_end - lag]
     c_exact = np.sum(late * np.conj(early), axis=-1)
     redo, c_exact = redo[c_exact != 0], c_exact[c_exact != 0]
-    coarse.detect_index[rows[redo]] = origin[redo] + t_end - 1
-    coarse.c_peak[rows[redo]] = c_exact
-    coarse.delta_f_est_hz[rows[redo]] = [estimate_coarse_cfo(c, delta_t) for c in c_exact.tolist()]
-    frames = nco_correct(frames, coarse.delta_f_est_hz[rows], symbol_period_s, at)
+    detect_index[rows[redo]] = origin[redo] + t_end - 1
+    c_peak[rows[redo]] = c_exact
+    delta_f_est_hz[rows[redo]] = [estimate_coarse_cfo(c, delta_t) for c in c_exact.tolist()]
+    frames = nco_correct(frames, delta_f_est_hz[rows], symbol_period_s, at)
 
     short = start[rows] + cfg.payload_symbols > lengths[rows]
     failure[rows[short]] = TRUNCATED
@@ -523,7 +515,8 @@ def receive_frames(
         if not crc_check(payload):
             failure[k] = CRC_FAIL
     return FrameBatch(
-        failure, start, coarse, h_blocks, block_positions, train_gain, train_position,
-        residual_freq_hz, mean_residual_phase_deg, equalized, decisions, tuple(payloads),
+        failure, start, detect_index, c_peak, rho_peak, delta_f_est_hz, h_blocks,
+        block_positions, train_gain, train_position, residual_freq_hz,
+        mean_residual_phase_deg, equalized, decisions, tuple(payloads),
     )
 

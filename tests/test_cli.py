@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from burstlink import harness
+from burstlink import cli, harness
 from burstlink.cli import main
 from burstlink.harness import EVENT_COLUMNS, RESULT_COLUMNS
 
@@ -302,6 +302,43 @@ def test_sim_rejects_a_symbol_period_that_is_not_finite_and_positive(tmp_path, c
     assert code == 1
     assert capsys.readouterr().err.startswith("error: symbol_period_s must be finite and positive")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--altitude-m", "--link-distance-m"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_sim_rejects_a_non_finite_experiment_value(tmp_path, capsys, flag, value):
+    # SigMF is JSON, which cannot hold the value; the trial never runs.
+    code = main(["sim", "--mod", "4", "--pilot-reps", "1", "--frames", "2",
+                 "--out", str(tmp_path / "r.csv"), "--sigmf-out", str(tmp_path / "s.json"),
+                 f"{flag}={value}"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {flag} must be finite, got {value}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--altitude-m", "--link-distance-m"])
+def test_sweep_rejects_a_non_finite_experiment_value(tmp_path, capsys, monkeypatch, flag):
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("the sweep ran"))
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out / "r.csv"),
+                 "--events-out", str(out / "e.csv"), "--sigmf-out", str(out / "sigmf"),
+                 flag, "nan"]) == 1
+    assert capsys.readouterr().err == f"error: {flag} must be finite, got nan\n"
+    assert not out.exists()
+
+
+def test_sweep_fails_before_any_trial_when_the_sigmf_path_is_a_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("the sweep ran"))
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    (tmp_path / "sigmf").write_text("")
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
+                 "--events-out", str(tmp_path / "e.csv"), "--sigmf-out", str(tmp_path / "sigmf")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sigmf", "sweep.cfg"]
 
 
 def test_sweep_rejects_a_nan_symbol_period(tmp_path, capsys):

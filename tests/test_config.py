@@ -117,6 +117,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="trials_per_cell must be >= 1"):
             SweepSpec(trials_per_cell=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-6])
+    def test_symbol_period_checked_when_built(self, value):
+        # Before the sweep creates its --sigmf-out directory or runs a trial.
+        with pytest.raises(ValueError, match="symbol_period_s must be finite and positive"):
+            SweepSpec(symbol_period_s=value)
+
     def test_frame_config_override(self):
         spec = sweep_spec_from_text("pilot_block_len = 8\npayload_symbols = 128\n")
         cfg = spec.frame_config(2, 16)

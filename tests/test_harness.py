@@ -176,6 +176,22 @@ class TestRunTrial:
             text = results_to_csv([run.result]) + events_to_csv([run])
             assert hashlib.sha256(text.encode()).hexdigest() == digest, (lam, mod)
 
+    def test_coarse_cfo_is_estimated_at_most_twice_per_frame(self, monkeypatch):
+        # Once on the chosen phase's training peak, once more where the frame
+        # re-derives it from its exact training window; never per phase.
+        calls = []
+        real = sync.estimate_coarse_cfo
+
+        def counting(c_peak, delta_t):
+            calls.append(c_peak)
+            return real(c_peak, delta_t)
+
+        monkeypatch.setattr(sync, "estimate_coarse_cfo", counting)
+        workloads = perfbench_module("workloads")
+        run = workloads.run_trial(workloads.import_program(), workloads.DEFAULT_SEED, 0)
+        assert len(run.events) == workloads.TRIAL_FRAMES == 50
+        assert 0 < len(calls) <= 2 * len(run.events)
+
     def test_agc_runs_once_per_trial(self, monkeypatch):
         # The receiver levels all of a trial's frame windows in one AGC call.
         shapes = []
@@ -443,6 +459,13 @@ class TestSigmf:
     def test_write_rejects_invalid(self, tmp_path):
         with pytest.raises(ValueError, match="invalid SigMF"):
             write_sigmf({"global": {}}, str(tmp_path / "x.sigmf-meta"))
+
+    def test_write_of_an_unserializable_value_leaves_no_file(self, tmp_path):
+        doc, _ = self._doc(altitude_m=math.nan)
+        path = tmp_path / "x.sigmf-meta"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_sigmf(doc, str(path))
+        assert not path.exists()
 
     def test_file_write_and_validate(self, tmp_path):
         doc, result = self._doc(environment="g2g")

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -28,7 +29,6 @@ from burstlink.sync import (
     NO_TRAINING,
     TRUNCATED,
     UNEQUALIZABLE,
-    CoarseSyncResult,
     DetectorConfig,
     autocorrelation_metric,
     detect_training,
@@ -120,25 +120,25 @@ class TestDetectTraining:
         lead = np.exp(1j * rng.uniform(0, 2 * np.pi, offset)) * 0.0
         x = np.concatenate([lead, two_rep_burst()])
         c, _, rho = autocorrelation_metric(x, M)
-        res = detect_training(rho, c, DetectorConfig(), DELTA_T, M)
-        assert res.detect_index == offset + 2 * M - 1
-        assert res.rho_peak <= 1.0 + 1e-9
+        index, _, rho_peak = detect_training(rho, c, DetectorConfig(), M)
+        assert index == offset + 2 * M - 1
+        assert rho_peak <= 1.0 + 1e-9
 
     def test_noise_only_not_found(self):
         rng = np.random.default_rng(5)
         x = (rng.normal(size=10_000) + 1j * rng.normal(size=10_000)) / np.sqrt(2)
         c, _, rho = autocorrelation_metric(x, M)
-        res = detect_training(rho, c, DetectorConfig(rho_threshold=0.7), DELTA_T, M)
-        assert res.detect_index == -1
-        assert res.c_peak == 0 and res.rho_peak == 0 and res.delta_f_est_hz == 0
+        index, c_peak, rho_peak = detect_training(rho, c, DetectorConfig(rho_threshold=0.7), M)
+        assert index == -1
+        assert c_peak == 0 and rho_peak == 0
 
     def test_zero_threshold_detects_earliest_energy(self):
         x = np.concatenate([np.zeros(50, dtype=complex), two_rep_burst()])
         c, p, rho = autocorrelation_metric(x, M)
         det = DetectorConfig(rho_threshold=0.0)
-        res = detect_training(rho, c, det, DELTA_T, M)
+        index, _, _ = detect_training(rho, c, det, M)
         first_energy = np.nonzero(rho > 0)[0][0]
-        assert first_energy <= res.detect_index <= first_energy + M
+        assert first_energy <= index <= first_energy + M
 
     def test_rows_match_one_row_calls(self):
         rng = np.random.default_rng(8)
@@ -146,14 +146,12 @@ class TestDetectTraining:
         late = np.concatenate([noise[:40], two_rep_burst(tail_symbols=96)])
         x = np.stack([np.concatenate([two_rep_burst(), noise[:72]]), noise, late])
         c, _, rho = autocorrelation_metric(x, M)
-        batched = detect_training(rho, c, DetectorConfig(), DELTA_T, M)
-        assert batched.detect_index.tolist() == [2 * M - 1, -1, 40 + 2 * M - 1]
+        batched = detect_training(rho, c, DetectorConfig(), M)
+        assert batched[0].tolist() == [2 * M - 1, -1, 40 + 2 * M - 1]
         for k in range(len(x)):
-            one = detect_training(rho[k], c[k], DetectorConfig(), DELTA_T, M)
-            for f in fields(one):
-                got = getattr(batched, f.name)
-                got = got[k] if isinstance(got, np.ndarray) else got
-                assert np.array_equal(got, getattr(one, f.name))
+            one = detect_training(rho[k], c[k], DetectorConfig(), M)
+            for got, want in zip(batched, one):
+                assert np.array_equal(got[k], want)
 
 
 # The receiver searches the first (training_reps + 2) * lag symbols of each
@@ -191,7 +189,7 @@ def search(streams, n):
     # An inf sample makes inf * 0 products in the running sums; both passes
     # meet the same ones.
     with np.errstate(invalid="ignore"):
-        return sync._search_training(*streams, DetectorConfig(), DELTA_T, M, n)
+        return sync._search_training(*streams, DetectorConfig(), M, n)
 
 
 def assert_same_bits(a, b):
@@ -200,31 +198,32 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-def assert_same_coarse(got, want, rows=slice(None)):
-    for f in fields(got):
-        assert_same_bits(getattr(got, f.name)[rows], getattr(want, f.name)[rows])
+def assert_same_peaks(got, want, rows=slice(None)):
+    """Equal ``detect_training`` arrays (detect_index, c_peak, rho_peak)."""
+    for a, b in zip(got, want, strict=True):
+        assert_same_bits(a[rows], b[rows])
 
 
 def assert_same_choice(got, want):
-    (symbols, lengths, coarse), (want_symbols, want_lengths, want_coarse) = got, want
+    (symbols, lengths, peaks), (want_symbols, want_lengths, want_peaks) = got, want
     assert_same_bits(symbols, want_symbols)
     assert_same_bits(lengths, want_lengths)
-    assert_same_coarse(coarse, want_coarse)
+    assert_same_peaks(peaks, want_peaks)
 
 
 PULSE = PulseShapeConfig()
 
 
-def full_width_choice(x, pulse, det, delta_t, lag, head):
+def full_width_choice(x, pulse, det, lag, head):
     """Reference acquisition: every phase of every row filtered over the full
     width by ``matched_filter_downsample``, then searched over all of it."""
     streams, lengths = matched_filter_downsample(x, pulse)
     rows, width = np.arange(len(x)), streams.shape[-1]
-    phase, zeros = np.zeros(len(x), dtype=np.int64), np.zeros(len(x))
-    coarse = CoarseSyncResult(np.full(len(x), -1), zeros + 0j, zeros, zeros.copy())
+    phase = np.zeros(len(x), dtype=np.int64)
+    peaks = np.full(len(x), -1), np.zeros(len(x), complex), np.zeros(len(x))
     if width >= 2 * lag:
-        _, phase, coarse = sync._search_training(streams, lengths, det, delta_t, lag, width)
-    return streams[rows, phase], lengths[phase], coarse
+        _, phase, peaks = sync._search_training(streams, lengths, det, lag, width)
+    return streams[rows, phase], lengths[phase], peaks
 
 
 def late_frame(offset, seed=0, cfg=FrameConfig(pilot_reps=1, modulation=4), width=1888):
@@ -237,7 +236,7 @@ def late_frame(offset, seed=0, cfg=FrameConfig(pilot_reps=1, modulation=4), widt
 
 
 def choose_phase(x, chooser=sync._choose_training_phase):
-    return chooser(x, PULSE, DetectorConfig(), DELTA_T, M, HEAD)
+    return chooser(x, PULSE, DetectorConfig(), M, HEAD)
 
 
 class TestTrainingHeadSearch:
@@ -263,11 +262,11 @@ class TestTrainingHeadSearch:
         # A row the head search calls final has the full-width result.
         lengths = [472] * (4 - short_phases) + [471] * short_phases
         streams = phase_streams(rows, lengths)
-        final, phase, coarse = search(streams, HEAD)
-        full_final, full_phase, full_coarse = search(streams, max(lengths))
+        final, phase, peaks = search(streams, HEAD)
+        full_final, full_phase, full_peaks = search(streams, max(lengths))
         assert full_final.all()
         assert_same_bits(phase[final], full_phase[final])
-        assert_same_coarse(coarse, full_coarse, final)
+        assert_same_peaks(peaks, full_peaks, final)
 
     def test_training_past_the_head_is_found_by_the_full_width_pass(self, monkeypatch):
         # Training 10 symbols in is final in the head. Training 66 symbols in
@@ -296,16 +295,15 @@ class TestTrainingHeadSearch:
         assert (chosen[0], chosen[1][1:], chosen[2:]) == (3, [-1, -1], (width - HEAD, 4))
         assert past <= chosen[1][0] < past + 4
         assert fallback == (2, past, 4 * (width - HEAD), 1)
-        assert got[2].detect_index.tolist() == [offset + 2 * M - 1 for offset in (10, 66, 200)]
+        assert got[2][0].tolist() == [offset + 2 * M - 1 for offset in (10, 66, 200)]
         assert_same_choice(got, choose_phase(x, full_width_choice))
 
 
 def assert_same_batch(got, want):
     assert got.payloads == want.payloads
-    for a, b in ((got, want), (got.coarse, want.coarse)):
-        for f in fields(a):
-            if isinstance(getattr(a, f.name), np.ndarray):
-                assert_same_bits(getattr(a, f.name), getattr(b, f.name))
+    for f in fields(got):
+        if isinstance(getattr(got, f.name), np.ndarray):
+            assert_same_bits(getattr(got, f.name), getattr(want, f.name))
 
 
 class TestAcquisitionBitIdentity:
@@ -369,8 +367,10 @@ class TestEstimateCoarseCfo:
         n = np.arange(len(x))
         xr = x * np.exp(1j * 2 * np.pi * df * n * T_SYM)
         c, _, rho = autocorrelation_metric(xr, M)
-        res = detect_training(rho, c, DetectorConfig(), DELTA_T, M)
-        assert res.delta_f_est_hz == pytest.approx(df - 2 * half, rel=1e-6)
+        _, c_peak, _ = detect_training(rho, c, DetectorConfig(), M)
+        assert estimate_coarse_cfo(complex(c_peak), DELTA_T) == pytest.approx(
+            df - 2 * half, rel=1e-6
+        )
 
     def test_zero_peak_rejected(self):
         with pytest.raises(ValueError, match="phase undefined"):
@@ -586,12 +586,10 @@ def receive_one(samples, cfg):
 def assert_same_row(batch, k, single):
     """Row k of ``batch`` equals the one row of ``single``, array for array."""
     assert batch.payloads[k] == single.payloads[0]
-    pairs = (batch, single), (batch.coarse, single.coarse)
-    for got, want in pairs:
-        for f in fields(got):
-            g, w = getattr(got, f.name), getattr(want, f.name)
-            if isinstance(g, np.ndarray):
-                np.testing.assert_array_equal(g[k], w[0], err_msg=f.name)
+    for f in fields(batch):
+        got, want = getattr(batch, f.name), getattr(single, f.name)
+        if isinstance(got, np.ndarray):
+            np.testing.assert_array_equal(got[k], want[0], err_msg=f.name)
 
 
 class TestReceiveFrame:
@@ -621,7 +619,7 @@ class TestReceiveFrame:
         res = receive_one(rx, cfg)
         assert res.failure[0] == DECODED
         assert res.payloads[0].data_bytes == data
-        assert res.coarse.delta_f_est_hz[0] == pytest.approx(df, rel=1e-3)
+        assert res.delta_f_est_hz[0] == pytest.approx(df, rel=1e-3)
 
     @pytest.mark.parametrize("reps", (3, 4))
     def test_longer_training_fields_decode(self, reps):
@@ -662,6 +660,30 @@ class TestReceiveFrame:
         res = receive_one(noise, cfg)
         assert res.failure[0] == NO_TRAINING
         assert not res.detected[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cell=st.tuples(
+            st.sampled_from(SUPPORTED_PILOT_REPS), st.sampled_from(tuple(BITS_PER_SYMBOL))
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+        rho_threshold=st.floats(0.0, 0.9),
+        n_rows=st.integers(1, 3),
+    )
+    def test_noise_never_passes_crc(self, cell, seed, scale, rho_threshold, n_rows):
+        # Complex Gaussian windows at the harness width, at any scale and
+        # threshold: no row decodes, every row gets a failure kind, and numpy
+        # warns of nothing on the way.
+        cfg = FrameConfig(pilot_reps=cell[0], modulation=cell[1])
+        width = cfg.total_symbols * PULSE.interpolation + PULSE.tap_count - 1
+        assert width == 1888
+        rng = np.random.default_rng(seed)
+        noise = scale * (rng.normal(size=(n_rows, width, 2)) @ [1, 1j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = receive_frames(noise, cfg, DetectorConfig(rho_threshold=rho_threshold))
+        assert np.isin(res.failure, range(NO_TRAINING, CRC_FAIL + 1)).all()
 
     def test_truncated_buffer_reported(self):
         cfg = FrameConfig(pilot_reps=2, modulation=4)
@@ -929,10 +951,10 @@ FRAME_BATCH_DIGESTS = {
     "payload_start": "b05f602947337e3c72e735022c4af34599596133b7fe16c30fabe8534db6fd90",
     "equalized": "0a9434cd3de1bae330fbf7a3e728378475ad0d6c44f1c707767ffbbd7f65a660",
     "decisions": "b4c8694e2b9669473d842de2d1650c330980ace5c4b44b921a3412c25490e116",
-    "coarse.detect_index": "b32b7c85a0885d9bdfbe6767059797d0378b04065cd4d9e8e1426fde0e47fa0a",
-    "coarse.c_peak": "f253f2128b69096085f17e528130e7f38cdbb91f03364c3058f2adad07a41bd6",
-    "coarse.rho_peak": "be020e548a97c1e51171237aefaf0fd79178e3c5491afa9784e8386a295f00e5",
-    "coarse.delta_f_est_hz": "318a6ef56bfc97a2a0cd34256abfaf28755eabf57e8af790285f220a087f36b6",
+    "detect_index": "b32b7c85a0885d9bdfbe6767059797d0378b04065cd4d9e8e1426fde0e47fa0a",
+    "c_peak": "f253f2128b69096085f17e528130e7f38cdbb91f03364c3058f2adad07a41bd6",
+    "rho_peak": "be020e548a97c1e51171237aefaf0fd79178e3c5491afa9784e8386a295f00e5",
+    "delta_f_est_hz": "318a6ef56bfc97a2a0cd34256abfaf28755eabf57e8af790285f220a087f36b6",
     "h_blocks": "197fd9469b0f7f6767ae531c27aa37d4f95d37aee52ddd7fdbd107ffb91e76fd",
     "block_positions": "db0081d23446c96eaa5646f9084585a805de2cf26c7f04922f9d29076cb1264a",
     "train_gain": "c22e4c139def3a2076a3b282138404b15c50729dc3dea3007b8b5f4312b28d9d",
@@ -956,15 +978,13 @@ class TestFrameBatchDigests:
         ]
         origin = batch.payload_start[:7] - cfg.payload_start
         assert origin.tolist() == [12, -4, -40, 87, 40, 12, 12]
-        assert batch.coarse.detect_index[[1, 4]].tolist() == [-4 + 95, 40 + 95]
+        assert batch.detect_index[[1, 4]].tolist() == [-4 + 95, 40 + 95]
         got = {}
-        groups = (batch, ""), (batch.coarse, "coarse.")
-        for group, prefix in groups:
-            for f in fields(group):
-                a = getattr(group, f.name)
-                if isinstance(a, np.ndarray):
-                    data = f"{a.dtype.str}{a.shape}".encode() + a.tobytes()
-                    got[prefix + f.name] = hashlib.sha256(data).hexdigest()
+        for f in fields(batch):
+            a = getattr(batch, f.name)
+            if isinstance(a, np.ndarray):
+                data = f"{a.dtype.str}{a.shape}".encode() + a.tobytes()
+                got[f.name] = hashlib.sha256(data).hexdigest()
         wire = b"".join(
             b"-" if p is None else p.data_bytes + p.crc.to_bytes(4, "little")
             for p in batch.payloads
