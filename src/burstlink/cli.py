@@ -117,6 +117,15 @@ def _check_experiment_flags(args: argparse.Namespace) -> None:
             raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value}")
 
 
+def _check_output_paths(*paths: str | None) -> None:
+    """Reject an output file that could not be created, before any trial runs."""
+    for path in filter(None, paths):
+        if not os.path.isdir(folder := os.path.dirname(path) or "."):
+            raise ValueError(f"cannot write {path}: {folder} is not a directory")
+        if os.path.isdir(path):
+            raise ValueError(f"cannot write {path}: it is a directory")
+
+
 def _write_trial_sigmf(result, args, path: str, sample_rate_hz: float, sample_count=None):
     doc = emit_sigmf(
         result,
@@ -142,6 +151,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     if args.trials > 1 and (args.iq_out or args.sigmf_out):
         raise ValueError("--iq-out and --sigmf-out record one trial; use --trials 1")
     _check_experiment_flags(args)
+    _check_output_paths(args.out, args.events_out, args.iq_out, args.sigmf_out)
     profile = _config_from_args(ChannelProfile, args)
     detector = _config_from_args(DetectorConfig, args)
     cfg = FrameConfig(pilot_reps=args.pilot_reps, modulation=args.mod)
@@ -179,6 +189,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = load_sweep_config(args.config)
     if args.seed is not None:
         spec = replace(spec, master_seed=args.seed)
+    _check_output_paths(args.out, args.events_out)
     if args.sigmf_out:
         os.makedirs(args.sigmf_out, exist_ok=True)
     runs = run_sweep(spec, workers=args.workers)

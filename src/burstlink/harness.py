@@ -13,7 +13,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from operator import itemgetter
 
 import numpy as np
@@ -400,22 +400,22 @@ def read_events_csv(path: str) -> list[tuple[dict, int, FrameEvents]]:
 
 
 def _read_trials(lines) -> list[tuple[dict, int, FrameEvents]]:
-    """Parse each trial's column text once and its event cells a column at a
-    time. A fault raises ``ValueError`` with the message after its line number."""
-    # Group whole lines and split a trial's rows only while parsing that trial.
-    by_trial: dict[str, list[str]] = {}
-    for text, group in groupby(lines, lambda line: line.rsplit(",", len(_EVENT_FIELDS))[0]):
-        by_trial.setdefault(text, []).extend(group)
+    """Split each line once and parse each run of a trial's rows as it is read, the trial
+    text at its first run. A fault raises ``ValueError`` with the text after a line number."""
+    runs: dict[str, list] = {}  # trial text -> [snapshot, each run's event columns, ...]
+    for text, group in groupby((r.rsplit(",", len(_EVENT_FIELDS)) for r in lines), itemgetter(0)):
+        rows = list(group)  # a short row's trial text has no comma: one count checks all
+        if text not in runs:
+            if len(cells := text.split(",")) != len(_TRIAL_COLUMNS):
+                raise ValueError(f": {len(cells) + len(rows[0]) - 1} cells, header has "
+                                 f"{len(EVENT_COLUMNS)}")
+            values = _parse_columns(_TRIAL_COLUMNS, zip(cells))
+            runs[text] = [{c: v for c, (v,) in zip(_TRIAL_COLUMNS, values)}]
+        runs[text].append(tuple(_parse_columns(_EVENT_FIELDS, islice(zip(*rows), 1, None))))
     trials = []
-    for text, group in by_trial.items():
-        rows = [line.rsplit(",", len(_EVENT_FIELDS)) for line in group]
-        cells = text.split(",")
-        if len(cells) != len(_TRIAL_COLUMNS) or set(map(len, rows)) != {len(_EVENT_FIELDS) + 1}:
-            count = len(cells) + len(rows[0]) - 1
-            raise ValueError(f": {count} cells, header has {len(EVENT_COLUMNS)}")
-        values = _parse_columns(_TRIAL_COLUMNS, zip(cells))
-        snapshot = {c: v for c, (v,) in zip(_TRIAL_COLUMNS, values)}
-        events = FrameEvents(*_parse_columns(_EVENT_FIELDS, islice(zip(*rows), 1, None)))
+    for snapshot, *parts in runs.values():
+        columns = parts[0] if len(parts) == 1 else map(chain.from_iterable, zip(*parts))
+        events = FrameEvents(*map(tuple, columns))
         if outcomes := set(zip(events.detected, events.crc_ok, events.failure)) - OUTCOMES:
             d, c, f = outcomes.pop()
             raise ValueError(f": detected {d:d}, crc_ok {c:d} and failure {f!r} contradict"

@@ -143,7 +143,8 @@ def autocorrelation_metric(
     if n < 2 * lag:
         raise ValueError(f"need at least {2 * lag} samples, got {n}")
 
-    prod = x[..., lag:] * np.conj(x[..., :-lag])
+    # Not ``*``: from 256 KiB numpy runs it as ``conj(...) * x``, which rounds differently.
+    prod = np.multiply(x[..., lag:], np.conj(x[..., :-lag]))
     power = np.abs(x) ** 2
 
     # Running sums led by one zero, accumulated in place.
@@ -444,7 +445,7 @@ def receive_frames(
     t_end = cfg.training_symbols
     redo = np.flatnonzero(origin >= 2 * lag - t_end)
     late, early = frames[redo, t_end - lag : t_end], frames[redo, t_end - 2 * lag : t_end - lag]
-    c_exact = np.sum(late * np.conj(early), axis=-1)
+    c_exact = np.sum(np.multiply(late, np.conj(early)), axis=-1)  # as in autocorrelation_metric
     redo, c_exact = redo[c_exact != 0], c_exact[c_exact != 0]
     detect_index[rows[redo]] = origin[redo] + t_end - 1
     c_peak[rows[redo]] = c_exact

@@ -341,6 +341,36 @@ def test_sweep_fails_before_any_trial_when_the_sigmf_path_is_a_file(tmp_path, ca
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sigmf", "sweep.cfg"]
 
 
+@pytest.mark.parametrize("flag", ["--out", "--events-out"])
+def test_sweep_fails_before_any_trial_on_an_output_in_a_missing_directory(
+    tmp_path, capsys, monkeypatch, flag
+):
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("the sweep ran"))
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    paths = {"--out": tmp_path / "r.csv", "--events-out": tmp_path / "e.csv"}
+    paths[flag] = bad = tmp_path / "nodir" / "x.csv"
+    argv = ["sweep", "--config", str(cfg), "--sigmf-out", str(tmp_path / "sigmf")]
+    code = main(argv + [str(a) for item in paths.items() for a in item])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write {bad}: {tmp_path / 'nodir'} is not a directory\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--events-out", "--iq-out", "--sigmf-out"])
+def test_sim_fails_before_any_trial_on_an_unwritable_output(tmp_path, capsys, monkeypatch, flag):
+    monkeypatch.setattr(cli, "run_trial_events", lambda *a, **k: pytest.fail("a trial ran"))
+    (tmp_path / "taken").mkdir()
+    for path, fault in [("nodir/x", f"{tmp_path / 'nodir'} is not a directory"),
+                        ("taken", "it is a directory")]:
+        target = tmp_path / path
+        assert main(["sim", "--frames", "2", flag, str(target)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {target}: {fault}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
 def test_sweep_rejects_a_nan_symbol_period(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CFG + "symbol_period_s = nan\n")
@@ -445,12 +475,14 @@ def test_report_on_unparseable_event_cell_is_an_error(tmp_path, capsys):
     assert main(["report", str(tmp_path / "valid.csv")]) == 0
     capsys.readouterr()
     cases = [
-        ("frame_index", "abc", "invalid literal for int()"),
-        ("crc_ok", "yes", "expected 0 or 1, got 'yes'"),
-        ("failure", "bogus-kind", "unknown failure kind 'bogus-kind'"),
+        ({"frame_index": "abc"}, "frame_index", "invalid literal for int()"),
+        ({"crc_ok": "yes"}, "crc_ok", "expected 0 or 1, got 'yes'"),
+        ({"failure": "bogus-kind"}, "failure", "unknown failure kind 'bogus-kind'"),
+        # A row's trial columns are read before its event columns.
+        ({"modulation": "x", "frame_index": "abc"}, "modulation", "invalid literal for int()"),
     ]
-    for column, cell, message in cases:
-        row = dict(valid, **{column: cell})
+    for cells, column, message in cases:
+        row = dict(valid, **cells)
         err = _report_error(tmp_path, capsys, header + ",".join(row.values()) + "\n")
         assert f"line 2, column {column}: {message}" in err
 

@@ -378,6 +378,14 @@ class TestPersistence:
             path.write_text("\n".join([header, *lines]) + "\n")
             assert results_to_csv(results_from_event_rows(read_events_csv(str(path)))) == live
 
+    def test_report_joins_a_trial_split_into_runs(self, tmp_path):
+        # Trial 1's rows split trial 0's into three runs of consecutive rows.
+        live, header, (first, second, *rest) = self._logged()
+        lines = [*first[:2], *second[:2], *first[2:4], *second[2:], first[4], *sum(rest, ())]
+        path = tmp_path / "events.csv"
+        path.write_text("\n".join([header, *lines]) + "\n")
+        assert results_to_csv(results_from_event_rows(read_events_csv(str(path)))) == live
+
     @pytest.mark.parametrize("bad_cell_trial", [0, 1], ids=["other-trial", "same-trial"])
     def test_report_names_the_earliest_of_two_faults(self, tmp_path, bad_cell_trial):
         # Line 3 contradicts itself and line 4 holds a cell that does not

@@ -20,7 +20,7 @@ from burstlink.framing import (
     crc_attach,
     default_tables,
 )
-from burstlink.harness import transmit_burst
+from burstlink.harness import run_trial_events, transmit_burst
 from burstlink.sync import (
     CRC_FAIL,
     DECODED,
@@ -798,6 +798,25 @@ class TestReceiveFrame:
         full = receive_one(samples[1:1789], cfg)
         assert full.detected[0]
         assert full.payload_start[0] == 191
+
+    @pytest.mark.parametrize("seed", range(2688, 2696))
+    def test_trial_size_batch_matches_single_windows(self, seed):
+        # A 50-frame trial of the benchmark's impaired 16QAM cell, received as
+        # one batch: at this size the acquisition products pass numpy's
+        # temporary-elision threshold (256 KiB), which a 12-row stack never
+        # reaches, and each row must still equal its window received alone.
+        cfg = FrameConfig(pilot_reps=4, modulation=16)
+        profile = ChannelProfile(
+            snr_db=20.0, delta_f_hz=1500.0, drift_hz_per_s=100.0, coherence_symbols=128,
+            fading="block-rician", rician_k=10.0,
+        )
+        rx = run_trial_events(cfg, profile, 50, seed, capture_stream=True).rx_stream
+        span = cfg.total_symbols * PULSE.interpolation
+        windows = np.lib.stride_tricks.sliding_window_view(rx, span + PULSE.tap_count - 1)[::span]
+        assert windows.shape == (50, 1888)
+        batch = receive_frames(windows, cfg)
+        for k, w in enumerate(windows):
+            assert_same_row(batch, k, receive_one(w, cfg))
 
     def test_nan_sample_never_wins_the_golay_peak(self):
         # One NaN at sample 1000 reaches symbols 226..250 through the matched
