@@ -117,9 +117,15 @@ def _check_experiment_flags(args: argparse.Namespace) -> None:
             raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value}")
 
 
-def _check_output_paths(*paths: str | None) -> None:
-    """Reject an output file that could not be created, before any trial runs."""
-    for path in filter(None, paths):
+def _check_output_paths(files: dict[str, str | None], others: dict[str, str | None]) -> None:
+    """Before any trial runs, reject two named paths that are one file, and an
+    output file that could not be created. ``files`` maps options to the
+    output files they name; ``others`` to inputs and output directories."""
+    seen: dict[str, str] = {}
+    for name, path in (files | others).items():
+        if path and (first := seen.setdefault(os.path.realpath(path), name)) != name:
+            raise ValueError(f"{first} and {name} both name {path}")
+    for path in filter(None, files.values()):
         if not os.path.isdir(folder := os.path.dirname(path) or "."):
             raise ValueError(f"cannot write {path}: {folder} is not a directory")
         if os.path.isdir(path):
@@ -151,7 +157,11 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     if args.trials > 1 and (args.iq_out or args.sigmf_out):
         raise ValueError("--iq-out and --sigmf-out record one trial; use --trials 1")
     _check_experiment_flags(args)
-    _check_output_paths(args.out, args.events_out, args.iq_out, args.sigmf_out)
+    _check_output_paths(
+        {"--out": args.out, "--events-out": args.events_out, "--iq-out": args.iq_out,
+         "--sigmf-out": args.sigmf_out},
+        {},
+    )
     profile = _config_from_args(ChannelProfile, args)
     detector = _config_from_args(DetectorConfig, args)
     cfg = FrameConfig(pilot_reps=args.pilot_reps, modulation=args.mod)
@@ -189,7 +199,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = load_sweep_config(args.config)
     if args.seed is not None:
         spec = replace(spec, master_seed=args.seed)
-    _check_output_paths(args.out, args.events_out)
+    _check_output_paths(
+        {"--out": args.out, "--events-out": args.events_out},
+        {"--sigmf-out": args.sigmf_out, "--config": args.config},
+    )
     if args.sigmf_out:
         os.makedirs(args.sigmf_out, exist_ok=True)
     runs = run_sweep(spec, workers=args.workers)
@@ -205,6 +218,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    _check_output_paths({"--out": args.out}, {"the event log": args.events})
     _write_results(results_from_event_rows(read_events_csv(args.events)), args.out)
     return 0
 
@@ -215,7 +229,7 @@ def _cmd_validate_sigmf(args: argparse.Namespace) -> int:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             print(f"{path}: unreadable ({exc})", file=sys.stderr)
             status = 1
             continue

@@ -159,6 +159,14 @@ def sweep_spec_from_text(text: str) -> SweepSpec:
     )
 
 
-def load_sweep_config(path: str) -> SweepSpec:
+def read_text(path: str) -> str:
+    """A UTF-8 text file's contents; any other bytes raise a ``ValueError`` naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return sweep_spec_from_text(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def load_sweep_config(path: str) -> SweepSpec:
+    return sweep_spec_from_text(read_text(path))

@@ -121,14 +121,6 @@ class FrameConfig:
 
 
 @dataclass(frozen=True)
-class PacketPayload:
-    """User data bytes with their 32-bit CRC."""
-
-    data_bytes: bytes
-    crc: int
-
-
-@dataclass(frozen=True)
 class SymbolTables:
     """Fixed symbol tables known to both ends of the link."""
 
@@ -165,8 +157,7 @@ def _qpsk_table(length: int, seed: int) -> np.ndarray:
 @functools.cache
 def default_tables(cfg: FrameConfig) -> SymbolTables:
     """Training/pilot/preamble tables for a config, fixed by module seeds."""
-    pair = generate_golay_pair(cfg.golay_len)
-    preamble = np.concatenate([pair.a, pair.b]).astype(complex)
+    preamble = np.concatenate(generate_golay_pair(cfg.golay_len)).astype(complex)
     return SymbolTables(
         training=_qpsk_table(cfg.training_rep_len, _TRAINING_SEED),
         pilot=_qpsk_table(cfg.pilot_block_len, _PILOT_SEED),
@@ -174,56 +165,51 @@ def default_tables(cfg: FrameConfig) -> SymbolTables:
     )
 
 
-def crc_attach(data_bytes: bytes) -> PacketPayload:
-    """Wrap bytes with their CRC-32 (reflected, 0xCBF43926 check value)."""
-    return PacketPayload(data_bytes=bytes(data_bytes), crc=zlib.crc32(data_bytes) & 0xFFFFFFFF)
+def crc_attach(data: bytes) -> bytes:
+    """The data field: the bytes, then their little-endian CRC-32 (0xCBF43926 check value)."""
+    return bytes(data) + zlib.crc32(data).to_bytes(CRC_BYTES, "little")
 
 
-def crc_check(payload: PacketPayload) -> bool:
-    return (zlib.crc32(payload.data_bytes) & 0xFFFFFFFF) == payload.crc
+def crc_check(field: bytes) -> bool:
+    """Whether a data field's last four bytes are the CRC-32 of the rest."""
+    return zlib.crc32(field[:-CRC_BYTES]).to_bytes(CRC_BYTES, "little") == field[-CRC_BYTES:]
 
 
-def assemble_frames(payloads: list[PacketPayload], cfg: FrameConfig) -> np.ndarray:
-    """Build F frames of symbols, shape (F, total_symbols), one row per payload.
+def assemble_frames(fields: list[bytes], cfg: FrameConfig) -> np.ndarray:
+    """Build F frames of symbols, shape (F, total_symbols), one row per data field.
 
-    Each payload's bytes plus the 4 CRC bytes must exactly fill the data
-    symbol budget at the configured modulation.
+    Each field (payload bytes plus the 4 CRC bytes, as ``crc_attach`` gives)
+    must exactly fill the data symbol budget at the configured modulation.
     """
-    for k, payload in enumerate(payloads):
-        if len(payload.data_bytes) != cfg.payload_bytes:
+    for k, field in enumerate(fields):
+        if len(field) != cfg.frame_bytes:
             raise ValueError(
                 f"payload {k} must be exactly {cfg.payload_bytes} bytes for this config "
                 f"({cfg.data_symbols} data symbols at {cfg.bits_per_symbol} b/sym, "
-                f"CRC included), got {len(payload.data_bytes)}"
+                f"CRC included), got {len(field) - CRC_BYTES}"
             )
 
     # Each frame's wire bits fill whole symbols, so one mapping serves all rows.
-    wire = b"".join(p.data_bytes + p.crc.to_bytes(CRC_BYTES, "little") for p in payloads)
+    wire = b"".join(fields)
     bits = np.unpackbits(np.frombuffer(wire, dtype=np.uint8))
     data_syms = map_bits(bits, build_constellation(cfg.modulation))
 
     tables = default_tables(cfg)
     pilots, data, _ = block_indices(cfg)
-    frames = np.empty((len(payloads), cfg.total_symbols), dtype=complex)
+    frames = np.empty((len(fields), cfg.total_symbols), dtype=complex)
     frames[:, : cfg.training_symbols] = np.tile(tables.training, cfg.training_reps)
     frames[:, cfg.training_symbols : cfg.payload_start] = tables.preamble
     frames[:, pilots] = tables.pilot
-    frames[:, data] = data_syms.reshape(len(payloads), cfg.data_symbols)
+    frames[:, data] = data_syms.reshape(len(fields), cfg.data_symbols)
     return frames
 
 
-def unpack_wire_bytes(bits: np.ndarray, cfg: FrameConfig) -> list[PacketPayload]:
-    """Inverse of the assemble-side bit packing: bytes then little-endian CRC.
+def unpack_wire_bytes(bits: np.ndarray, cfg: FrameConfig) -> list[bytes]:
+    """Inverse of the assemble-side bit packing.
 
-    ``bits`` of shape (F, data_bits) give a list of F payloads, one per row.
+    ``bits`` of shape (F, data_bits) give a list of F data fields, one per row.
     """
     wire = np.packbits(np.asarray(bits, dtype=np.uint8), axis=-1)
     if wire.shape[-1] != cfg.frame_bytes:
         raise ValueError(f"expected {cfg.frame_bytes} wire bytes, got {wire.shape[-1]}")
-    return [
-        PacketPayload(
-            data_bytes=row[: cfg.payload_bytes].tobytes(),
-            crc=int.from_bytes(row[cfg.payload_bytes :].tobytes(), "little"),
-        )
-        for row in wire.reshape(-1, cfg.frame_bytes)
-    ]
+    return [row.tobytes() for row in wire.reshape(-1, cfg.frame_bytes)]

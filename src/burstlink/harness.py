@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ChannelProfile, apply_channel
-from .config import SweepSpec, channel_profile_to_kv
+from .config import SweepSpec, channel_profile_to_kv, read_text
 from .framing import FrameConfig, assemble_frames, block_indices, crc_attach
 from .metrics import FrameEvents, TrialResult, aggregate_events
 from .sync import FAILURE_KINDS, OUTCOMES, DetectorConfig, receive_frames
@@ -356,8 +356,7 @@ def read_events_csv(path: str) -> list[tuple[dict, int, FrameEvents]]:
     differ from its trial's first row raises ``ValueError`` naming the first
     such line (and the column, for a cell); a trial whose frame indices are not
     ``range(frames)`` names the trial and its first missing or repeated frame."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     start = next((n for n, line in enumerate(lines, 1) if line), None)
     if start is None:
         raise ValueError(f"{path} line 1: empty event log, expected a header")

@@ -16,16 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .framing import (
-    FrameConfig,
-    PacketPayload,
-    block_indices,
-    crc_check,
-    default_tables,
-    unpack_wire_bytes,
-)
+from .framing import FrameConfig, block_indices, crc_check, default_tables, unpack_wire_bytes
 from .waveform import (
-    GolayPair,
     PulseShapeConfig,
     agc,
     build_constellation,
@@ -108,7 +100,7 @@ class FrameBatch:
     mean_residual_phase_deg: np.ndarray
     equalized: np.ndarray
     decisions: np.ndarray
-    payloads: tuple[PacketPayload | None, ...]
+    payloads: tuple[bytes | None, ...]
 
     def __len__(self) -> int:
         return len(self.failure)
@@ -237,7 +229,8 @@ def nco_correct(
 
 
 def golay_frame_detect(
-    x: np.ndarray, pair: GolayPair, cfg: DetectorConfig, search: tuple | None = None
+    x: np.ndarray, pair: tuple[np.ndarray, np.ndarray], cfg: DetectorConfig,
+    search: tuple | None = None,
 ) -> np.ndarray:
     """Locate the payload start via the summed Golay correlator magnitudes.
 
@@ -251,7 +244,8 @@ def golay_frame_detect(
     passes only the span it searches.
     """
     x = np.asarray(x, dtype=complex)
-    n_g = pair.length
+    a, b = pair
+    n_g = len(a)
     n_metric = x.shape[-1] - 2 * n_g + 1
     if n_metric < 1:
         return np.full(x.shape[:-1], -1, dtype=np.int64)
@@ -260,8 +254,8 @@ def golay_frame_detect(
     outside = (at < np.asarray(lo)[..., None]) | (at >= np.asarray(hi)[..., None])
     windows = sliding_window_view(x, n_g, axis=-1)
     with np.errstate(invalid="ignore"):  # vecdot warns on an inf sample; np.correlate did not
-        corr_a = np.abs(np.vecdot(pair.a, windows[..., :n_metric, :]))
-        corr_b = np.abs(np.vecdot(pair.b, windows[..., n_g:, :]))
+        corr_a = np.abs(np.vecdot(a, windows[..., :n_metric, :]))
+        corr_b = np.abs(np.vecdot(b, windows[..., n_g:, :]))
     metric = corr_a + corr_b
     metric[np.isnan(metric) | outside] = -np.inf
     cleared = metric.max(axis=-1) > cfg.mf_threshold_factor * 2.0 * n_g
@@ -510,10 +504,10 @@ def receive_frames(
         bits[r0 : r0 + _ROW_CHUNK], decisions[chunk] = demap_symbols(
             equalized[chunk], constellation
         )
-    payloads: list[PacketPayload | None] = [None] * n_frames
-    for k, payload in zip(demapped.tolist(), unpack_wire_bytes(bits, cfg)):
-        payloads[k] = payload
-        if not crc_check(payload):
+    payloads: list[bytes | None] = [None] * n_frames
+    for k, field in zip(demapped.tolist(), unpack_wire_bytes(bits, cfg)):
+        payloads[k] = field
+        if not crc_check(field):
             failure[k] = CRC_FAIL
     return FrameBatch(
         failure, start, detect_index, c_peak, rho_peak, delta_f_est_hz, h_blocks,

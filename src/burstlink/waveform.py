@@ -33,15 +33,6 @@ class Constellation:
 
 
 @dataclass(frozen=True)
-class GolayPair:
-    """Complementary pair of +/-1 sequences of length ``length``."""
-
-    a: np.ndarray
-    b: np.ndarray
-    length: int
-
-
-@dataclass(frozen=True)
 class PulseShapeConfig:
     """Square-root raised-cosine shaping parameters.
 
@@ -175,8 +166,8 @@ def demap_symbols(
 
 
 @functools.cache
-def generate_golay_pair(length: int) -> GolayPair:
-    """Generate a +/-1 Golay complementary pair by recursive doubling.
+def generate_golay_pair(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generate a +/-1 Golay complementary pair ``(a, b)`` by recursive doubling.
 
     The aperiodic autocorrelations of the two sequences sum to 2*length at
     lag zero and exactly zero at every other lag.
@@ -187,17 +178,16 @@ def generate_golay_pair(length: int) -> GolayPair:
     b = np.array([1], dtype=np.int64)
     while len(a) < length:
         a, b = np.concatenate([a, b]), np.concatenate([a, -b])
-    return GolayPair(a=read_only(a), b=read_only(b), length=length)
+    return read_only(a), read_only(b)
 
 
-def complementary_autocorrelation(pair: GolayPair) -> np.ndarray:
+def complementary_autocorrelation(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Sum of the aperiodic autocorrelations of the pair, lags 0..length-1."""
-    n = pair.length
+    a, b = pair
+    n = len(a)
     out = np.empty(n, dtype=np.int64)
     for lag in range(n):
-        out[lag] = int(np.dot(pair.a[lag:], pair.a[: n - lag])) + int(
-            np.dot(pair.b[lag:], pair.b[: n - lag])
-        )
+        out[lag] = int(np.dot(a[lag:], a[: n - lag])) + int(np.dot(b[lag:], b[: n - lag]))
     return out
 
 

@@ -371,6 +371,84 @@ def test_sim_fails_before_any_trial_on_an_unwritable_output(tmp_path, capsys, mo
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
+# Each pair once made sim exit 0 with one output written over the other.
+@pytest.mark.parametrize(("first", "second", "spelling"), [
+    ("--out", "--events-out", "x.csv"),
+    ("--out", "--sigmf-out", "./x.csv"),
+    ("--events-out", "--iq-out", "link/x.csv"),
+])
+def test_sim_fails_before_any_trial_on_two_outputs_at_one_path(
+    tmp_path, capsys, monkeypatch, first, second, spelling
+):
+    monkeypatch.setattr(cli, "run_trial_events", lambda *a, **k: pytest.fail("a trial ran"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link").symlink_to(tmp_path)
+    assert main(["sim", "--frames", "3", first, "x.csv", second, spelling]) == 1
+    assert capsys.readouterr().err == f"error: {first} and {second} both name {spelling}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link"]
+
+
+# The --sigmf-out case once ran the whole grid, then failed to write --out
+# over the directory it had made there.
+@pytest.mark.parametrize(("flag", "spelling"), [
+    ("--events-out", "./out/r.csv"), ("--sigmf-out", "out/r.csv"), ("--config", "out/../out/r.csv"),
+])
+def test_sweep_fails_before_any_trial_on_an_output_at_another_path(
+    tmp_path, capsys, monkeypatch, flag, spelling
+):
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("the sweep ran"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    config = spelling if flag == "--config" else "sweep.cfg"
+    (tmp_path / config).write_text(SWEEP_CFG)
+    argv = ["sweep", "--config", config, "--out", "out/r.csv"]
+    assert main(argv + ([] if flag == "--config" else [flag, spelling])) == 1
+    assert capsys.readouterr().err == f"error: --out and {flag} both name {spelling}\n"
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+    assert written == (["out", "out/r.csv"] if flag == "--config" else ["out", "sweep.cfg"])
+    assert (tmp_path / config).read_text() == SWEEP_CFG
+
+
+def test_report_refuses_to_write_over_its_event_log(tmp_path, capsys):
+    _sim_log(tmp_path, "e.csv")
+    events = tmp_path / "e.csv"
+    before = events.read_bytes()
+    assert main(["report", str(events), "--out", str(events)]) == 1
+    assert capsys.readouterr().err == f"error: --out and the event log both name {events}\n"
+    assert events.read_bytes() == before
+    assert main(["report", str(events)]) == 0
+
+
+def test_validate_sigmf_names_a_file_that_is_not_utf8_and_goes_on(tmp_path, capsys):
+    bad, good = tmp_path / "bin.sigmf-meta", tmp_path / "ok.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["sim", "--frames", "2", "--sigmf-out", str(good)]) == 0
+    capsys.readouterr()
+    assert main(["validate-sigmf", str(bad), str(good)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"{bad}: unreadable ('utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte)\n"
+    )
+    assert captured.out == f"{good}: ok\n"
+
+
+def test_report_names_an_event_log_that_is_not_utf8(tmp_path, capsys):
+    events = tmp_path / "events.csv"
+    events.write_bytes(",".join(EVENT_COLUMNS).encode() + b"\n\xff\n")
+    assert main(["report", str(events)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {events}: not UTF-8 text ('utf-8' codec")
+
+
+def test_sweep_names_a_config_that_is_not_utf8(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("the sweep ran"))
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_bytes(SWEEP_CFG.encode() + b"# \xff\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: not UTF-8 text ('utf-8' codec")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+
 def test_sweep_rejects_a_nan_symbol_period(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CFG + "symbol_period_s = nan\n")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from burstlink.framing import (
     SUPPORTED_PILOT_REPS,
     FrameConfig,
-    PacketPayload,
     assemble_frames,
     block_indices,
     crc_attach,
@@ -150,23 +149,32 @@ class TestLayout:
 
 class TestCrc:
     def test_round_trip(self):
-        payload = crc_attach(b"some payload bytes")
-        assert crc_check(payload)
+        field = crc_attach(b"some payload bytes")
+        assert crc_check(field)
 
     def test_single_bit_flip_detected(self):
-        payload = crc_attach(bytes(range(64)))
-        data = bytearray(payload.data_bytes)
-        data[10] ^= 0x04
-        assert not crc_check(PacketPayload(bytes(data), payload.crc))
+        field = bytearray(crc_attach(bytes(range(64))))
+        field[10] ^= 0x04
+        assert not crc_check(bytes(field))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=300), pick=st.data())
+    def test_any_single_bit_flip_in_the_field_is_detected(self, data, pick):
+        field = crc_attach(data)
+        assert crc_check(field)
+        bit = pick.draw(st.integers(0, 8 * len(field) - 1), label="bit")
+        flipped = bytearray(field)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        assert not crc_check(bytes(flipped))
 
     def test_known_vector(self):
-        assert crc_attach(b"123456789").crc == 0xCBF43926
+        assert crc_attach(b"123456789")[-4:] == (0xCBF43926).to_bytes(4, "little")
 
     def test_matches_independent_bitwise_oracle(self):
         rng = np.random.default_rng(11)
         for n in (0, 1, 7, 32, 200):
             data = rng.bytes(n)
-            assert crc_attach(data).crc == crc32_bitwise(data)
+            assert crc_attach(data) == data + crc32_bitwise(data).to_bytes(4, "little")
 
 
 class TestAssembleParse:
@@ -182,9 +190,9 @@ class TestAssembleParse:
         pilots, datas, _ = block_indices(cfg)
         assert np.allclose(frame[pilots], default_tables(cfg).pilot)
         bits, _ = demap_symbols(frame[datas], build_constellation(mod))
-        (payload,) = unpack_wire_bytes(bits[np.newaxis], cfg)
-        assert payload.data_bytes == data
-        assert crc_check(payload)
+        (field,) = unpack_wire_bytes(bits[np.newaxis], cfg)
+        assert field == crc_attach(data)
+        assert crc_check(field)
 
     def test_wrong_payload_size_names_required_count(self):
         cfg = FrameConfig(pilot_reps=4, modulation=16)
@@ -223,7 +231,7 @@ class TestAssembleParse:
 BUILDERS = {
     "design_srrc": (lambda: design_srrc(PulseShapeConfig()), lambda taps: [taps]),
     "build_constellation": (lambda: build_constellation(16), lambda c: [c.points]),
-    "generate_golay_pair": (lambda: generate_golay_pair(64), lambda p: [p.a, p.b]),
+    "generate_golay_pair": (lambda: generate_golay_pair(64), list),
     "default_tables": (
         lambda: default_tables(FrameConfig(pilot_reps=4, modulation=16)),
         lambda t: [t.training, t.pilot, t.preamble],

@@ -409,7 +409,7 @@ class TestNcoCorrect:
 class TestGolayDetect:
     def test_clean_preamble_locates_payload_start(self):
         pair = generate_golay_pair(64)
-        preamble = np.concatenate([pair.a, pair.b]).astype(complex)
+        preamble = np.concatenate(pair).astype(complex)
         t0 = 37
         x = np.concatenate([np.zeros(t0), preamble, np.zeros(40)])
         start = golay_frame_detect(x, pair, DetectorConfig())
@@ -417,7 +417,7 @@ class TestGolayDetect:
 
     def test_channel_gain_scales_peak_not_index(self):
         pair = generate_golay_pair(64)
-        preamble = np.concatenate([pair.a, pair.b]).astype(complex)
+        preamble = np.concatenate(pair).astype(complex)
         t0 = 21
         h = 0.8 * np.exp(1j * 0.9)
         x = np.concatenate([np.zeros(t0), h * preamble, np.zeros(40)])
@@ -435,7 +435,7 @@ class TestGolayDetect:
 
     def test_search_window_restricts_peak(self):
         pair = generate_golay_pair(64)
-        preamble = np.concatenate([pair.a, pair.b]).astype(complex)
+        preamble = np.concatenate(pair).astype(complex)
         x = np.concatenate([np.zeros(100), preamble, np.zeros(100)])
         assert golay_frame_detect(x, pair, DetectorConfig(), search=(0, 50)) == -1
         assert golay_frame_detect(x, pair, DetectorConfig(), search=(60, 140)) == 228
@@ -449,7 +449,7 @@ class TestGolayDetect:
         pair, det = generate_golay_pair(32), DetectorConfig()
         rng = np.random.default_rng(seed)
         x = 0.3 * (rng.normal(size=(4, n, 2)) @ [1, 1j])
-        preamble = np.concatenate([pair.a, pair.b])
+        preamble = np.concatenate(pair)
         for row, at in enumerate(rng.integers(0, max(n - 63, 1), size=4)):
             x[row, at : at + 64] += rng.uniform(0.2, 1.5) * preamble[: n - at]
         if n:
@@ -460,8 +460,8 @@ class TestGolayDetect:
             first, stop = max(lo[row], 0), min(hi[row], n - 63)
             if first < stop:
                 span = x[row, first : stop + 63]
-                metric = np.abs(np.correlate(span, pair.a, "valid"))[: stop - first]
-                metric += np.abs(np.correlate(span, pair.b, "valid"))[32:]
+                metric = np.abs(np.correlate(span, pair[0], "valid"))[: stop - first]
+                metric += np.abs(np.correlate(span, pair[1], "valid"))[32:]
                 metric[np.isnan(metric)] = -np.inf
                 peak = int(np.argmax(metric))
                 if metric[peak] > det.mf_threshold_factor * 64:
@@ -601,7 +601,7 @@ class TestReceiveFrame:
         frame = assemble_frames([crc_attach(data)], cfg)[0]
         res = receive_one(transmit_burst(frame, PulseShapeConfig()), cfg)
         assert res.failure[0] == DECODED
-        assert res.payloads[0].data_bytes == data
+        assert res.payloads[0] == crc_attach(data)
 
     @pytest.mark.parametrize("reps,mod", [(4, 16), (1, 64), (8, 4), (2, 8)])
     def test_cfo_and_phase_recovered(self, reps, mod):
@@ -618,7 +618,7 @@ class TestReceiveFrame:
         )
         res = receive_one(rx, cfg)
         assert res.failure[0] == DECODED
-        assert res.payloads[0].data_bytes == data
+        assert res.payloads[0] == crc_attach(data)
         assert res.delta_f_est_hz[0] == pytest.approx(df, rel=1e-3)
 
     @pytest.mark.parametrize("reps", (3, 4))
@@ -631,7 +631,7 @@ class TestReceiveFrame:
         frame = assemble_frames([crc_attach(data)], cfg)[0]
         res = receive_one(transmit_burst(frame, PulseShapeConfig()), cfg)
         assert res.failure[0] == DECODED
-        assert res.payloads[0].data_bytes == data
+        assert res.payloads[0] == crc_attach(data)
 
     def test_nondefault_geometry_decodes(self):
         cfg = FrameConfig(
@@ -646,7 +646,7 @@ class TestReceiveFrame:
         frame = assemble_frames([crc_attach(data)], cfg)[0]
         res = receive_one(transmit_burst(frame, PulseShapeConfig()), cfg)
         assert res.failure[0] == DECODED
-        assert res.payloads[0].data_bytes == data
+        assert res.payloads[0] == crc_attach(data)
 
     def test_tiny_buffer_reports_no_training(self):
         cfg = FrameConfig(pilot_reps=1, modulation=4)
@@ -737,7 +737,7 @@ class TestReceiveFrame:
         samples = np.concatenate([lead, burst, tail])
         res = receive_one(samples, cfg)
         assert res.failure[0] == DECODED
-        assert res.payloads[0].data_bytes == data
+        assert res.payloads[0] == crc_attach(data)
 
     def test_batch_matches_per_window_receiver(self):
         cfg = FrameConfig(pilot_reps=4, modulation=16)
@@ -889,7 +889,7 @@ class TestReceiveFrame:
         )
         res = receive_one(rx[4:], cfg)
         assert res.failure[0] == DECODED
-        assert res.payloads[0].data_bytes == data
+        assert res.payloads[0] == crc_attach(data)
         assert np.isnan(res.train_position[0])
         freq, phase_deg = residual_offset(
             res.h_blocks[:1], res.block_positions[:1], cfg.payload_symbols / reps, T_SYM
@@ -1004,10 +1004,7 @@ class TestFrameBatchDigests:
             if isinstance(a, np.ndarray):
                 data = f"{a.dtype.str}{a.shape}".encode() + a.tobytes()
                 got[f.name] = hashlib.sha256(data).hexdigest()
-        wire = b"".join(
-            b"-" if p is None else p.data_bytes + p.crc.to_bytes(4, "little")
-            for p in batch.payloads
-        )
+        wire = b"".join(b"-" if p is None else p for p in batch.payloads)
         got["payloads"] = hashlib.sha256(wire).hexdigest()
         assert got == FRAME_BATCH_DIGESTS
 

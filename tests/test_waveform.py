@@ -146,8 +146,8 @@ class TestMapDemap:
 class TestGolay:
     def test_length_two_pair(self):
         pair = generate_golay_pair(2)
-        assert pair.a.tolist() == [1, 1]
-        assert pair.b.tolist() == [1, -1]
+        assert pair[0].tolist() == [1, 1]
+        assert pair[1].tolist() == [1, -1]
         acorr = complementary_autocorrelation(pair)
         assert acorr.tolist() == [4, 0]
 
