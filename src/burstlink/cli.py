@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from operator import itemgetter
 
 from .channel import ChannelProfile
 from .config import config_keys, load_sweep_config
@@ -118,13 +119,20 @@ def _check_experiment_flags(args: argparse.Namespace) -> None:
 
 
 def _check_output_paths(files: dict[str, str | None], others: dict[str, str | None]) -> None:
-    """Before any trial runs, reject two named paths that are one file, and an
-    output file that could not be created. ``files`` maps options to the
-    output files they name; ``others`` to inputs and output directories."""
-    seen: dict[str, str] = {}
-    for name, path in (files | others).items():
-        if path and (first := seen.setdefault(os.path.realpath(path), name)) != name:
-            raise ValueError(f"{first} and {name} both name {path}")
+    """Before any trial runs, reject two named paths that are one file (by
+    inode, or for a path not yet made by ``realpath``), and an output file
+    that could not be created. ``files`` maps options to the output files
+    they name; ``others`` to inputs and output directories."""
+    seen: dict = {}
+    for name, path in filter(itemgetter(1), (files | others).items()):
+        try:  # an existing file is known by its inode, which hard links share
+            stat = os.stat(path)
+            key = stat.st_dev, stat.st_ino
+        except OSError:
+            key = os.path.realpath(path)
+        first, first_path = seen.setdefault(key, (name, path))
+        if first != name:
+            raise ValueError(f"{first} and {name} both name {first_path}")
     for path in filter(None, files.values()):
         if not os.path.isdir(folder := os.path.dirname(path) or "."):
             raise ValueError(f"cannot write {path}: {folder} is not a directory")

@@ -384,7 +384,7 @@ def test_sim_fails_before_any_trial_on_two_outputs_at_one_path(
     monkeypatch.chdir(tmp_path)
     (tmp_path / "link").symlink_to(tmp_path)
     assert main(["sim", "--frames", "3", first, "x.csv", second, spelling]) == 1
-    assert capsys.readouterr().err == f"error: {first} and {second} both name {spelling}\n"
+    assert capsys.readouterr().err == f"error: {first} and {second} both name x.csv\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link"]
 
 
@@ -403,7 +403,7 @@ def test_sweep_fails_before_any_trial_on_an_output_at_another_path(
     (tmp_path / config).write_text(SWEEP_CFG)
     argv = ["sweep", "--config", config, "--out", "out/r.csv"]
     assert main(argv + ([] if flag == "--config" else [flag, spelling])) == 1
-    assert capsys.readouterr().err == f"error: --out and {flag} both name {spelling}\n"
+    assert capsys.readouterr().err == f"error: --out and {flag} both name out/r.csv\n"
     written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
     assert written == (["out", "out/r.csv"] if flag == "--config" else ["out", "sweep.cfg"])
     assert (tmp_path / config).read_text() == SWEEP_CFG
@@ -412,9 +412,11 @@ def test_sweep_fails_before_any_trial_on_an_output_at_another_path(
 def test_report_refuses_to_write_over_its_event_log(tmp_path, capsys):
     _sim_log(tmp_path, "e.csv")
     events = tmp_path / "e.csv"
+    (tmp_path / "hard.csv").hardlink_to(events)
     before = events.read_bytes()
-    assert main(["report", str(events), "--out", str(events)]) == 1
-    assert capsys.readouterr().err == f"error: --out and the event log both name {events}\n"
+    for out in (events, tmp_path / "hard.csv"):
+        assert main(["report", str(events), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --out and the event log both name {out}\n"
     assert events.read_bytes() == before
     assert main(["report", str(events)]) == 0
 
