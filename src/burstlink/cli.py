@@ -18,7 +18,7 @@ from dataclasses import replace
 from operator import itemgetter
 
 from .channel import ChannelProfile
-from .config import config_keys, load_sweep_config
+from .config import TEXT_ENCODING, config_keys, load_sweep_config
 from .framing import FrameConfig
 from .harness import (
     emit_sigmf,
@@ -140,10 +140,10 @@ def _check_output_paths(files: dict[str, str | None], others: dict[str, str | No
             raise ValueError(f"cannot write {path}: it is a directory")
 
 
-def _write_trial_sigmf(result, args, path: str, sample_rate_hz: float, sample_count=None):
+def _write_trial_sigmf(result, args, path: str, samples_per_symbol: int, sample_count=None):
     doc = emit_sigmf(
         result,
-        sample_rate_hz,
+        samples_per_symbol,
         args.environment,
         args.altitude_m,
         args.link_distance_m,
@@ -195,8 +195,9 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     if args.iq_out:
         write_cf32(stream, args.iq_out)
     if args.sigmf_out:
-        sample_rate = PulseShapeConfig().interpolation / args.symbol_period_s
-        _write_trial_sigmf(runs[0].result, args, args.sigmf_out, sample_rate, len(stream))
+        _write_trial_sigmf(
+            runs[0].result, args, args.sigmf_out, PulseShapeConfig().interpolation, len(stream)
+        )
     return 0
 
 
@@ -218,10 +219,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.events_out:
         write_events_csv(runs, args.events_out)
     if args.sigmf_out:
-        sample_rate = spec.pulse.interpolation / spec.symbol_period_s
         for run in runs:
             path = os.path.join(args.sigmf_out, run_id(run.result) + ".sigmf-meta")
-            _write_trial_sigmf(run.result, args, path, sample_rate)
+            _write_trial_sigmf(run.result, args, path, spec.pulse.interpolation)
     return 0
 
 
@@ -235,7 +235,7 @@ def _cmd_validate_sigmf(args: argparse.Namespace) -> int:
     status = 0
     for path in args.files:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding=TEXT_ENCODING) as fh:
                 doc = json.load(fh)
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             print(f"{path}: unreadable ({exc})", file=sys.stderr)

@@ -159,9 +159,14 @@ def sweep_spec_from_text(text: str) -> SweepSpec:
     )
 
 
+# UTF-8 with or without the byte-order mark that Notepad and Excel write.
+TEXT_ENCODING = "utf-8-sig"
+
+
 def read_text(path: str) -> str:
-    """A UTF-8 text file's contents; any other bytes raise a ``ValueError`` naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """A UTF-8 text file's contents less any byte-order mark; any other bytes
+    raise a ``ValueError`` naming the file."""
+    with open(path, "r", encoding=TEXT_ENCODING) as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:

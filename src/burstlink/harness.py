@@ -52,7 +52,8 @@ def transmit_burst(frames_symbols: np.ndarray, pulse: PulseShapeConfig) -> np.nd
 
 @dataclass(frozen=True)
 class TrialRun:
-    """A trial's aggregate result plus its per-frame event log."""
+    """A trial's aggregate result plus its per-frame event log, live or read
+    back by ``read_events_csv``; only a live trial can carry its ``rx_stream``."""
 
     result: TrialResult
     events: FrameEvents
@@ -68,6 +69,7 @@ SNAPSHOT_COLUMNS = {
     "modulation": int,
     "pilot_reps": int,
     "trial": int,
+    "seed": int,
     "frames": int,
     "symbol_period_s": float,
     "data_bytes_per_frame": int,
@@ -83,30 +85,6 @@ SNAPSHOT_COLUMNS = {
     "rician_k": float,
     "freq_walk_std_hz": float,
 }
-
-
-def _config_snapshot(
-    cfg: FrameConfig,
-    profile: ChannelProfile,
-    frames: int,
-    symbol_period_s: float,
-    profile_index: int = 0,
-    trial: int = 0,
-) -> dict:
-    values = channel_profile_to_kv(profile)
-    values.update(
-        profile_index=profile_index,
-        modulation=cfg.modulation,
-        pilot_reps=cfg.pilot_reps,
-        trial=trial,
-        frames=frames,
-        symbol_period_s=symbol_period_s,
-        data_bytes_per_frame=cfg.payload_bytes,
-        data_symbols=cfg.data_symbols,
-        bits_per_symbol=cfg.bits_per_symbol,
-        frame_airtime_s=cfg.total_symbols * symbol_period_s,
-    )
-    return {column: kind(values[column]) for column, kind in SNAPSHOT_COLUMNS.items()}
 
 
 def run_trial_events(
@@ -182,10 +160,22 @@ def run_trial_events(
         tuple(batch.mean_residual_phase_deg.tolist()),
     )
 
-    snapshot = _config_snapshot(
-        cfg, profile, frames, symbol_period_s, profile_index, trial
+    values = channel_profile_to_kv(profile)
+    values.update(
+        profile_index=profile_index,
+        modulation=cfg.modulation,
+        pilot_reps=cfg.pilot_reps,
+        trial=trial,
+        seed=seed,
+        frames=frames,
+        symbol_period_s=symbol_period_s,
+        data_bytes_per_frame=cfg.payload_bytes,
+        data_symbols=cfg.data_symbols,
+        bits_per_symbol=cfg.bits_per_symbol,
+        frame_airtime_s=cfg.total_symbols * symbol_period_s,
     )
-    result = aggregate_events(events, snapshot, seed)
+    snapshot = {column: kind(values[column]) for column, kind in SNAPSHOT_COLUMNS.items()}
+    result = aggregate_events(events, snapshot)
     return TrialRun(result=result, events=events, rx_stream=rx if capture_stream else None)
 
 
@@ -267,10 +257,7 @@ RESULT_COLUMNS = (
 )
 
 _EVENT_FIELDS = tuple(f.name for f in fields(FrameEvents))
-# Per-trial event-log columns: the snapshot with the trial seed after "trial".
-_TRIAL_COLUMNS = tuple(
-    c for col in SNAPSHOT_COLUMNS for c in ((col, "seed") if col == "trial" else (col,))
-)
+_TRIAL_COLUMNS = tuple(SNAPSHOT_COLUMNS)  # a trial's columns in the event log
 EVENT_COLUMNS = _TRIAL_COLUMNS + _EVENT_FIELDS
 _TRIAL_KEY = ("profile_index", "modulation", "pilot_reps", "trial")  # names a trial
 
@@ -291,7 +278,6 @@ _FIELD_PARSERS = {"tuple[int, ...]": int, "tuple[float, ...]": float,
                   "tuple[str, ...]": str, "tuple[bool, ...]": _parse_bool}
 _COLUMN_PARSERS = {
     **SNAPSHOT_COLUMNS,
-    "seed": int,
     **{f.name: _FIELD_PARSERS[f.type] for f in fields(FrameEvents)},
     "failure": _parse_failure,
 }
@@ -336,8 +322,7 @@ def write_results_csv(results: list[TrialResult], path: str) -> None:
 def events_to_csv(runs: list[TrialRun]) -> str:
     lines = [",".join(EVENT_COLUMNS)]
     for run in runs:
-        trial_row = dict(run.result.config, seed=run.result.seed)
-        prefix = "".join(_cell_text(trial_row[c]) + "," for c in _TRIAL_COLUMNS)
+        prefix = "".join(_cell_text(run.result.config[c]) + "," for c in _TRIAL_COLUMNS)
         columns = (map(_cell_text, getattr(run.events, name)) for name in _EVENT_FIELDS)
         lines.extend(prefix + ",".join(cells) for cells in zip(*columns))
     return "\n".join(lines) + "\n"
@@ -348,14 +333,15 @@ def write_events_csv(runs: list[TrialRun], path: str) -> None:
         fh.write(events_to_csv(runs))
 
 
-def read_events_csv(path: str) -> list[tuple[dict, int, FrameEvents]]:
-    """Parse an event log into one ``(snapshot, seed, events)`` per trial, in
-    first-appearance order, each trial's frames in index order. A missing
-    header, a row with the wrong cell count, a cell that does not parse, or a
-    row whose outcome cells contradict each other or whose trial columns
-    differ from its trial's first row raises ``ValueError`` naming the first
-    such line (and the column, for a cell); a trial whose frame indices are not
-    ``range(frames)`` names the trial and its first missing or repeated frame."""
+def read_events_csv(path: str) -> list[TrialRun]:
+    """Replay an event log as one ``TrialRun`` per trial, in first-appearance
+    order, each trial's frames in index order and its result aggregated from
+    them; a replayed run has no ``rx_stream``. A missing header, a row with the
+    wrong cell count, a cell that does not parse, or a row whose outcome cells
+    contradict each other or whose trial columns differ from its trial's first
+    row raises ``ValueError`` naming the first such line (and the column, for a
+    cell); a trial whose frame indices are not ``range(frames)`` names the
+    trial and its first missing or repeated frame."""
     lines = read_text(path).splitlines()
     start = next((n for n, line in enumerate(lines, 1) if line), None)
     if start is None:
@@ -369,7 +355,7 @@ def read_events_csv(path: str) -> list[tuple[dict, int, FrameEvents]]:
         first_rows: dict[tuple, tuple[int, list[str]]] = {}
         for lineno, line in filter(itemgetter(1), enumerate(lines[start:], start + 1)):
             try:
-                [(snapshot, _, _)] = _read_trials([line])
+                [(snapshot, _)] = _read_trials([line])
             except ValueError as exc:
                 raise ValueError(f"{path} line {lineno}{exc}") from None
             key, cells = tuple(snapshot[c] for c in _TRIAL_KEY), line.split(",")
@@ -381,7 +367,7 @@ def read_events_csv(path: str) -> list[tuple[dict, int, FrameEvents]]:
                         f"on line {first}, a row of the same trial"
                     ) from None
         raise
-    for snapshot, _, events in trials:
+    for snapshot, events in trials:
         if events.frame_index != tuple(range(frames := snapshot["frames"])):
             # The first index that leaves 0, 1, ...; ``frames`` after the last
             # row stands for a trial that ends early.
@@ -395,10 +381,10 @@ def read_events_csv(path: str) -> list[tuple[dict, int, FrameEvents]]:
                 fault = f"frame index {i} is outside a trial of {frames} frames"
             key = ", ".join(f"{c} {snapshot[c]}" for c in _TRIAL_KEY)
             raise ValueError(f"{path}: trial {key}: {fault}")
-    return trials
+    return [TrialRun(aggregate_events(events, snapshot), events) for snapshot, events in trials]
 
 
-def _read_trials(lines) -> list[tuple[dict, int, FrameEvents]]:
+def _read_trials(lines) -> list[tuple[dict, FrameEvents]]:
     """Split each line once and parse each run of a trial's rows as it is read, the trial
     text at its first run. A fault raises ``ValueError`` with the text after a line number."""
     runs: dict[str, list] = {}  # trial text -> [snapshot, each run's event columns, ...]
@@ -421,8 +407,8 @@ def _read_trials(lines) -> list[tuple[dict, int, FrameEvents]]:
                              " each other")
         if list(events.frame_index) != sorted(events.frame_index):  # stable, by frame index
             events = FrameEvents(*zip(*sorted(zip(*vars(events).values()), key=itemgetter(0))))
-        trials.append((snapshot, snapshot.pop("seed"), events))
-    if len({tuple(s[c] for c in _TRIAL_KEY) for s, _, _ in trials}) < len(trials):
+        trials.append((snapshot, events))
+    if len({tuple(s[c] for c in _TRIAL_KEY) for s, _ in trials}) < len(trials):
         raise ValueError(": trial columns differ between rows of one trial")
     return trials
 
@@ -440,9 +426,9 @@ def _parse_columns(names: tuple[str, ...], columns):
             raise ValueError(f", column {name}: {exc}") from None
 
 
-def results_from_event_rows(trials: list[tuple[dict, int, FrameEvents]]) -> list[TrialResult]:
-    """Aggregate each trial ``read_events_csv`` returns, in its order."""
-    return [aggregate_events(events, snapshot, seed) for snapshot, seed, events in trials]
+def results_from_event_rows(runs: list[TrialRun]) -> list[TrialResult]:
+    """The result of each run ``read_events_csv`` returns, in its order."""
+    return [run.result for run in runs]
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +448,7 @@ REQUIRED_EXPERIMENT_FIELDS = (
 
 def emit_sigmf(
     result: TrialResult,
-    sample_rate_hz: float,
+    samples_per_symbol: int,
     environment: str | None = None,
     altitude_m: float | None = None,
     link_distance_m: float | None = None,
@@ -470,8 +456,9 @@ def emit_sigmf(
 ) -> dict:
     """SigMF-style metadata document for one trial recording.
 
-    Modulation, pilot repetitions and the default sample count (the trial's
-    frames at ``sample_rate_hz``) come from the trial snapshot. The experiment
+    Modulation, pilot repetitions, the sample rate (``samples_per_symbol``
+    per symbol period) and the default sample count (the trial's frames at
+    that rate) come from the trial snapshot. The experiment
     fields are always present; unknown values serialize as null. The document
     round-trips through JSON unchanged.
     """
@@ -479,11 +466,10 @@ def emit_sigmf(
     modulation, pilot_reps = cfg["modulation"], cfg["pilot_reps"]
     if sample_count is None:
         frame_symbols = round(cfg["frame_airtime_s"] / cfg["symbol_period_s"])
-        samples_per_symbol = int(round(sample_rate_hz * cfg["symbol_period_s"]))
         sample_count = result.frames_sent * frame_symbols * samples_per_symbol
     global_block = {
         "core:datatype": SIGMF_DATATYPE,
-        "core:sample_rate": sample_rate_hz,
+        "core:sample_rate": samples_per_symbol / cfg["symbol_period_s"],
         "core:version": "1.0.0",
         "core:description": (
             f"{modulation}QAM burst link trial, {pilot_reps} pilot "
@@ -497,7 +483,7 @@ def emit_sigmf(
         "experiment:environment": environment,
         "experiment:snr_db": _json_float(cfg["snr_db"]),
         "experiment:cfo_hz": cfg["cfo_hz"],
-        "experiment:seed": result.seed,
+        "experiment:seed": cfg["seed"],
         "experiment:goodput_bps": result.goodput_bps,
         "experiment:throughput_bps": result.throughput_bps,
         "experiment:evm_percent": _json_float(result.evm_percent),

@@ -13,30 +13,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def evm(rx_symbols: np.ndarray, ref_symbols: np.ndarray) -> float:
-    """Error vector magnitude in percent: 100 * RMS(rx - ref) / RMS(ref)."""
-    rx = np.asarray(rx_symbols)
-    ref = np.asarray(ref_symbols)
-    if rx.size == 0 or ref.size == 0:
-        raise ValueError("EVM requires nonempty symbol arrays")
-    if rx.shape != ref.shape:
-        raise ValueError(f"shape mismatch: {rx.shape} vs {ref.shape}")
-    return 100.0 * math.sqrt(
-        float(np.mean(np.abs(rx - ref) ** 2)) / float(np.mean(np.abs(ref) ** 2))
-    )
+def evm_from_energies(err: float, ref: float) -> float:
+    """Error vector magnitude in percent, 100 * sqrt(err / ref), from an error
+    and a reference energy summed over the same symbols; NaN when ``ref`` is 0."""
+    return 100.0 * math.sqrt(err / ref) if ref > 0 else math.nan
 
 
-def sinr_estimate(equalized: np.ndarray, decisions: np.ndarray) -> float:
-    """Decision-aided SINR in dB; +inf when the error power is zero."""
-    eq = np.asarray(equalized)
-    dec = np.asarray(decisions)
-    if eq.size == 0:
-        raise ValueError("SINR requires nonempty symbol arrays")
-    signal = float(np.mean(np.abs(dec) ** 2))
-    error = float(np.mean(np.abs(eq - dec) ** 2))
-    if error == 0.0:
-        return math.inf
-    return 10.0 * math.log10(signal / error)
+def sinr_from_energies(sig: float, err: float) -> float:
+    """Decision-aided SINR in dB from the decisions' energy and the error
+    energy about them; NaN when ``sig`` is 0, +inf when ``err`` is 0."""
+    if sig > 0:
+        return math.inf if err == 0 else 10.0 * math.log10(sig / err)
+    return math.nan
 
 
 def goodput(crc_pass_count: int, data_bytes_per_frame: int, duration_s: float) -> float:
@@ -94,7 +82,6 @@ class TrialResult:
     duration_s: float
     failure_counts: dict[str, int] = field(default_factory=dict)
     config: dict = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (self.crc_pass <= self.frames_detected <= self.frames_sent):
@@ -103,7 +90,7 @@ class TrialResult:
             raise ValueError("goodput cannot exceed throughput")
 
 
-def aggregate_events(events: FrameEvents, config: dict, seed: int) -> TrialResult:
+def aggregate_events(events: FrameEvents, config: dict) -> TrialResult:
     """Fold a trial's frame events into a TrialResult.
 
     ``config`` is the trial snapshot: the frame sizes and the airtime that
@@ -125,13 +112,6 @@ def aggregate_events(events: FrameEvents, config: dict, seed: int) -> TrialResul
     err_dec = sum(events.err_energy_dec)
     sig_dec = sum(events.sig_energy_dec)
 
-    evm_tx = 100.0 * math.sqrt(err_tx / ref_tx) if ref_tx > 0 else math.nan
-    evm_dec = 100.0 * math.sqrt(err_dec / sig_dec) if sig_dec > 0 else math.nan
-    if sig_dec > 0:
-        sinr = math.inf if err_dec == 0 else 10.0 * math.log10(sig_dec / err_dec)
-    else:
-        sinr = math.nan
-
     good = through = 0.0
     if duration > 0:
         good = goodput(passed, config["data_bytes_per_frame"], duration)
@@ -146,12 +126,11 @@ def aggregate_events(events: FrameEvents, config: dict, seed: int) -> TrialResul
         crc_pass=passed,
         goodput_bps=good,
         throughput_bps=through,
-        evm_percent=evm_tx,
-        evm_decision_percent=evm_dec,
-        sinr_db=sinr,
+        evm_percent=evm_from_energies(err_tx, ref_tx),
+        evm_decision_percent=evm_from_energies(err_dec, sig_dec),
+        sinr_db=sinr_from_energies(sig_dec, err_dec),
         mean_residual_phase_deg=mean_phase,
         duration_s=duration,
         failure_counts=failure_counts,
         config=dict(config),
-        seed=seed,
     )

@@ -30,8 +30,7 @@ from burstlink.harness import (
     transmit_burst,
     validate_sigmf,
 )
-from burstlink.metrics import evm as evm_metric
-from burstlink.metrics import sinr_estimate
+from burstlink.metrics import evm_from_energies, sinr_from_energies
 from burstlink.sync import (
     DECODED,
     DetectorConfig,
@@ -52,6 +51,10 @@ from burstlink.waveform import (
 ALL_LAMBDAS = (1, 2, 4, 6, 8)
 ALL_MODS = (4, 8, 16, 64)
 T_SYM = 1e-6
+
+
+def _energy(z: np.ndarray) -> float:
+    return float(np.sum(np.abs(z) ** 2))
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -81,7 +84,8 @@ def test_criterion_01_loopback_identity():
                 assert res.failure[0] == DECODED, (reps, mod, res.failure[0])
                 assert res.payloads[0] == crc_attach(data), (reps, mod)
                 tx_data = frame[data_index]
-                worst_evm = max(worst_evm, evm_metric(res.equalized[0], tx_data))
+                evm = evm_from_energies(_energy(res.equalized[0] - tx_data), _energy(tx_data))
+                worst_evm = max(worst_evm, evm)
             worst_time = max(worst_time, time.perf_counter() - started)
     ok = worst_evm < 0.1 and worst_time < 10.0
     report(
@@ -332,7 +336,8 @@ def test_criterion_07_evm_sinr_identity():
         ref = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
         sigma = math.sqrt(10 ** (-snr_db / 10) / 2)
         rx = ref + sigma * (rng.normal(size=n) + 1j * rng.normal(size=n))
-        worst_gap = max(worst_gap, abs(sinr_estimate(rx, ref) - snr_db))
+        sinr = sinr_from_energies(_energy(ref), _energy(rx - ref))
+        worst_gap = max(worst_gap, abs(sinr - snr_db))
 
     ok = identity_gap < 0.2 and worst_gap < 0.3
     report(
@@ -364,7 +369,7 @@ def test_criterion_08_determinism():
         csv_text = results_to_csv([r.result for r in runs])
         sigmf_text = "".join(
             sigmf_to_json(
-                emit_sigmf(r.result, sample_rate_hz=4e6, environment="bench")
+                emit_sigmf(r.result, samples_per_symbol=4, environment="bench")
             )
             for r in runs
         )
@@ -439,9 +444,9 @@ def test_criterion_10_sigmf_validity():
     cfg = FrameConfig(pilot_reps=2, modulation=8)
     result = run_trial_events(cfg, ChannelProfile(seed=2), frames=2, seed=9).result
     docs = [
-        emit_sigmf(result, sample_rate_hz=4e6, environment="indoor",
+        emit_sigmf(result, samples_per_symbol=4, environment="indoor",
                    altitude_m=12.0, link_distance_m=30.0),
-        emit_sigmf(result, sample_rate_hz=4e6),
+        emit_sigmf(result, samples_per_symbol=4),
     ]
     required = (
         "experiment:modulation",

@@ -451,6 +451,44 @@ def test_sweep_names_a_config_that_is_not_utf8(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
 
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark Notepad and Excel write
+
+
+@pytest.mark.parametrize("head", ["# a comment first\n", ""], ids=["comment", "key"])
+def test_sweep_reads_a_config_that_starts_with_a_bom(tmp_path, capsys, head):
+    outputs = []
+    for name, prefix in (("plain", b""), ("bom", BOM)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(prefix + (head + SWEEP_CFG.lstrip()).encode())
+        out = tmp_path / f"{name}.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0]
+
+
+def test_report_reads_an_event_log_that_starts_with_a_bom(tmp_path, capsys):
+    _sim_log(tmp_path, "e.csv")
+    events = tmp_path / "e.csv"
+    with_bom = tmp_path / "bom.csv"
+    with_bom.write_bytes(BOM + events.read_bytes())
+    capsys.readouterr()
+    assert main(["report", str(events)]) == 0
+    plain = capsys.readouterr()
+    assert main(["report", str(with_bom)]) == 0
+    assert capsys.readouterr() == plain
+
+
+def test_validate_sigmf_reads_a_file_that_starts_with_a_bom(tmp_path, capsys):
+    doc = tmp_path / "t.sigmf-meta"
+    assert main(["sim", "--frames", "2", "--sigmf-out", str(doc)]) == 0
+    with_bom = tmp_path / "bom.sigmf-meta"
+    with_bom.write_bytes(BOM + doc.read_bytes())
+    capsys.readouterr()
+    assert main(["validate-sigmf", str(with_bom)]) == 0
+    assert capsys.readouterr().out == f"{with_bom}: ok\n"
+
+
 def test_sweep_rejects_a_nan_symbol_period(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CFG + "symbol_period_s = nan\n")

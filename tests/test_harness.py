@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from burstlink import sync
 from burstlink.channel import ChannelProfile
+from burstlink.cli import main
 from burstlink.config import SweepSpec, load_sweep_config
 from burstlink.framing import FrameConfig, assemble_frames, crc_attach
 from burstlink.harness import (
@@ -213,7 +214,7 @@ class TestRunTrial:
         run = run_trial_events(cfg, CLEAN, frames=3, seed=7)
         assert run.events.frame_index == (0, 1, 2)
         assert run.events.crc_ok == (True, True, True)
-        assert run.result == aggregate_events(run.events, run.result.config, run.result.seed)
+        assert run.result == aggregate_events(run.events, run.result.config)
 
     def test_dense_pilots_beat_sparse_for_64qam_on_fast_channel(self):
         profile = ChannelProfile(
@@ -279,7 +280,7 @@ class TestSweep:
         )
         a = run_sweep(spec)[0].result
         b = run_sweep(spec2)[0].result
-        assert a.seed != b.seed
+        assert a.config["seed"] != b.config["seed"]
 
 
 # Written out by hand so the test pins the on-disk schema independently of
@@ -342,10 +343,36 @@ class TestPersistence:
         live = results_to_csv([r.result for r in runs])
         path = tmp_path / "events.csv"
         write_events_csv(runs, str(path))
-        trials = read_events_csv(str(path))
-        assert [len(events) for _, _, events in trials] == [5] * 4
-        recomputed = results_to_csv(results_from_event_rows(trials))
+        replayed = read_events_csv(str(path))
+        assert [len(run.events) for run in replayed] == [5] * 4
+        recomputed = results_to_csv(results_from_event_rows(replayed))
         assert recomputed == live
+
+    @staticmethod
+    def _assert_replay_is_the_record(live, path, tmp_path):
+        # A replayed trial is the live TrialRun less its stream, and it writes
+        # back the log it was read from byte for byte.
+        replayed = read_events_csv(str(path))
+        assert [run.rx_stream for run in replayed] == [None] * len(live)
+        assert [(r.result, r.events) for r in replayed] == [(r.result, r.events) for r in live]
+        again = tmp_path / "again.csv"
+        write_events_csv(replayed, str(again))
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_sim_log_replays_as_the_live_runs(self, tmp_path):
+        path = tmp_path / "events.csv"
+        assert main(["sim", "--trials", "2", "--frames", "5", "--out", str(tmp_path / "r.csv"),
+                     "--events-out", str(path)]) == 0
+        cfg = FrameConfig(pilot_reps=4, modulation=16)
+        live = [run_trial_events(cfg, CLEAN, 5, seed=t, trial=t) for t in range(2)]
+        self._assert_replay_is_the_record(live, path, tmp_path)
+
+    def test_example_sweep_log_replays_as_the_live_runs(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        live = run_sweep(load_sweep_config(str(root / "configs" / "example_sweep.cfg")))
+        path = tmp_path / "events.csv"
+        write_events_csv(live, str(path))
+        self._assert_replay_is_the_record(live, path, tmp_path)
 
     @staticmethod
     @lru_cache(maxsize=1)
@@ -430,7 +457,7 @@ class TestSigmf:
     def _doc(self, **kwargs):
         cfg = FrameConfig(pilot_reps=4, modulation=16)
         result = run_trial_events(cfg, CLEAN, frames=2, seed=1).result
-        return emit_sigmf(result, sample_rate_hz=4e6, **kwargs), result
+        return emit_sigmf(result, samples_per_symbol=4, **kwargs), result
 
     def test_required_fields_present(self):
         doc, _ = self._doc(environment="indoor", link_distance_m=30.0)
