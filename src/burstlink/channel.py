@@ -86,13 +86,12 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, stream])
 
 
-def _epoch_index(n_samples: int, profile: ChannelProfile, samples_per_symbol: int) -> np.ndarray:
-    """Coherence epoch of each sample. An epoch at least as long as the
-    stream, an infinite one included, is one epoch."""
-    if profile.coherence_symbols * samples_per_symbol >= n_samples:
-        return np.zeros(n_samples, dtype=np.int64)
-    epoch_len = int(profile.coherence_symbols) * samples_per_symbol
-    return np.arange(n_samples, dtype=np.int64) // epoch_len
+def _epoch_lengths(n_samples: int, profile: ChannelProfile, samples_per_symbol: int) -> np.ndarray:
+    """Sample count of each coherence epoch from sample 0, the last one cut at
+    the stream's end. An epoch at least as long as the stream, an infinite
+    one included, is one epoch."""
+    epoch_len = int(min(profile.coherence_symbols * samples_per_symbol, n_samples))
+    return np.diff(np.arange(0, n_samples, epoch_len), append=n_samples)
 
 
 def _oscillator_phase(
@@ -139,11 +138,11 @@ def apply_cfo_phase(
     oscillator = (profile.delta_f_hz, profile.drift_hz_per_s, profile.theta_in_rad)
     if profile.freq_walk_std_hz > 0.0:
         phase = _oscillator_phase(*oscillator, n, sample_period)
-        idx = _epoch_index(n, profile, samples_per_symbol)
-        n_epochs = int(idx[-1]) + 1
-        steps = _rng(profile.seed, _STREAM_WALK).normal(0.0, profile.freq_walk_std_hz, n_epochs)
+        lengths = _epoch_lengths(n, profile, samples_per_symbol)
+        walk = _rng(profile.seed, _STREAM_WALK)
+        steps = walk.normal(0.0, profile.freq_walk_std_hz, len(lengths))
         walk_freq = np.cumsum(steps)  # frequency offset during each epoch
-        freq_per_sample = walk_freq[idx]
+        freq_per_sample = np.repeat(walk_freq, lengths)
         # Integrate the piecewise-constant walk frequency over time.
         walk_phase = 2.0 * np.pi * sample_period * (
             np.cumsum(freq_per_sample) - freq_per_sample
@@ -172,14 +171,16 @@ def apply_block_fading(
     n = len(samples)
     if n == 0:
         return samples, np.empty(0, dtype=complex)
-    idx = _epoch_index(n, profile, samples_per_symbol)
-    n_epochs = int(idx[-1]) + 1
+    lengths = _epoch_lengths(n, profile, samples_per_symbol)
     rng = _rng(profile.seed, _STREAM_FADING)
-    gains = (rng.normal(size=n_epochs) + 1j * rng.normal(size=n_epochs)) / np.sqrt(2.0)
+    gains = (rng.normal(size=len(lengths)) + 1j * rng.normal(size=len(lengths))) / np.sqrt(2.0)
     if profile.fading == "block-rician":
         k = profile.rician_k
         gains = np.sqrt(k / (k + 1.0)) + gains * np.sqrt(1.0 / (k + 1.0))
-    return samples * gains[idx], gains
+    # Keep the gains a fresh temporary of the stream's length: from 256 KiB on
+    # numpy reuses it as the output, which fixes the operand order the digests
+    # pin (complex multiply is not bitwise commutative).
+    return samples * np.repeat(gains, lengths), gains
 
 
 def apply_awgn(

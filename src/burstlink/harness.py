@@ -30,13 +30,14 @@ _PAYLOAD_STREAM = 0x50
 
 
 def generate_payload(byte_count: int, seed) -> bytes:
-    """Deterministic pseudo-random payload bytes."""
+    """Deterministic pseudo-random payload bytes: the raw PCG64 words of
+    ``seed``, little-endian, which are ``default_rng(seed).integers(0, 256,
+    byte_count, dtype=np.uint8)`` (each word's low half first, each half's
+    low byte first) without the generator's per-call cost."""
     if byte_count < 0:
         raise ValueError("byte_count must be >= 0")
-    if byte_count == 0:
-        return b""
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 256, byte_count, dtype=np.uint8).tobytes()
+    words = np.random.PCG64(seed).random_raw(-(-byte_count // 8))
+    return words.astype("<u8", copy=False).tobytes()[:byte_count]
 
 
 def _derive_seed(parts: list[int]) -> int:

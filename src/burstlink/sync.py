@@ -48,10 +48,9 @@ OUTCOMES = frozenset(
 # Gain floor below which a block cannot be equalized without blowing up.
 H_MIN = 1e-6
 
-# Frames per full-width training-detection and demap pass. Both build arrays
-# several times their input's size (autocorrelation sums of every phase
-# stream, the distance to every constellation point); a whole trial at once
-# would only raise peak memory.
+# Frames per full-width training-detection pass. It builds arrays several
+# times its input's size (the autocorrelation sums of every phase stream); a
+# whole trial at once would only raise peak memory.
 _ROW_CHUNK = 8
 
 
@@ -498,12 +497,7 @@ def receive_frames(
     decisions = np.zeros_like(equalized)
     equalized[demapped] = refined[~flat][:, data_index] / gains[~flat][:, data_block]
     constellation = build_constellation(cfg.modulation)
-    bits = np.empty((len(demapped), cfg.data_bits), dtype=np.uint8)
-    for r0 in range(0, len(demapped), _ROW_CHUNK):
-        chunk = demapped[r0 : r0 + _ROW_CHUNK]
-        bits[r0 : r0 + _ROW_CHUNK], decisions[chunk] = demap_symbols(
-            equalized[chunk], constellation
-        )
+    bits, decisions[demapped] = demap_symbols(equalized[demapped], constellation)
     payloads: list[bytes | None] = [None] * n_frames
     for k, field in zip(demapped.tolist(), unpack_wire_bytes(bits, cfg)):
         payloads[k] = field

@@ -9,6 +9,7 @@ builders that depend only on a config are cached and return read-only arrays.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,21 +149,65 @@ def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
     return constellation.points[constellation.bit_labels[values]]
 
 
+# The slice is the full search's decision wherever margin * spacing >
+# _SLICE_BOUND * (|re| + |im| + reach)**2 + tiny. The search's float d² is
+# within a relative 1e-15 of the exact one (a rounding per component of s - p,
+# under 1 ulp in hypot, one in the square); any other grid point's exact d²
+# exceeds the slice's by at least 2 * spacing * margin; neither exceeds
+# (|re| + |im| + reach)**2, reach the largest |point|. So 1e-12 leaves a factor
+# of 1,000, which covers the rounded midpoints too; tiny covers subnormal d².
+_SLICE_BOUND = 1e-12
+
+
+def _slice_axis(x: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the sorted level nearest each value (``np.searchsorted``'s over
+    the midpoints for a non-NaN value, at a third of its cost), and the
+    value's distance to the nearest midpoint."""
+    mid = (levels[1:] + levels[:-1]) / 2
+    index = np.zeros(len(x), dtype=np.intp)
+    for m in mid:
+        index += x > m
+    edges = np.concatenate(([-np.inf], mid, [np.inf]))
+    return index, np.minimum(x - edges[index], edges[index + 1] - x)
+
+
+def _slice_grid(s: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each symbol's point index sliced per axis, and a mask of the symbols
+    whose slice is not provably nearest: all of them unless ``points`` is a
+    row-major grid of its distinct I and Q levels."""
+    li, lq = np.unique(points.real), np.unique(points.imag)
+    if not np.array_equal(points, (li[:, None] + 1j * lq).ravel()):
+        return np.zeros(len(s), dtype=np.intp), np.ones(len(s), dtype=bool)
+    spacing = min(np.diff(li).min(initial=np.inf), np.diff(lq).min(initial=np.inf))
+    re, im = s.real.copy(), s.imag.copy()  # contiguous copies make each pass faster
+    with np.errstate(all="ignore"):  # NaN, inf and overflow fail the test below
+        (i, margin_i), (q, margin_q) = _slice_axis(re, li), _slice_axis(im, lq)
+        bound = _SLICE_BOUND * (np.abs(re) + np.abs(im) + np.abs(points).max()) ** 2
+        sure = np.minimum(margin_i, margin_q) * spacing > bound + np.finfo(float).tiny
+    return i * len(lq) + q, ~sure
+
+
 def demap_symbols(
     symbols: np.ndarray, constellation: Constellation
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hard-decide symbols by nearest constellation point.
 
-    Returns the decided bits (MSB first per symbol) and the decided points,
-    both from one distance matrix. Ties go to the lowest point index, which
-    makes the decision deterministic. ``symbols`` of shape (..., D) give
-    bits of shape (..., D * bits_per_symbol) and decisions of shape (..., D).
+    Returns the decided bits (MSB first per symbol) and the decided points.
+    A grid constellation's symbols are sliced per axis; those the slice
+    cannot prove, and every symbol of any other constellation, take the full
+    search over every point, whose ties go to the lowest point index. The
+    two agree bit for bit. ``symbols`` of shape (..., D) give bits of shape
+    (..., D * bits_per_symbol) and decisions of shape (..., D).
     """
     symbols = np.asarray(symbols, dtype=complex)
-    d2 = np.abs(symbols[..., None] - constellation.points) ** 2
-    nearest = np.argmin(d2, axis=-1)
-    bits = constellation.point_bits[nearest]
-    return bits.reshape(symbols.shape[:-1] + (-1,)), constellation.points[nearest]
+    flat, points = symbols.ravel(), constellation.points
+    nearest, search = _slice_grid(flat, points)
+    if search.any():  # the masked passes cost more than the check when nothing is left
+        nearest[search] = np.argmin(np.abs(flat[search, None] - points) ** 2, axis=-1)
+    nearest = nearest.reshape(symbols.shape)
+    width = math.prod(symbols.shape[-1:]) * constellation.bits_per_symbol  # D, 1 if 0-d
+    bits = np.take(constellation.point_bits, nearest, axis=0)  # 10x faster than indexing
+    return bits.reshape(symbols.shape[:-1] + (width,)), points[nearest]
 
 
 @functools.cache

@@ -75,6 +75,26 @@ class TestCfoPhase:
         dphi = np.abs(np.diff(np.unwrap(np.angle(a / buf))))
         assert np.max(dphi) < 0.1
 
+    @pytest.mark.parametrize("n", [1_000, 1_030])
+    def test_frequency_walk_matches_the_gathered_walk(self, n):
+        # Repeating each epoch's walk frequency equals gathering it per sample,
+        # as bytes; 1,030 samples end in a partial epoch.
+        profile = ChannelProfile(
+            delta_f_hz=300.0, drift_hz_per_s=50.0, theta_in_rad=0.2,
+            freq_walk_std_hz=200.0, coherence_symbols=64, seed=3,
+        )
+        samples = np.random.default_rng(n).normal(size=2 * n).view(complex)
+        t = np.arange(n) * T_S
+        phase = 2.0 * np.pi * (300.0 * t + 0.5 * 50.0 * t * t)
+        phase += 0.2
+        idx = np.arange(n, dtype=np.int64) // (64 * 4)
+        steps = np.random.default_rng([3, 0x3A]).normal(0.0, 200.0, idx[-1] + 1)
+        freq = np.cumsum(steps)[idx]
+        walk_phase = 2.0 * np.pi * T_S * (np.cumsum(freq) - freq)
+        want = samples * np.exp(1j * (phase + walk_phase))
+        got = apply_cfo_phase(samples, profile, T_S, samples_per_symbol=4)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestBlockFading:
     def test_infinite_coherence_single_gain(self):
@@ -116,6 +136,24 @@ class TestBlockFading:
             seg = out[e * epoch_len : (e + 1) * epoch_len]
             ref = buf[e * epoch_len : (e + 1) * epoch_len]
             assert np.allclose(seg, gains[e] * ref)
+
+    @pytest.mark.parametrize("n", [1_000, 40_000], ids=["below-256KiB", "above-256KiB"])
+    @pytest.mark.parametrize("coherence", [7, 128, 10_000, math.inf])
+    def test_output_bits_match_the_gathered_gains(self, n, coherence):
+        # Repeating each epoch's gain equals gathering it per sample, as bytes,
+        # on either side of numpy's 256 KiB temporary elision; 7 and 128
+        # symbols end in a partial epoch, the others are one epoch.
+        profile = ChannelProfile(
+            fading="block-rician", rician_k=10.0, coherence_symbols=coherence, seed=5
+        )
+        samples = np.random.default_rng(n).normal(size=2 * n).view(complex)
+        out, gains = apply_block_fading(samples, profile, samples_per_symbol=4)
+        idx = np.zeros(n, dtype=np.int64)
+        if coherence * 4 < n:
+            idx = np.arange(n, dtype=np.int64) // (int(coherence) * 4)
+        want = samples * gains[idx]  # outside the assert, which would keep the temporary
+        assert len(gains) == idx[-1] + 1
+        assert out.tobytes() == want.tobytes()
 
     def test_fading_none_rejected(self):
         with pytest.raises(ValueError, match="fading"):

@@ -84,6 +84,23 @@ class TestPayload:
         with pytest.raises(ValueError):
             generate_payload(-1, 0)
 
+    # Small seeds, the 63- and 64-bit extremes, and trial seeds derived as a
+    # sweep derives them: SeedSequence([master, profile, order, lambda, trial]).
+    SEEDS = (0, 1, 42, 2**63 - 1, 2**64 - 1) + tuple(
+        int(np.random.SeedSequence([2026, 0, 16, 4, t]).generate_state(1, np.uint64)[0])
+        for t in range(3)
+    )
+
+    @pytest.mark.parametrize("n", [*range(18), 56, 206])
+    def test_bytes_are_the_generator_integers(self, n):
+        # The raw-word form against the Generator.integers form it replaces,
+        # with the per-frame seed list run_trial_events passes.
+        for s in self.SEEDS:
+            for k in (0, 1, 49):
+                seed = [s, 0x50, k]
+                want = np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8)
+                assert generate_payload(n, seed) == want.tobytes()
+
 
 CLEAN = ChannelProfile()
 

@@ -1,5 +1,6 @@
 """Tests for constellations, Golay sequences, pulse shaping, and AGC."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from burstlink.waveform import (
     matched_filter_downsample,
     shape_and_upsample,
 )
+from burstlink.waveform import _slice_grid
 
 ORDERS = (4, 8, 16, 64)
 
@@ -75,6 +77,24 @@ class TestConstellation:
             build_constellation(order)
 
 
+def full_search(symbols, c):
+    """The demapper before the grid slicer: the distance to every point."""
+    symbols = np.asarray(symbols, dtype=complex)
+    nearest = np.argmin(np.abs(symbols[..., None] - c.points) ** 2, axis=-1)
+    return c.point_bits[nearest].reshape(symbols.shape[:-1] + (-1,)), c.points[nearest]
+
+
+def demap_outcome(demap, symbols, c):
+    """Bits and decisions as bytes, or the first warning, raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            bits, decisions = demap(symbols, c)
+        except RuntimeWarning as warning:
+            return str(warning)
+    return bits.shape, bits.tobytes(), decisions.shape, decisions.tobytes()
+
+
 class TestMapDemap:
     def test_4qam_gray_map_distinct_quadrants(self):
         c = build_constellation(4)
@@ -87,6 +107,11 @@ class TestMapDemap:
         assert map_bits(np.array([], dtype=np.uint8), c).size == 0
         bits, decisions = demap_symbols(np.array([], dtype=complex), c)
         assert bits.size == decisions.size == 0
+
+    def test_zero_rows_keep_their_width(self):
+        bits, decisions = demap_symbols(np.zeros((0, 5), complex), build_constellation(16))
+        assert bits.shape == (0, 20)
+        assert decisions.shape == (0, 5)
 
     def test_64qam_closure(self):
         c = build_constellation(64)
@@ -141,6 +166,67 @@ class TestMapDemap:
         bits_out, decisions = demap_symbols(noisy, c)
         assert np.array_equal(bits_out, expected)
         assert np.array_equal(decisions, c.points[nearest])
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        exponents=st.lists(
+            st.one_of(st.floats(-300, 300), st.floats(-3, 1)), min_size=1, max_size=40
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_magnitude_matches_the_full_search(self, order, exponents, seed):
+        c = build_constellation(order)
+        rng = np.random.default_rng(seed)
+        angle = rng.uniform(0, 2 * np.pi, len(exponents))
+        symbols = 10.0 ** np.array(exponents) * np.exp(1j * angle)
+        assert demap_outcome(demap_symbols, symbols, c) == demap_outcome(full_search, symbols, c)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_midpoints_and_their_neighbours_match_the_full_search(self, order):
+        # Exact float midpoints between levels, the floats either side of
+        # them, and the levels themselves, on both axes.
+        c = build_constellation(order)
+        axes = []
+        for levels in (np.unique(c.points.real), np.unique(c.points.imag)):
+            mid = (levels[1:] + levels[:-1]) / 2
+            axes.append(np.concatenate(
+                [levels, mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf)]
+            ))
+        symbols = axes[0][:, None] + 1j * axes[1]
+        assert demap_outcome(demap_symbols, symbols, c) == demap_outcome(full_search, symbols, c)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_non_finite_and_huge_components_match_the_full_search(self, order):
+        c = build_constellation(order)
+        special = np.array([np.nan, np.inf, -np.inf, 1e150, -1e150, 0.3, 0.0])
+        symbols = np.empty((7, 7), dtype=complex)
+        symbols.real, symbols.imag = special[:, None], special
+        got = demap_outcome(demap_symbols, symbols, c)
+        assert not isinstance(got, str)
+        assert got == demap_outcome(full_search, symbols, c)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_rotated_constellation_takes_the_full_search(self, order):
+        c = build_constellation(order)
+        rotated = dataclasses.replace(c, points=c.points * np.exp(0.3j))
+        rng = np.random.default_rng(order)
+        symbols = rng.normal(size=(5, 40)) + 1j * rng.normal(size=(5, 40))
+        assert _slice_grid(symbols.ravel(), rotated.points)[1].all()
+        assert demap_outcome(demap_symbols, symbols, rotated) == demap_outcome(
+            full_search, symbols, rotated
+        )
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_noisy_symbols_take_no_full_search(self, order):
+        # Symbols clear of every decision boundary are all sliced, so no
+        # distance to every point is computed for them.
+        c = build_constellation(order)
+        rng = np.random.default_rng(order)
+        noise = 0.05 * (rng.normal(size=500) + 1j * rng.normal(size=500))
+        symbols = rng.choice(c.points, 500) + noise
+        assert not _slice_grid(symbols, c.points)[1].any()
+        assert demap_outcome(demap_symbols, symbols, c) == demap_outcome(full_search, symbols, c)
 
 
 class TestGolay:
