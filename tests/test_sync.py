@@ -710,6 +710,20 @@ class TestReceiveFrame:
         assert res.failure[0] == UNEQUALIZABLE
         assert res.detected[0]
 
+    @pytest.mark.parametrize("reps,mod", [(4, 16), (8, 64), (2, 16)])
+    def test_each_data_segment_is_equalized_by_its_own_pilot_block(self, reps, mod):
+        # The gain halves from the last pilot block on: data equalized by any
+        # earlier block's gain lands off the grid (4QAM would not notice).
+        cfg = FrameConfig(pilot_reps=reps, modulation=mod)
+        rng = np.random.default_rng(70 + reps + mod)
+        for _ in range(10):
+            data = rng.bytes(cfg.payload_bytes)
+            frame = assemble_frames([crc_attach(data)], cfg)
+            frame[:, block_indices(cfg)[0][-1][0] :] *= 0.5
+            res = receive_one(transmit_burst(frame, PulseShapeConfig()), cfg)
+            assert res.failure[0] == DECODED
+            assert res.payloads[0] == crc_attach(data)
+
     def test_corrupted_data_reports_crc_fail(self):
         cfg = FrameConfig(pilot_reps=1, modulation=4)
         rng = np.random.default_rng(14)

@@ -1,6 +1,7 @@
 """Tests for constellations, Golay sequences, pulse shaping, and AGC."""
 
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -16,7 +17,6 @@ from burstlink.waveform import (
     PulseShapeConfig,
     agc,
     build_constellation,
-    complementary_autocorrelation,
     demap_symbols,
     design_srrc,
     generate_golay_pair,
@@ -28,6 +28,29 @@ from burstlink.waveform import (
 from burstlink.waveform import _slice_grid
 
 ORDERS = (4, 8, 16, 64)
+# SHA-256 of the bytes of points, bit_labels and point_bits for each order.
+PINNED_TABLES = {
+    4: (
+        "396fa67b42551008ee291dff4a9d5b2e5ec5a845576e65fb6feac5500271efb1",
+        "a1e03200f1f82ad2c1cec8795c271aaecf98f5aa2d151d2229ec5fa0c177cf77",
+        "0fe12ed7a2eb6806814ba347f882ee9e6ed89336d8033001e52ad0d8d629bdd3",
+    ),
+    8: (
+        "fb0e9b34c7f56db4410153ecee997ba2b02d99dffc31352045713f4356eaf89d",
+        "a5b25c509529a2e5cb46058f8d55a600719f03c0867ed9ac60662437cc1a88f0",
+        "33a36cce3c8aed816b7d87f97e9396b1b0c55ba9a69e4b7d44f3c4c6a090d9f4",
+    ),
+    16: (
+        "fadc5967faf0cb3c51e73103d8a453da1358cbf554a72c7a2d2cbdfc3be31a8b",
+        "134b98cb8cdcf912139838cc05cb233e9c8c2182593cffe2c769e5a180ef42ab",
+        "f513a6aafdef0967635fd607d3a486d2c9bc7d92cb9874dd409a0ced8079c860",
+    ),
+    64: (
+        "5bf9650888696536af317351095ea3560cc283c48f4f53012720f9b6b4acae5c",
+        "f8b0e4657686e41e7e1be7956ac6b4b87c5753456cfd1758f472d0ceeda105ba",
+        "9508ca9012086657773533a42e0a7f72fad0fae7602502b5adb3807ec58944df",
+    ),
+}
 
 
 class TestConstellation:
@@ -70,6 +93,28 @@ class TestConstellation:
             for j in range(i + 1, order):
                 if abs(d[i, j] - dmin) < 1e-9:
                     assert bin(inverse[i] ^ inverse[j]).count("1") == 1
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_tables_match_pinned_digests(self, order):
+        # Every recorded digest was made with these bytes; a rewrite of the
+        # builder must reproduce them exactly.
+        c = build_constellation(order)
+        tables = c.points, c.bit_labels, c.point_bits
+        assert [t.dtype for t in tables] == [np.complex128, np.int64, np.uint8]
+        assert [t.shape for t in tables] == [(order,), (order,), (order, c.bits_per_symbol)]
+        assert tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in tables) == PINNED_TABLES[order]
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_labels_follow_the_definition(self, order):
+        # Point p = i * n_q + q carries the group gray(i) << q_bits | gray(q).
+        c = build_constellation(order)
+        bps = c.bits_per_symbol
+        q_bits = bps // 2
+        for p in range(order):
+            i, q = divmod(p, 1 << q_bits)
+            group = (i ^ i >> 1) << q_bits | (q ^ q >> 1)
+            assert c.bit_labels[group] == p
+            assert c.point_bits[p].tolist() == [group >> b & 1 for b in range(bps - 1, -1, -1)]
 
     @pytest.mark.parametrize("order", (2, 3, 32, 128, 0))
     def test_unsupported_order_rejected(self, order):
@@ -234,12 +279,14 @@ class TestGolay:
         pair = generate_golay_pair(2)
         assert pair[0].tolist() == [1, 1]
         assert pair[1].tolist() == [1, -1]
-        acorr = complementary_autocorrelation(pair)
+        a, b = pair
+        acorr = np.correlate(a, a, "full")[1:] + np.correlate(b, b, "full")[1:]
         assert acorr.tolist() == [4, 0]
 
     @pytest.mark.parametrize("n", (2, 4, 8, 16, 32, 64, 128, 256, 512))
     def test_complementary_sum_exact(self, n):
-        acorr = complementary_autocorrelation(generate_golay_pair(n))
+        a, b = generate_golay_pair(n)
+        acorr = np.correlate(a, a, "full")[n - 1 :] + np.correlate(b, b, "full")[n - 1 :]
         assert acorr[0] == 2 * n
         assert np.all(acorr[1:] == 0)
 
