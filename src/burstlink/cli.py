@@ -87,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--link-distance-m", type=float, default=None)
     _add_config_flags(sim, ChannelProfile)
     _add_config_flags(sim, DetectorConfig)
+    sim.set_defaults(run=_cmd_sim)
 
     sweep = sub.add_parser("sweep", help="run a sweep grid from a config file")
     sweep.add_argument("--config", required=True)
@@ -98,13 +99,16 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--environment", default=None)
     sweep.add_argument("--altitude-m", type=float, default=None)
     sweep.add_argument("--link-distance-m", type=float, default=None)
+    sweep.set_defaults(run=_cmd_sweep)
 
     report = sub.add_parser("report", help="recompute metrics from an event log")
     report.add_argument("events", help="event log CSV written by sim/sweep")
     report.add_argument("--out", help="write the recomputed result CSV here")
+    report.set_defaults(run=_cmd_report)
 
     validate = sub.add_parser("validate-sigmf", help="check SigMF metadata files")
     validate.add_argument("files", nargs="+")
+    validate.set_defaults(run=_cmd_validate_sigmf)
 
     return parser
 
@@ -138,18 +142,6 @@ def _check_output_paths(files: dict[str, str | None], others: dict[str, str | No
             raise ValueError(f"cannot write {path}: {folder} is not a directory")
         if os.path.isdir(path):
             raise ValueError(f"cannot write {path}: it is a directory")
-
-
-def _write_trial_sigmf(result, args, path: str, samples_per_symbol: int, sample_count=None):
-    doc = emit_sigmf(
-        result,
-        samples_per_symbol,
-        args.environment,
-        args.altitude_m,
-        args.link_distance_m,
-        sample_count,
-    )
-    write_sigmf(doc, path)
 
 
 def _write_results(results, path: str | None) -> None:
@@ -195,9 +187,9 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     if args.iq_out:
         write_cf32(stream, args.iq_out)
     if args.sigmf_out:
-        _write_trial_sigmf(
-            runs[0].result, args, args.sigmf_out, PulseShapeConfig().interpolation, len(stream)
-        )
+        doc = emit_sigmf(runs[0].result, PulseShapeConfig().interpolation, args.environment,
+                         args.altitude_m, args.link_distance_m, len(stream))
+        write_sigmf(doc, args.sigmf_out)
     return 0
 
 
@@ -221,7 +213,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.sigmf_out:
         for run in runs:
             path = os.path.join(args.sigmf_out, run_id(run.result) + ".sigmf-meta")
-            _write_trial_sigmf(run.result, args, path, spec.pulse.interpolation)
+            doc = emit_sigmf(run.result, spec.pulse.interpolation, args.environment,
+                             args.altitude_m, args.link_distance_m)
+            write_sigmf(doc, path)
     return 0
 
 
@@ -255,18 +249,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "sim":
-            return _cmd_sim(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "validate-sigmf":
-            return _cmd_validate_sigmf(args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from .waveform import (
     demap_symbols,
     generate_golay_pair,
     matched_filter,
+    matched_filter_downsample,
 )
 
 FAILURE_KINDS = ("no-training", "no-frame", "truncated", "unequalizable", "crc-fail")
@@ -349,13 +350,7 @@ def _choose_training_phase(
     (n_rows, n), sps = x.shape, pulse.interpolation
     width = -(-n // sps)
     head = min(head, width)
-    lengths = (n - np.arange(sps) + sps - 1) // sps
-
-    def every_phase(rows_x, first, count):  # (rows, P, count) from symbol ``first``
-        out = matched_filter(rows_x, pulse, first * sps, count * sps)
-        return out.reshape(len(rows_x), count, sps).swapaxes(-1, -2)
-
-    heads = every_phase(x, 0, head)
+    heads, lengths = matched_filter_downsample(x, pulse, 0, head)
     final, phase = np.ones(n_rows, bool), np.zeros(n_rows, np.int64)
     peaks = np.full(n_rows, -1), np.zeros(n_rows, complex), np.zeros(n_rows)
     if width >= 2 * lag:
@@ -365,7 +360,8 @@ def _choose_training_phase(
     rest = np.flatnonzero(~final)
     for r0 in range(0, len(rest), _ROW_CHUNK):
         rows = rest[r0 : r0 + _ROW_CHUNK]
-        streams = np.concatenate([heads[rows], every_phase(x[rows], head, width - head)], axis=-1)
+        later, _ = matched_filter_downsample(x[rows], pulse, head)
+        streams = np.concatenate([heads[rows], later], axis=-1)
         _, phase[rows], found = _search_training(streams, lengths, det, lag, width)
         for kept, value in zip(peaks, found):
             kept[rows] = value

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 BITS_PER_SYMBOL = {4: 2, 8: 3, 16: 4, 64: 6}
 
@@ -244,45 +244,41 @@ def shape_and_upsample(frames: np.ndarray, cfg: PulseShapeConfig) -> np.ndarray:
         return np.convolve(stuffed[:n], taps)
     words = frames.view(np.uint64)  # two words per symbol
     shared = int(np.argmin(np.append((words == words[0]).all(axis=0), False))) // 2
-    lo, hi = t - 1, max(shared * p, t - 1)  # outputs [lo, hi) of a row read only shared columns
+    lo = t - 1
+    common = max(shared * p - lo, 0)  # a row's first outputs that read only shared columns
     out = np.empty(n + t - 1, dtype=complex)
     reverse = taps[::-1].astype(complex)
-
-    def rows(a, start, *shape):  # row r of the view starts at a[start + r * width]
-        return as_strided(a[start:], shape, (width * a.itemsize,) + a.strides * (len(shape) - 1))
-
+    # Row r's output lo + r * width + k reads window r * width + k: both
+    # reshapes split the leading axis, so they stay views.
+    windows = sliding_window_view(stuffed, t).reshape(f, width, t)
+    rows = out[lo : lo + n].reshape(f, width)
     with np.errstate(invalid="ignore"):  # vecdot warns on an inf sample; np.convolve does not
-        np.vecdot(reverse, rows(stuffed, 0, 1, hi - lo, t), out=rows(out, lo, 1, hi - lo))
-        rows(out, lo, f, hi - lo)[1:] = out[lo:hi]
-        # Each row's outputs from hi on, up to the next row's lo, in one call.
-        run = width - (hi - lo)
-        np.vecdot(reverse, rows(stuffed, hi - lo, f, run, t), out=rows(out, hi, f, run))
+        np.vecdot(reverse, windows[0, :common], out=rows[0, :common])
+        rows[1:, :common] = rows[0, :common]
+        np.vecdot(reverse, windows[:, common:], out=rows[:, common:])  # the rest, in one call
     out[:lo] = np.convolve(stuffed[:t], taps)[:lo]
     out[n:] = np.convolve(stuffed[n - t : n], taps)[t:]
     return out
 
 
 def matched_filter_downsample(
-    x: np.ndarray, cfg: PulseShapeConfig
+    x: np.ndarray, cfg: PulseShapeConfig, first: int = 0, count: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Matched-filter with the SRRC taps once and decimate at every phase.
+    """``matched_filter``'s outputs for symbols ``first`` to ``first +
+    count`` (to the end by default) at every decimation phase.
 
     Samples ``x`` of shape (..., N) give ``streams`` of shape (..., P,
-    ceil(N/P)), P the interpolation factor, and ``lengths`` of shape (P,):
-    ``streams[..., p, :lengths[p]]`` are the symbol-rate samples at sampling
-    phase p, ``lengths[p] = ceil((N - p)/P)``, and zeros follow them.
-    ``streams`` is a view of one zero-padded filter output. The combined
-    group delay of the shaping/matched pair (tap_count - 1 samples) is
-    trimmed, so for samples from ``shape_and_upsample`` the symbols sit at
-    phase 0. Each row is filtered on its own (``np.convolve`` is 1-D).
+    count), P the interpolation factor, and ``lengths`` of shape (P,):
+    symbol k at phase p is filter output ``k * P + p``, phase p holds
+    ``lengths[p] = ceil((N - p)/P)`` symbols, and zeros follow them. The
+    combined group delay of the shaping/matched pair (tap_count - 1 samples)
+    is trimmed, so for samples from ``shape_and_upsample`` the symbols sit
+    at phase 0.
     """
-    taps, n, sps = design_srrc(cfg), x.shape[-1], cfg.interpolation
-    width = -(-n // sps)
-    trimmed = np.zeros(x.shape[:-1] + (width * sps,), dtype=np.result_type(x, taps))
-    for row in np.ndindex(x.shape[:-1]):
-        if n:
-            trimmed[row][:n] = np.convolve(x[row], taps)[cfg.tap_count - 1 :]
-    streams = trimmed.reshape(x.shape[:-1] + (width, sps)).swapaxes(-1, -2)
+    n, sps = x.shape[-1], cfg.interpolation
+    count = -(-n // sps) - first if count is None else count
+    out = matched_filter(x.reshape(math.prod(x.shape[:-1]), n), cfg, first * sps, count * sps)
+    streams = out.reshape(x.shape[:-1] + (count, sps)).swapaxes(-1, -2)
     return streams, (n - np.arange(sps) + sps - 1) // sps
 
 
@@ -290,15 +286,16 @@ def matched_filter(
     x: np.ndarray, cfg: PulseShapeConfig, start, count: int, step: int = 1
 ) -> np.ndarray:
     """Outputs ``start[r] + step * k``, k < ``count``, of each row r of the
-    filter ``matched_filter_downsample`` decimates, bit for bit, filtering
-    only those: (F, count) for samples (F, N). ``start`` is one int for all
-    rows or one per row; a negative start leaves its row zero, as every
-    output from N on is. Full overlaps are ``np.vecdot`` with the reversed
-    taps as its first (conjugated) operand, the dot product ``np.convolve``
-    takes, once over all rows when they share a start. The last ``tap_count
-    - 1`` outputs come from ``np.convolve`` of the row's last ``min(N,
-    tap_count)`` samples: on a shorter slice it swaps its operands, which can
-    change the last bit, and a zero-padded vecdot sums in another order."""
+    trimmed SRRC convolution ``np.convolve(x[r], taps)[tap_count - 1:]``,
+    bit for bit, filtering only those: (F, count) for samples (F, N).
+    ``start`` is one int for all rows or one per row; a negative start leaves
+    its row zero, as every output from N on is. Full overlaps are
+    ``np.vecdot`` with the reversed taps as its first (conjugated) operand,
+    the dot product ``np.convolve`` takes, once over all rows when they share
+    a start. The last ``tap_count - 1`` outputs come from ``np.convolve`` of
+    the row's last ``min(N, tap_count)`` samples: on a shorter slice it swaps
+    its operands, which can change the last bit, and a zero-padded vecdot
+    sums in another order."""
     taps, t, n = design_srrc(cfg), cfg.tap_count, x.shape[-1]
     reverse = taps[::-1].astype(np.result_type(x, taps))
     out = np.zeros((len(x), count), dtype=reverse.dtype)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from burstlink import sync
+from burstlink import sync, waveform
 from burstlink.channel import ChannelProfile, apply_channel
 from burstlink.framing import (
     SUPPORTED_PILOT_REPS,
@@ -286,6 +286,7 @@ class TestTrainingHeadSearch:
 
         monkeypatch.setattr(sync, "autocorrelation_metric", spy)
         monkeypatch.setattr(sync, "matched_filter", spy_filter)
+        monkeypatch.setattr(waveform, "matched_filter", spy_filter)
         x = agc(np.stack([late_frame(4 * offset) for offset in (10, 66, 200)]))
         got = choose_phase(x)
         past, width = 4 * HEAD, 472
@@ -297,6 +298,24 @@ class TestTrainingHeadSearch:
         assert fallback == (2, past, 4 * (width - HEAD), 1)
         assert got[2][0].tolist() == [offset + 2 * M - 1 for offset in (10, 66, 200)]
         assert_same_choice(got, choose_phase(x, full_width_choice))
+
+    def test_benchmark_trial_filters_every_phase_over_the_head_once(self, monkeypatch):
+        # The benchmark times the matched filter at matched_filter_downsample.
+        # A seed-42 trial-impaired trial (seed 42 * 64) calls it once, for
+        # every row's head; no row there needs the full-width pass.
+        calls = []
+
+        def spy(x, pulse, first=0, count=None):
+            calls.append((len(x), first, count))
+            return matched_filter_downsample(x, pulse, first, count)
+
+        monkeypatch.setattr(sync, "matched_filter_downsample", spy)
+        profile = ChannelProfile(
+            snr_db=20.0, delta_f_hz=1500.0, drift_hz_per_s=100.0, coherence_symbols=128,
+            fading="block-rician", rician_k=10.0,
+        )
+        run_trial_events(FrameConfig(pilot_reps=4, modulation=16), profile, 50, 2688)
+        assert calls == [(50, 0, 128)]  # the 128-symbol head
 
 
 def assert_same_batch(got, want):

@@ -467,6 +467,13 @@ class TestShaping:
         for phase, n in enumerate(lengths):
             assert np.array_equal(streams[phase, :n], full[phase :: cfg.interpolation])
             assert np.all(streams[phase, n:] == 0)
+        # A range of symbols is those columns of every phase, to the end by default.
+        middle, _ = matched_filter_downsample(x, cfg, 10, 20)
+        assert middle.tobytes() == streams[:, 10:30].tobytes()
+        assert matched_filter_downsample(x, cfg, 10)[0].tobytes() == streams[:, 10:].tobytes()
+        empty, lengths = matched_filter_downsample(np.zeros((2, 0), dtype=complex), cfg)
+        assert empty.shape == (2, cfg.interpolation, 0)
+        assert lengths.tolist() == [0] * cfg.interpolation
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -486,8 +493,9 @@ class TestShaping:
         x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
         if bad is not None:
             x[data.draw(st.integers(0, 2)), data.draw(st.integers(0, n - 1))] = bad
-        streams, _ = matched_filter_downsample(x, cfg)
-        trimmed = streams.swapaxes(-1, -2).reshape(3, -1)  # zero from sample N on
+        trimmed = np.zeros((3, -(-n // cfg.interpolation) * cfg.interpolation), dtype=complex)
+        for row in range(3):  # zero from sample N on
+            trimmed[row, :n] = np.convolve(x[row], design_srrc(cfg))[cfg.tap_count - 1 :]
         span = st.integers(-2, trimmed.shape[-1] + 2)
         start = [data.draw(span) for _ in range(3)] if per_row else [data.draw(span)] * 3
         count = data.draw(st.integers(0, -(-trimmed.shape[-1] // step) + 2))
