@@ -291,29 +291,32 @@ def matched_filter(
     ``start`` is one int for all rows or one per row; a negative start leaves
     its row zero, as every output from N on is. Full overlaps are
     ``np.vecdot`` with the reversed taps as its first (conjugated) operand,
-    the dot product ``np.convolve`` takes, once over all rows when they share
-    a start. The last ``tap_count - 1`` outputs come from ``np.convolve`` of
-    the row's last ``min(N, tap_count)`` samples: on a shorter slice it swaps
-    its operands, which can change the last bit, and a zero-padded vecdot
-    sums in another order."""
+    the dot product ``np.convolve`` takes, in one call when all rows share a
+    start. Output j > N - tap_count overlaps the first N - j reversed taps
+    with ``x[r, j:]``: one vecdot per column over the rows of each start, and
+    ``np.convolve``'s partial sum, which a zero-padded window is not. A row
+    shorter than the taps takes ``np.convolve``, which swaps its operands."""
     taps, t, n = design_srrc(cfg), cfg.tap_count, x.shape[-1]
     reverse = taps[::-1].astype(np.result_type(x, taps))
     out = np.zeros((len(x), count), dtype=reverse.dtype)
     windows = sliding_window_view(x, t, axis=-1) if n >= t else None
-    tail_from, shared = max(n - t, 0), np.ndim(start) == 0
+    starts = np.broadcast_to(start, len(x))
     with np.errstate(invalid="ignore"):  # vecdot warns on an inf sample; np.convolve does not
-        for r, s in enumerate([int(start)] if shared else np.asarray(start).tolist()):
-            if s < 0:
-                continue
-            rows = slice(None) if shared else r
+        for s in set(starts[starts >= 0].tolist()):
+            members = np.flatnonzero(starts == s)
+            shared = len(members) == len(x)
+            rows = slice(None) if shared else members
             body = min(max(-((t - 1 - n + s) // step), 0), count)  # outputs up to N - t
             stop = min(max(-((s - n) // step), 0), count)  # outputs before N
-            if body:
-                np.vecdot(reverse, windows[rows, s : s + body * step : step], out=out[rows, :body])
-            if stop > body:  # output j is tail output j + tap_count - 1 - tail_from
-                at = slice(s + body * step + t - 1 - tail_from, None, step)
-                for row in range(len(x)) if shared else (r,):
-                    out[row, body:stop] = np.convolve(x[row, tail_from:], taps)[at][: stop - body]
+            if windows is None:  # on a row shorter than its taps np.convolve swaps its operands
+                for row in members if stop else ():
+                    out[row, :stop] = np.convolve(x[row], taps)[s + t - 1 :: step][:stop]
+                continue
+            for r in [rows] if shared else members:  # an index array would copy the window view
+                np.vecdot(reverse, windows[r, s : s + body * step : step], out=out[r, :body])
+            for k in range(body, stop):  # output j overlaps the taps with x[j:]
+                j = s + k * step
+                out[rows, k] = np.vecdot(reverse[: n - j], x[rows, j:])
     return out
 
 
@@ -333,8 +336,34 @@ def agc(x: np.ndarray) -> np.ndarray:
 
     ``x`` may have shape ``(..., N)``: the loop runs along the last
     axis with one gain per leading index, each step one array operation over
-    all of them, so every row comes out exactly as it would alone.
+    all of them, so every row comes out exactly as it would alone. The gains
+    are first computed unclamped, on real arrays: a row whose gains all lie
+    within the bounds is scaled by them, with the clamped loop's roundings,
+    and every other row (an inf or NaN before the freeze too) is redone by
+    ``_agc_loop``, the clamped loop itself.
     """
+    rows = x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
+    limit = min(AGC_FREEZE_SAMPLES, x.shape[-1])
+    out = np.empty_like(rows)
+    gains = np.ones((limit + 1, len(rows)))
+    one, loop_gain = (np.full(len(rows), v) for v in (1.0, AGC_LOOP_GAIN))
+    re, im = rows[:, :limit].real.T.copy(), rows[:, :limit].imag.T.copy()
+    gain = gains[0]
+    with np.errstate(all="ignore"):  # a row that warns leaves the bounds and is redone
+        for k in range(limit):
+            yr, yi = gain * re[k], gain * im[k]
+            gain = np.multiply(gain, one + loop_gain * (one - (yr * yr + yi * yi)), out=gains[k + 1])
+        clamped = ~((gains >= 1e-6) & (gains <= 1e6)).all(axis=0)  # NaN fails too
+        out[:, :limit] = gains[:limit].T * rows[:, :limit]
+    with np.errstate(invalid="ignore"):  # gain 1 keeps a redone row from warning here
+        out[:, limit:] = np.where(clamped, 1.0, gain)[:, None] * rows[:, limit:]
+    if clamped.any():
+        out[clamped] = _agc_loop(rows[clamped])
+    return out.reshape(x.shape)
+
+
+def _agc_loop(x: np.ndarray) -> np.ndarray:
+    """The clamped AGC loop over rows ``x`` (R, N), one step per sample."""
     out = np.empty_like(x)
     gain = np.ones(x.shape[:-1])
     # Constants as arrays of the gain's shape: a Python float costs every

@@ -239,6 +239,15 @@ def choose_phase(x, chooser=sync._choose_training_phase):
     return chooser(x, PULSE, DetectorConfig(), M, HEAD)
 
 
+def run_benchmark_trial():
+    """A 50-frame trial of the benchmark's trial-impaired cell, seed 42 * 64."""
+    profile = ChannelProfile(
+        snr_db=20.0, delta_f_hz=1500.0, drift_hz_per_s=100.0, coherence_symbols=128,
+        fading="block-rician", rician_k=10.0,
+    )
+    return run_trial_events(FrameConfig(pilot_reps=4, modulation=16), profile, 50, 2688)
+
+
 class TestTrainingHeadSearch:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -310,12 +319,30 @@ class TestTrainingHeadSearch:
             return matched_filter_downsample(x, pulse, first, count)
 
         monkeypatch.setattr(sync, "matched_filter_downsample", spy)
-        profile = ChannelProfile(
-            snr_db=20.0, delta_f_hz=1500.0, drift_hz_per_s=100.0, coherence_symbols=128,
-            fading="block-rician", rician_k=10.0,
-        )
-        run_trial_events(FrameConfig(pilot_reps=4, modulation=16), profile, 50, 2688)
+        run_benchmark_trial()
         assert calls == [(50, 0, 128)]  # the 128-symbol head
+
+    def test_benchmark_trial_takes_the_fast_agc_and_filter_paths(self, monkeypatch):
+        # On the same trial no row's AGC gain reaches a clamp bound, so the
+        # clamped loop never runs, and the chosen-phase filter's rows share
+        # one start, so its tail is one exact-overlap vecdot per column over
+        # all rows: np.convolve runs only for TX shaping's two edges.
+        loops, convolves = [], []
+        agc_loop, convolve = waveform._agc_loop, np.convolve
+
+        def spy_loop(x):
+            loops.append(len(x))
+            return agc_loop(x)
+
+        def spy_convolve(a, v, mode="full"):
+            convolves.append((len(a), len(v)))
+            return convolve(a, v, mode)
+
+        monkeypatch.setattr(waveform, "_agc_loop", spy_loop)
+        monkeypatch.setattr(np, "convolve", spy_convolve)
+        run_benchmark_trial()
+        assert loops == []
+        assert convolves == [(PULSE.tap_count, PULSE.tap_count)] * 2
 
 
 def assert_same_batch(got, want):

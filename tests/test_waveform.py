@@ -480,24 +480,32 @@ class TestShaping:
         n=st.integers(1, 2000),
         seed=st.integers(0, 2**32 - 1),
         bad=st.sampled_from((None, np.nan, np.inf, -np.inf)),
+        in_tail=st.booleans(),
         step=st.sampled_from((1, PulseShapeConfig().interpolation)),
         per_row=st.booleans(),
         data=st.data(),
     )
-    def test_matched_filter_equals_the_full_filter(self, n, seed, bad, step, per_row, data):
+    def test_matched_filter_equals_the_full_filter(
+        self, n, seed, bad, in_tail, step, per_row, data
+    ):
         # Each output matched_filter gives equals the full filter's, as bytes,
         # for any length (shorter than the taps too), start and step, with an
-        # inf or NaN sample; a negative start and outputs from N on are zero.
+        # inf or NaN sample, anywhere or in the last tap_count samples that
+        # the tail outputs read; a negative start and outputs from N on are
+        # zero. Per-row starts come from a set of three, -1 among them, so
+        # rows share a start, all of them at times.
         cfg = PulseShapeConfig()
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
         if bad is not None:
-            x[data.draw(st.integers(0, 2)), data.draw(st.integers(0, n - 1))] = bad
+            first = max(n - cfg.tap_count, 0) if in_tail else 0
+            x[data.draw(st.integers(0, 2)), data.draw(st.integers(first, n - 1))] = bad
         trimmed = np.zeros((3, -(-n // cfg.interpolation) * cfg.interpolation), dtype=complex)
         for row in range(3):  # zero from sample N on
             trimmed[row, :n] = np.convolve(x[row], design_srrc(cfg))[cfg.tap_count - 1 :]
         span = st.integers(-2, trimmed.shape[-1] + 2)
-        start = [data.draw(span) for _ in range(3)] if per_row else [data.draw(span)] * 3
+        starts = st.sampled_from((-1, data.draw(span), data.draw(span)))
+        start = [data.draw(starts) for _ in range(3)] if per_row else [data.draw(span)] * 3
         count = data.draw(st.integers(0, -(-trimmed.shape[-1] // step) + 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -522,9 +530,23 @@ class TestMatchedFilterKernel:
         windows = sliding_window_view(self.x, self.t)
         assert np.vecdot(self.taps[::-1].astype(complex), windows).tobytes() == full.tobytes()
 
+    @pytest.mark.parametrize("n", (97, 98, 200, 1888))
+    def test_vecdot_over_the_last_samples_is_the_tail_convolution(self, n):
+        # For N >= tap_count, output j in [N - t + 1, N) of the trimmed
+        # filter overlaps the first N - j reversed taps with x[j:]; vecdot
+        # there sums as np.convolve's partial sum does, so the kernel's tail
+        # is one vecdot per output column over all rows sharing a start.
+        t, x = self.t, self.x[:n]
+        full = np.convolve(x, self.taps)
+        reverse = self.taps[::-1].astype(complex)
+        for j in range(n - t + 1, n):
+            assert np.vecdot(reverse[: n - j], x[j:]).tobytes() == full[j + t - 1].tobytes()
+
     def test_tail_comes_from_a_slice_of_tap_count_samples(self):
         # On a slice shorter than its taps np.convolve swaps its operands,
-        # and here the last bit of an output then differs.
+        # and here the last bit of an output then differs. So a row shorter
+        # than the taps keeps np.convolve, which swaps its operands the same
+        # way; from tap_count samples on the tail is the exact-overlap vecdot.
         n, t = len(self.x), self.t
         last = np.convolve(self.x, self.taps)[n:]
         assert np.convolve(self.x[n - t :], self.taps)[t:].tobytes() == last.tobytes()
@@ -535,7 +557,8 @@ class TestMatchedFilterKernel:
     def test_vecdot_over_a_zero_padded_tail_is_not_the_convolution(self):
         # Padding the row with tap_count - 1 zeros makes every tail output a
         # full overlap, but vecdot then sums in another order than
-        # np.convolve's partial sums, so the tail keeps np.convolve.
+        # np.convolve's partial sums, so the tail takes the exact overlap of
+        # the row's last samples instead.
         rng, t = np.random.default_rng(2), self.t
         differ = 0
         for _ in range(20):
@@ -612,8 +635,11 @@ class TestAgc:
             assert out[row].tobytes() == scalar_agc(x[row]).tobytes()
 
     def test_changing_one_row_leaves_the_others_unchanged(self):
+        # The last row's gain climbs to the 1e6 clamp, so the clamped loop
+        # redoes it; scaling a noise row by 30 sends that row there too.
         rng = np.random.default_rng(22)
-        x = rng.normal(size=(4, 900)) + 1j * rng.normal(size=(4, 900))
+        x = rng.normal(size=(5, 900)) + 1j * rng.normal(size=(5, 900))
+        x[4] *= 1e-9
         base = agc(x)
         for row in range(len(x)):
             changed = x.copy()
@@ -621,6 +647,38 @@ class TestAgc:
             out = agc(changed)
             assert not np.array_equal(out[row], base[row])
             assert np.array_equal(np.delete(out, row, axis=0), np.delete(base, row, axis=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(((), (1,), (4,), (2, 3))),
+        length=st.integers(1, 1200),
+        scales=st.permutations((1.0, 0.3, 3.0, 0.0, 1e-9, 1e4)),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_fast_and_clamped_rows_in_one_call(self, shape, length, scales, seed, data):
+        # Noise rows at scale 0.3 to 3 keep their gains within the bounds and
+        # take the unclamped recursion; the zero and 1e-9 rows (their gains
+        # reach 1e6 after about 280 samples) and the 1e4 row (its first update
+        # falls below 1e-6) are redone by the clamped loop, and so is a row
+        # with an inf or NaN sample before the freeze. Signed zeros test the
+        # zero signs of the gain-times-sample product. Compared as bytes.
+        rows = int(np.prod(shape))
+        rng = np.random.default_rng(seed)
+        noise = rng.normal(size=(rows, length)) + 1j * rng.normal(size=(rows, length))
+        x = np.array(scales[:rows])[:, None] * noise
+        special = st.sampled_from(
+            (np.inf, -np.inf, np.nan, 1j * np.inf, complex(-0.0, 0.0), complex(0.0, -0.0),
+             complex(-0.0, -0.0))
+        )
+        for _ in range(data.draw(st.integers(0, 4))):
+            row, col = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, length - 1))
+            x[row, col] = data.draw(special)
+        x = x.reshape(shape + (length,))
+        out = agc(x)
+        assert out.shape == x.shape
+        for row in np.ndindex(shape):
+            assert out[row].tobytes() == scalar_agc(x[row]).tobytes()
 
     def test_input_at_target_stays_there(self):
         x = np.exp(1j * 0.37 * np.arange(1024))
