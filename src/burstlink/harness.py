@@ -9,6 +9,8 @@ byte-identical no matter how many workers execute them.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -43,6 +45,25 @@ def generate_payload(byte_count: int, seed) -> bytes:
 def _derive_seed(parts: list[int]) -> int:
     ss = np.random.SeedSequence([p & 0x7FFFFFFFFFFFFFFF for p in parts])
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+# glibc's mallopt parameter numbers, from <malloc.h>.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Pin glibc's heap thresholds once per process: blocks under 32 MiB come
+    from the heap, and up to 64 MiB of free heap top is kept. Under glibc's
+    dynamic thresholds, where a trial's arrays land, and so its page faults
+    and speed, depends on what the process allocated before; setting both
+    turns them off. Does nothing where libc has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def transmit_burst(frames_symbols: np.ndarray, pulse: PulseShapeConfig) -> np.ndarray:
@@ -107,6 +128,7 @@ def run_trial_events(
     would on air. Duration is airtime, frames times symbols times the symbol
     period.
     """
+    _keep_freed_memory()
     if frames < 1:
         raise ValueError("frames must be >= 1")
     if seed < 0:

@@ -391,6 +391,7 @@ def receive_frames(
     n_frames = windows.shape[0]
     tables = default_tables(cfg)
     pilot_index, data_index, data_block = block_indices(cfg)
+    pilot_col, data_col = pilot_index - cfg.payload_start, data_index - cfg.payload_start
     lag = cfg.training_rep_len
     head = (cfg.training_reps + 2) * lag  # the training field, then room to refine
     delta_t = lag * symbol_period_s
@@ -420,18 +421,20 @@ def receive_frames(
     rows = rows[start[rows] >= 0]
 
     # The Golay peak pins frame timing exactly, so each located frame is
-    # gathered once as a frame-relative row, stream symbol ``at`` in column
-    # ``at - origin``; every later stage reads columns of it. Columns before
-    # a row's window repeat its first symbol and are never read.
+    # gathered once as a row of the columns later stages read, stream symbol
+    # ``at`` in its frame column's place: the training field, then from
+    # column T the payload, at ``pilot_col`` and ``data_col``; the preamble
+    # is not read again. Columns before a row's window repeat its first
+    # symbol and are never read.
+    t_end = cfg.training_symbols
     origin = start[rows] - cfg.payload_start
-    at = origin[:, None] + np.arange(cfg.total_symbols)
+    at = origin[:, None] + np.r_[:t_end, cfg.payload_start : cfg.total_symbols]
     frames = symbols[rows[:, None], np.clip(at, 0, symbols.shape[-1] - 1)]
 
     # Re-derive the coarse estimate from the last full-overlap training
     # window of the uncorrected frame. That frees the frequency estimate
     # from plateau-pick ambiguity and from AGC-settling tilt across the
     # training field.
-    t_end = cfg.training_symbols
     redo = np.flatnonzero(origin >= 2 * lag - t_end)
     late, early = frames[redo, t_end - lag : t_end], frames[redo, t_end - 2 * lag : t_end - lag]
     c_exact = np.sum(np.multiply(late, np.conj(early)), axis=-1)  # as in autocorrelation_metric
@@ -457,7 +460,7 @@ def receive_frames(
     )
     train_position[rows[anchored]] = origin[anchored] + 0.5 * (t_end - 1)
     # np.take gathers C-ordered, so each block's mean sums in pilot order.
-    h_blocks[rows] = estimate_channel(np.take(frames, pilot_index, axis=1), tables.pilot)
+    h_blocks[rows] = estimate_channel(np.take(frames[:, t_end:], pilot_col, axis=1), tables.pilot)
     block_positions[rows] = origin[:, None] + pilot_index.mean(axis=-1)
     # A non-finite estimate (a NaN or inf sample under a pilot block or the
     # training anchor) cannot be fitted or divided by.
@@ -483,15 +486,16 @@ def receive_frames(
     fine_freq = residual_freq_hz[rows]
     if cfg.pilot_reps >= 2:
         fine_freq = _pilot_slope_hz(h_blocks[rows], block_positions[rows], symbol_period_s)
-    refined = nco_correct(frames, fine_freq, symbol_period_s, at)
-    gains = estimate_channel(np.take(refined, pilot_index, axis=1), tables.pilot)
+    # Only the pilot and data columns are read from here on.
+    refined = nco_correct(frames[:, t_end:], fine_freq, symbol_period_s, at[:, t_end:])
+    gains = estimate_channel(np.take(refined, pilot_col, axis=1), tables.pilot)
     flat = (np.abs(gains) <= H_MIN).any(axis=-1)
     failure[rows[flat]] = UNEQUALIZABLE
 
     demapped = rows[~flat]
     equalized = np.zeros((n_frames, cfg.data_symbols), dtype=complex)
     decisions = np.zeros_like(equalized)
-    equalized[demapped] = refined[~flat][:, data_index] / gains[~flat][:, data_block]
+    equalized[demapped] = refined[~flat][:, data_col] / gains[~flat][:, data_block]
     constellation = build_constellation(cfg.modulation)
     bits, decisions[demapped] = demap_symbols(equalized[demapped], constellation)
     payloads: list[bytes | None] = [None] * n_frames

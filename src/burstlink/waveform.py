@@ -347,12 +347,23 @@ def agc(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(rows)
     gains = np.ones((limit + 1, len(rows)))
     one, loop_gain = (np.full(len(rows), v) for v in (1.0, AGC_LOOP_GAIN))
-    re, im = rows[:, :limit].real.T.copy(), rows[:, :limit].imag.T.copy()
-    gain = gains[0]
+    # Sample k's real and imaginary parts as one contiguous (2, R) block, so
+    # each step is seven in-place calls with the same roundings in the same
+    # order: y = g*s, y*y, e = 1 - (re^2 + im^2), g * (1 + loop_gain*e).
+    samples = np.stack([rows[:, :limit].real.T, rows[:, :limit].imag.T], axis=1)
+    y, e = np.empty((2, len(rows))), np.empty(len(rows))
+    y0, y1 = y
+    mul, add, sub = np.multiply, np.add, np.subtract
     with np.errstate(all="ignore"):  # a row that warns leaves the bounds and is redone
-        for k in range(limit):
-            yr, yi = gain * re[k], gain * im[k]
-            gain = np.multiply(gain, one + loop_gain * (one - (yr * yr + yi * yi)), out=gains[k + 1])
+        for s, g, nxt in zip(samples, gains, gains[1:]):
+            mul(g, s, y)
+            mul(y, y, y)
+            add(y0, y1, e)
+            sub(one, e, e)
+            mul(loop_gain, e, e)
+            add(one, e, e)
+            mul(g, e, nxt)
+        gain = gains[limit]
         clamped = ~((gains >= 1e-6) & (gains <= 1e6)).all(axis=0)  # NaN fails too
         out[:, :limit] = gains[:limit].T * rows[:, :limit]
     with np.errstate(invalid="ignore"):  # gain 1 keeps a redone row from warning here

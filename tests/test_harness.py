@@ -1,10 +1,14 @@
 """Tests for trial execution, sweeps, persistence, and SigMF metadata."""
 
+import ctypes
 import dataclasses
 import hashlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from functools import lru_cache
 from pathlib import Path
@@ -249,6 +253,45 @@ class TestRunTrial:
             FrameConfig(pilot_reps=6, modulation=64), profile, frames=20, seed=8
         ).result
         assert dense.goodput_bps > sparse.goodput_bps
+
+
+_FAULT_PROBE = """
+import json, resource, sys
+from burstlink.channel import ChannelProfile
+from burstlink.framing import FrameConfig
+from burstlink.harness import run_trial_events
+profile = ChannelProfile(**json.loads(sys.argv[1]))
+cells = [FrameConfig(modulation=m, pilot_reps=lam) for m, lam in json.loads(sys.argv[2])]
+for k in range(12):
+    if k == 3:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_trial_events(cells[k % 3], profile, 50, 42 * 64 + k)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 9)
+"""
+
+
+@pytest.mark.parametrize("cells", [
+    [(16, 4), (4, 1), (64, 8)], [(4, 1), (64, 8), (16, 4)], [(64, 8), (16, 4), (4, 1)],
+], ids=["16-4-64", "4-64-16", "64-16-4"])
+def test_trials_reuse_freed_heap_memory(cells):
+    # Under glibc's dynamic heap thresholds, where a trial's arrays land
+    # depends on what the process allocated before: in a fresh interpreter,
+    # trials that alternate three cells fault in hundreds of fresh pages each
+    # in some cell orders and none in others. With the thresholds pinned,
+    # every order reuses the freed heap after three warm-up trials.
+    pytest.importorskip("resource")  # the probe reads its own fault count
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("libc has no mallopt")
+    profile = perfbench_module("workloads").IMPAIRED_PROFILE
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE, json.dumps(profile), json.dumps(cells)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert float(proc.stdout) < 50
 
 
 class TestSweep:

@@ -344,6 +344,21 @@ class TestTrainingHeadSearch:
         assert loops == []
         assert convolves == [(PULSE.tap_count, PULSE.tap_count)] * 2
 
+    def test_benchmark_trial_derotates_only_the_columns_read(self, monkeypatch):
+        # The Golay search span, then the located frames' 64 training and 256
+        # payload columns (not the 128 preamble columns), then the fine
+        # correction over the payload columns alone.
+        shapes = []
+        nco = sync.nco_correct
+
+        def spy(x, *args):
+            shapes.append(x.shape)
+            return nco(x, *args)
+
+        monkeypatch.setattr(sync, "nco_correct", spy)
+        run_benchmark_trial()
+        assert shapes == [(50, 223), (50, 320), (50, 256)]
+
 
 def assert_same_batch(got, want):
     assert got.payloads == want.payloads

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -648,15 +648,30 @@ class TestAgc:
             assert not np.array_equal(out[row], base[row])
             assert np.array_equal(np.delete(out, row, axis=0), np.delete(base, row, axis=0))
 
+    SPECIALS = (
+        np.inf, -np.inf, np.nan, 1j * np.inf, complex(-0.0, 0.0), complex(0.0, -0.0),
+        complex(-0.0, -0.0),
+    )
+
     @settings(max_examples=60, deadline=None)
     @given(
-        shape=st.sampled_from(((), (1,), (4,), (2, 3))),
-        length=st.integers(1, 1200),
+        shape=st.sampled_from(((), (0,), (1,), (4,), (2, 3))),
+        length=st.integers(0, 1200),
         scales=st.permutations((1.0, 0.3, 3.0, 0.0, 1e-9, 1e4)),
         seed=st.integers(0, 2**32 - 1),
-        data=st.data(),
+        specials=st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 1199), st.sampled_from(SPECIALS)),
+            max_size=4,
+        ),
     )
-    def test_fast_and_clamped_rows_in_one_call(self, shape, length, scales, seed, data):
+    # No rows at all, a window one sample shorter than the freeze with
+    # special values, and a one-sample window whose rows stay in the bounds.
+    @example(shape=(0,), length=1200, scales=(1.0,) * 6, seed=0, specials=[])
+    @example(shape=(0,), length=300, scales=(1.0,) * 6, seed=0, specials=[])
+    @example(shape=(2, 3), length=AGC_FREEZE_SAMPLES - 1, scales=(1.0, 0.3, 3.0, 0.0, 1e-9, 1e4),
+             seed=5, specials=[(1, 7, np.nan), (4, 0, complex(-0.0, 0.0))])
+    @example(shape=(4,), length=1, scales=(1.0, 0.3, 3.0, 0.0, 1e-9, 1e4), seed=6, specials=[])
+    def test_fast_and_clamped_rows_in_one_call(self, shape, length, scales, seed, specials):
         # Noise rows at scale 0.3 to 3 keep their gains within the bounds and
         # take the unclamped recursion; the zero and 1e-9 rows (their gains
         # reach 1e6 after about 280 samples) and the 1e4 row (its first update
@@ -667,13 +682,8 @@ class TestAgc:
         rng = np.random.default_rng(seed)
         noise = rng.normal(size=(rows, length)) + 1j * rng.normal(size=(rows, length))
         x = np.array(scales[:rows])[:, None] * noise
-        special = st.sampled_from(
-            (np.inf, -np.inf, np.nan, 1j * np.inf, complex(-0.0, 0.0), complex(0.0, -0.0),
-             complex(-0.0, -0.0))
-        )
-        for _ in range(data.draw(st.integers(0, 4))):
-            row, col = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, length - 1))
-            x[row, col] = data.draw(special)
+        for row, col, value in specials if x.size else ():
+            x[row % rows, col % length] = value
         x = x.reshape(shape + (length,))
         out = agc(x)
         assert out.shape == x.shape
