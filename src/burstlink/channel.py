@@ -33,9 +33,7 @@ _STREAM_WALK = 0x3A
 SNR_DB_LIMIT = 3000.0
 
 # Profile fields that only a finite value gives a meaning.
-_FINITE_FIELDS = (
-    "delta_f_hz", "drift_hz_per_s", "theta_in_rad", "rician_k", "freq_walk_std_hz", "delay_spread_s"
-)
+_FINITE_FIELDS = ("delta_f_hz", "drift_hz_per_s", "theta_in_rad", "rician_k", "freq_walk_std_hz")
 
 
 @dataclass(frozen=True)
@@ -46,18 +44,18 @@ class ChannelProfile:
     noiseless / static cases. ``freq_walk_std_hz`` is the standard deviation
     of the per-coherence-epoch random-walk step added to the oscillator
     frequency on top of the linear drift. A field's config key and ``sim``
-    flag is its name unless its ``key`` metadata names it otherwise.
+    flag is its name unless its ``key`` metadata names it otherwise. Field
+    order is the event log's channel column order: append a new field.
     """
 
+    snr_db: float = math.inf
     delta_f_hz: float = field(default=0.0, metadata={"key": "cfo_hz"})
     drift_hz_per_s: float = 0.0
     theta_in_rad: float = 0.0
-    snr_db: float = math.inf
     coherence_symbols: float = math.inf
     fading: str = "none"
     rician_k: float = 10.0
     freq_walk_std_hz: float = 0.0
-    delay_spread_s: float = 0.0
     seed: int = field(default=0, metadata={"key": "channel_seed"})
 
     def __post_init__(self) -> None:
@@ -67,9 +65,8 @@ class ChannelProfile:
                 raise ValueError(f"{f.metadata.get('key', f.name)} must be finite, got {value}")
         if not (abs(self.snr_db) <= SNR_DB_LIMIT or self.snr_db == math.inf):
             raise ValueError(f"snr_db must be inf or within +/-{SNR_DB_LIMIT:g}, got {self.snr_db}")
-        for name in ("freq_walk_std_hz", "delay_spread_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.freq_walk_std_hz < 0:
+            raise ValueError(f"freq_walk_std_hz must be >= 0, got {self.freq_walk_std_hz}")
         if self.fading not in FADING_MODES:
             raise ValueError(f"fading must be one of {FADING_MODES}, got {self.fading!r}")
         if not self.coherence_symbols >= 1:
@@ -224,15 +221,8 @@ def apply_channel(
     """Full impairment chain: block fading, oscillator rotation, then noise.
 
     Returns the impaired samples and the ground-truth fading gains (empty
-    when fading is off). Fully deterministic for a given profile. The
-    profile's delay spread must stay well under ``sample_period``, the
-    single-tap assumption.
+    when fading is off). Fully deterministic for a given profile.
     """
-    if profile.delay_spread_s >= sample_period / 10.0:
-        raise ValueError(
-            f"delay spread {profile.delay_spread_s} violates the single-tap "
-            f"assumption for sample period {sample_period}"
-        )
     gains = np.empty(0, dtype=complex)
     out = samples
     if profile.fading != "none":

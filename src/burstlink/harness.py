@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ChannelProfile, apply_channel
-from .config import SweepSpec, channel_profile_to_kv, read_text
+from .config import SweepSpec, channel_profile_to_kv, config_keys, read_text
 from .framing import FrameConfig, assemble_frames, block_indices, crc_attach
 from .metrics import FrameEvents, TrialResult, aggregate_events
 from .sync import FAILURE_KINDS, OUTCOMES, DetectorConfig, receive_frames
@@ -83,7 +83,8 @@ class TrialRun:
 
 
 # The trial snapshot each result carries, in event-log column order, with the
-# type each value is stored as. Channel columns are the profile's config keys.
+# type each value is stored as. Channel columns are the profile's config keys
+# but ``channel_seed``, which each trial replaces with one derived from it.
 # Numeric values are coerced so a snapshot round-tripped through the event log
 # serializes identically to a live one.
 SNAPSHOT_COLUMNS = {
@@ -98,14 +99,7 @@ SNAPSHOT_COLUMNS = {
     "data_symbols": int,
     "bits_per_symbol": int,
     "frame_airtime_s": float,
-    "snr_db": float,
-    "cfo_hz": float,
-    "drift_hz_per_s": float,
-    "theta_in_rad": float,
-    "coherence_symbols": float,
-    "fading": str,
-    "rician_k": float,
-    "freq_walk_std_hz": float,
+    **{k: parse for k, (_, parse) in config_keys(ChannelProfile).items() if k != "channel_seed"},
 }
 
 
@@ -246,6 +240,14 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[TrialRun]:
 # results serialize to identical bytes.
 # ---------------------------------------------------------------------------
 
+_FAILURE_COLUMNS = {
+    "fail_no_training": "no-training",
+    "fail_no_frame": "no-frame",
+    "fail_truncated": "truncated",
+    "fail_unequalizable": "unequalizable",
+    "fail_crc": "crc-fail",
+}
+
 # Each results column is a failure count (``_FAILURE_COLUMNS``), a snapshot key
 # or a TrialResult field; ``_result_cell`` looks it up in that order.
 RESULT_COLUMNS = (
@@ -257,11 +259,7 @@ RESULT_COLUMNS = (
     "frames_sent",
     "frames_detected",
     "crc_pass",
-    "fail_no_training",
-    "fail_no_frame",
-    "fail_truncated",
-    "fail_unequalizable",
-    "fail_crc",
+    *_FAILURE_COLUMNS,
     "data_bytes_per_frame",
     "duration_s",
     "goodput_bps",
@@ -303,14 +301,6 @@ _COLUMN_PARSERS = {
     **SNAPSHOT_COLUMNS,
     **{f.name: _FIELD_PARSERS[f.type] for f in fields(FrameEvents)},
     "failure": _parse_failure,
-}
-
-_FAILURE_COLUMNS = {
-    "fail_no_training": "no-training",
-    "fail_no_frame": "no-frame",
-    "fail_truncated": "truncated",
-    "fail_unequalizable": "unequalizable",
-    "fail_crc": "crc-fail",
 }
 
 

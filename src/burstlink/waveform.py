@@ -387,4 +387,8 @@ def _agc_loop(x: np.ndarray) -> np.ndarray:
             err = one - (y.real * y.real + y.imag * y.imag)
             gain = np.minimum(np.maximum(gain * (one + loop_gain * err), low), high)
         out[..., limit:] = gain[..., None] * x[..., limit:]
+    # IEEE 754 leaves a NaN product's sign to the multiply loop: a row whose
+    # gain is NaN gets the one quiet NaN wherever it has a NaN.
+    parts = out.view(np.float64)
+    parts[np.isnan(gain)[..., None] & np.isnan(parts)] = np.nan
     return out

@@ -218,11 +218,6 @@ class TestCompositeChannel:
         assert np.array_equal(a, b)
         assert np.array_equal(ga, gb)
 
-    def test_delay_spread_violation_rejected(self):
-        profile = ChannelProfile(delay_spread_s=1e-6)
-        with pytest.raises(ValueError, match="single-tap"):
-            apply_channel(unit_tone(16), profile, 1e-6)
-
     def test_coherence_validation(self):
         with pytest.raises(ValueError, match="coherence"):
             ChannelProfile(coherence_symbols=0)

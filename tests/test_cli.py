@@ -287,7 +287,7 @@ def test_channel_seed_is_its_own_flag(capsys):
     assert base["seed"] == other["seed"] == "5"
 
 
-@pytest.mark.parametrize("flags", [["--fading", "bogus"], ["--delay-spread-s", "1e-6"]])
+@pytest.mark.parametrize("flags", [["--fading", "bogus"]])
 def test_invalid_channel_flag_is_an_error(capsys, flags):
     code = main(["sim", "--mod", "4", "--pilot-reps", "1", "--frames", "2", *flags])
     assert code == 1
@@ -502,7 +502,8 @@ def test_sweep_rejects_a_nan_symbol_period(tmp_path, capsys):
 # Each value once made sim exit 0 with a row the model cannot explain (every
 # frame lost, or the value silently read as another), for a finite SNR
 # beyond the float range end in a traceback, or, for a negative seed, end in
-# an error that named no key.
+# an error that named no key. The negative rician_k and fractional coherence
+# rows check that the flags reach those two profile checks as well.
 @pytest.mark.parametrize(
     "flags, key",
     [
@@ -516,8 +517,8 @@ def test_sweep_rejects_a_nan_symbol_period(tmp_path, capsys):
         (["--fading", "block-rician", "--rician-k", "inf"], "rician_k"),
         (["--freq-walk-std-hz=-5"], "freq_walk_std_hz"),
         (["--freq-walk-std-hz", "inf"], "freq_walk_std_hz"),
-        (["--delay-spread-s", "nan"], "delay_spread_s"),
-        (["--delay-spread-s=-1e-9"], "delay_spread_s"),
+        (["--fading", "block-rician", "--rician-k=-1"], "rician_k"),
+        (["--coherence-symbols", "2.5"], "coherence_symbols"),
         (["--coherence-symbols", "nan"], "coherence_symbols"),
         (["--rho-threshold", "nan"], "rho_threshold"),
         (["--mf-threshold-factor", "nan"], "mf_threshold_factor"),
@@ -701,6 +702,24 @@ def test_sweep_with_unknown_config_key_is_an_error(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
     assert "unknown config key(s): snr" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+# A single-tap channel has no delay spread, so neither the key nor the flag
+# exists: a config or command line that sets one is refused, not ignored.
+def test_delay_spread_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG + "delay_spread_s = 0\n")
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
+                 "--events-out", str(tmp_path / "events.csv")])
+    assert code == 1
+    assert "unknown config key(s): delay_spread_s" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+
+def test_delay_spread_flag_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "--mod", "4", "--pilot-reps", "1", "--delay-spread-s", "0"])
+    assert exc.value.code == 2
 
 
 def test_sweep_with_a_bad_cell_fails_before_any_trial(tmp_path, capsys, monkeypatch):

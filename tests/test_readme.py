@@ -1,5 +1,6 @@
 """The README's examples run as written: every CLI command, and the receive snippet."""
 
+import argparse
 import glob
 import re
 import shlex
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from burstlink import framing, sync
-from burstlink.cli import main
+from burstlink.cli import build_parser, main
 from burstlink.framing import FrameConfig, assemble_frames, crc_attach
 from burstlink.harness import transmit_burst
 from burstlink.sync import receive_frames
@@ -49,6 +50,18 @@ def test_every_cli_example_runs(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().err == "", argv
     # The README's comment on the report line.
     assert (tmp_path / "results2.csv").read_bytes() == (tmp_path / "results.csv").read_bytes()
+
+
+def test_every_flag_the_cli_section_names_exists():
+    # ``--k`` stands for any config key.
+    parser = build_parser()
+    (subcommands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        o for sub in subcommands.choices.values() for a in sub._actions for o in a.option_strings
+    }
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", _section("CLI"))) - {"--k"}
+    assert named, "the CLI section names no flag"
+    assert named <= options, sorted(named - options)
 
 
 def test_receive_example_yields_the_payload():

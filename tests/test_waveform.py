@@ -594,6 +594,9 @@ def scalar_agc(x):
             err = 1.0 - (y.real * y.real + y.imag * y.imag)
             gain = min(max(gain * (1.0 + AGC_LOOP_GAIN * err), 1e-6), 1e6)
         out[limit:] = gain * x[limit:]
+    if np.isnan(gain):  # as in agc: every NaN of a NaN-gain row is the one quiet NaN
+        parts = out.view(np.float64)
+        parts[np.isnan(parts)] = np.nan
     return out
 
 
@@ -671,6 +674,10 @@ class TestAgc:
     @example(shape=(2, 3), length=AGC_FREEZE_SAMPLES - 1, scales=(1.0, 0.3, 3.0, 0.0, 1e-9, 1e4),
              seed=5, specials=[(1, 7, np.nan), (4, 0, complex(-0.0, 0.0))])
     @example(shape=(4,), length=1, scales=(1.0, 0.3, 3.0, 0.0, 1e-9, 1e4), seed=6, specials=[])
+    # An inf makes the gain NaN, and the first frozen sample is NaN times NaN,
+    # whose sign the multiply loop picks.
+    @example(shape=(), length=513, scales=(1.0, 0.3, 3.0, 0.0, 1e-9, 1e4), seed=0,
+             specials=[(0, 0, np.inf), (0, 512, np.nan)])
     def test_fast_and_clamped_rows_in_one_call(self, shape, length, scales, seed, specials):
         # Noise rows at scale 0.3 to 3 keep their gains within the bounds and
         # take the unclamped recursion; the zero and 1e-9 rows (their gains
