@@ -65,8 +65,9 @@ class ChannelProfile:
                 raise ValueError(f"{f.metadata.get('key', f.name)} must be finite, got {value}")
         if not (abs(self.snr_db) <= SNR_DB_LIMIT or self.snr_db == math.inf):
             raise ValueError(f"snr_db must be inf or within +/-{SNR_DB_LIMIT:g}, got {self.snr_db}")
-        if self.freq_walk_std_hz < 0:
-            raise ValueError(f"freq_walk_std_hz must be >= 0, got {self.freq_walk_std_hz}")
+        for name in ("rician_k", "freq_walk_std_hz"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.fading not in FADING_MODES:
             raise ValueError(f"fading must be one of {FADING_MODES}, got {self.fading!r}")
         if not self.coherence_symbols >= 1:
@@ -75,8 +76,6 @@ class ChannelProfile:
             raise ValueError(
                 f"coherence_symbols must be a whole number or inf, got {self.coherence_symbols}"
             )
-        if self.fading == "block-rician" and self.rician_k < 0:
-            raise ValueError("rician_k must be >= 0")
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:

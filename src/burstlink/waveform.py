@@ -324,71 +324,65 @@ def matched_filter(
 # sit inside the training+preamble region at the default interpolation factor.
 AGC_LOOP_GAIN = 0.05
 AGC_FREEZE_SAMPLES = 512
+AGC_GAIN_BOUNDS = (1e-6, 1e6)  # the clamp, so an all-zero input stays all-zero
 
 
 def agc(x: np.ndarray) -> np.ndarray:
     """Burst-mode square-law AGC to unit power.
 
     The gain is updated per sample, ``g *= 1 + AGC_LOOP_GAIN * (1 - |y|^2)``,
-    clamped to [1e-6, 1e6] so an all-zero input stays all-zero, and held from
-    sample ``AGC_FREEZE_SAMPLES`` on: acquire on the training and preamble,
-    then keep the payload scaling constant.
+    clamped to ``AGC_GAIN_BOUNDS`` and held from sample ``AGC_FREEZE_SAMPLES``
+    on: acquire on the training and preamble, then keep the payload scaling
+    constant. After an inf or NaN sample before the freeze the gain is NaN.
 
     ``x`` may have shape ``(..., N)``: the loop runs along the last
     axis with one gain per leading index, each step one array operation over
     all of them, so every row comes out exactly as it would alone. The gains
-    are first computed unclamped, on real arrays: a row whose gains all lie
-    within the bounds is scaled by them, with the clamped loop's roundings,
-    and every other row (an inf or NaN before the freeze too) is redone by
-    ``_agc_loop``, the clamped loop itself.
+    are first computed unclamped, and only the rows whose gains leave the
+    bounds (a non-finite sample sends them out too) again with the clamp.
     """
     rows = x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
     limit = min(AGC_FREEZE_SAMPLES, x.shape[-1])
-    out = np.empty_like(rows)
-    gains = np.ones((limit + 1, len(rows)))
-    one, loop_gain = (np.full(len(rows), v) for v in (1.0, AGC_LOOP_GAIN))
-    # Sample k's real and imaginary parts as one contiguous (2, R) block, so
-    # each step is seven in-place calls with the same roundings in the same
-    # order: y = g*s, y*y, e = 1 - (re^2 + im^2), g * (1 + loop_gain*e).
+    # Sample k's real and imaginary parts as one contiguous (2, R) block.
     samples = np.stack([rows[:, :limit].real.T, rows[:, :limit].imag.T], axis=1)
-    y, e = np.empty((2, len(rows))), np.empty(len(rows))
-    y0, y1 = y
-    mul, add, sub = np.multiply, np.add, np.subtract
-    with np.errstate(all="ignore"):  # a row that warns leaves the bounds and is redone
-        for s, g, nxt in zip(samples, gains, gains[1:]):
-            mul(g, s, y)
-            mul(y, y, y)
-            add(y0, y1, e)
-            sub(one, e, e)
-            mul(loop_gain, e, e)
-            add(one, e, e)
-            mul(g, e, nxt)
-        gain = gains[limit]
-        clamped = ~((gains >= 1e-6) & (gains <= 1e6)).all(axis=0)  # NaN fails too
+    with np.errstate(all="ignore"):  # an inf or NaN sample warns, here and in the products
+        gains = _agc_gains(samples, clamp=False)
+        redo = (np.clip(gains, *AGC_GAIN_BOUNDS) != gains).any(axis=0)  # NaN != NaN too
+        if redo.any():
+            gains[:, redo] = _agc_gains(samples[:, :, redo], clamp=True)
+            gains[1:][np.logical_or.accumulate(~np.isfinite(samples).all(axis=1), axis=0)] = np.nan
+        out = np.empty(rows.shape, rows.dtype)
         out[:, :limit] = gains[:limit].T * rows[:, :limit]
-    with np.errstate(invalid="ignore"):  # gain 1 keeps a redone row from warning here
-        out[:, limit:] = np.where(clamped, 1.0, gain)[:, None] * rows[:, limit:]
-    if clamped.any():
-        out[clamped] = _agc_loop(rows[clamped])
+        out[:, limit:] = gains[limit][:, None] * rows[:, limit:]
+    if redo.any():
+        # IEEE 754 leaves a NaN product's sign to the multiply loop: a row whose
+        # gain is NaN gets the one quiet NaN wherever it has a NaN.
+        parts = out.view(out.real.dtype)
+        parts[np.isnan(gains[limit])[:, None] & np.isnan(parts)] = np.nan
     return out.reshape(x.shape)
 
 
-def _agc_loop(x: np.ndarray) -> np.ndarray:
-    """The clamped AGC loop over rows ``x`` (R, N), one step per sample."""
-    out = np.empty_like(x)
-    gain = np.ones(x.shape[:-1])
-    # Constants as arrays of the gain's shape: a Python float costs every
-    # small ufunc call a conversion.
-    one, loop_gain, low, high = (np.full(gain.shape, v) for v in (1.0, AGC_LOOP_GAIN, 1e-6, 1e6))
-    limit = min(AGC_FREEZE_SAMPLES, x.shape[-1])
-    with np.errstate(invalid="ignore"):  # gain * inf is inf + nan*j: a NaN, not a warning
-        for k in range(limit):
-            y = np.multiply(gain, x[..., k], out=out[..., k])
-            err = one - (y.real * y.real + y.imag * y.imag)
-            gain = np.minimum(np.maximum(gain * (one + loop_gain * err), low), high)
-        out[..., limit:] = gain[..., None] * x[..., limit:]
-    # IEEE 754 leaves a NaN product's sign to the multiply loop: a row whose
-    # gain is NaN gets the one quiet NaN wherever it has a NaN.
-    parts = out.view(np.float64)
-    parts[np.isnan(gain)[..., None] & np.isnan(parts)] = np.nan
-    return out
+def _agc_gains(samples: np.ndarray, clamp: bool) -> np.ndarray:
+    """The AGC gain before each (2, R) step of ``samples`` (limit, 2, R), then the frozen gain.
+
+    Each step is seven in-place calls, y = g*s, y*y, e = 1 - (re^2 + im^2) and
+    g * (1 + loop_gain*e), and the clamp two more; the constants are arrays, as
+    a Python float costs every small ufunc call a conversion.
+    """
+    r = samples.shape[-1]
+    gains, y, e = np.ones((len(samples) + 1, r)), np.empty((2, r)), np.empty(r)
+    one, loop_gain, low, high = (np.full(r, v) for v in (1.0, AGC_LOOP_GAIN, *AGC_GAIN_BOUNDS))
+    y0, y1 = y
+    mul, add, sub = np.multiply, np.add, np.subtract
+    for s, g, nxt in zip(samples, gains, gains[1:]):
+        mul(g, s, y)
+        mul(y, y, y)
+        add(y0, y1, e)
+        sub(one, e, e)
+        mul(loop_gain, e, e)
+        add(one, e, e)
+        mul(g, e, nxt)
+        if clamp:
+            np.maximum(nxt, low, out=nxt)
+            np.minimum(nxt, high, out=nxt)
+    return gains

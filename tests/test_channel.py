@@ -166,6 +166,9 @@ class TestBlockFading:
     def test_negative_rician_k_rejected(self):
         with pytest.raises(ValueError, match="rician_k must be >= 0"):
             ChannelProfile(fading="block-rician", rician_k=-1.0)
+        # Without fading no sample reads it, but the snapshot would log it.
+        with pytest.raises(ValueError, match="rician_k must be >= 0"):
+            ChannelProfile(fading="none", rician_k=-1.0)
 
 
 class TestAwgn:

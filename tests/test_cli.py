@@ -503,7 +503,8 @@ def test_sweep_rejects_a_nan_symbol_period(tmp_path, capsys):
 # frame lost, or the value silently read as another), for a finite SNR
 # beyond the float range end in a traceback, or, for a negative seed, end in
 # an error that named no key. The negative rician_k and fractional coherence
-# rows check that the flags reach those two profile checks as well.
+# rows check that the flags reach those two profile checks as well; rician_k
+# is checked without fading too, where the row would log a value no sample read.
 @pytest.mark.parametrize(
     "flags, key",
     [
@@ -526,6 +527,7 @@ def test_sweep_rejects_a_nan_symbol_period(tmp_path, capsys):
         (["--snr-db", "4000"], "snr_db"),
         (["--snr-db=-4000"], "snr_db"),
         (["--seed", "-1"], "seed"),
+        (["--rician-k=-1"], "rician_k"),
     ],
 )
 def test_sim_rejects_channel_and_detector_values_the_model_cannot_use(

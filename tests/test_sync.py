@@ -324,24 +324,25 @@ class TestTrainingHeadSearch:
 
     def test_benchmark_trial_takes_the_fast_agc_and_filter_paths(self, monkeypatch):
         # On the same trial no row's AGC gain reaches a clamp bound, so the
-        # clamped loop never runs, and the chosen-phase filter's rows share
-        # one start, so its tail is one exact-overlap vecdot per column over
-        # all rows: np.convolve runs only for TX shaping's two edges.
-        loops, convolves = [], []
-        agc_loop, convolve = waveform._agc_loop, np.convolve
+        # gain recursion runs once, unclamped, over all 50 rows and never
+        # with the clamp; the chosen-phase filter's rows share one start, so
+        # its tail is one exact-overlap vecdot per column over all rows:
+        # np.convolve runs only for TX shaping's two edges.
+        passes, convolves = [], []
+        agc_gains, convolve = waveform._agc_gains, np.convolve
 
-        def spy_loop(x):
-            loops.append(len(x))
-            return agc_loop(x)
+        def spy_gains(samples, clamp):
+            passes.append((samples.shape[-1], clamp))
+            return agc_gains(samples, clamp)
 
         def spy_convolve(a, v, mode="full"):
             convolves.append((len(a), len(v)))
             return convolve(a, v, mode)
 
-        monkeypatch.setattr(waveform, "_agc_loop", spy_loop)
+        monkeypatch.setattr(waveform, "_agc_gains", spy_gains)
         monkeypatch.setattr(np, "convolve", spy_convolve)
         run_benchmark_trial()
-        assert loops == []
+        assert passes == [(50, False)]
         assert convolves == [(PULSE.tap_count, PULSE.tap_count)] * 2
 
     def test_benchmark_trial_derotates_only_the_columns_read(self, monkeypatch):

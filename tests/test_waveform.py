@@ -678,13 +678,21 @@ class TestAgc:
     # whose sign the multiply loop picks.
     @example(shape=(), length=513, scales=(1.0, 0.3, 3.0, 0.0, 1e-9, 1e4), seed=0,
              specials=[(0, 0, np.inf), (0, 512, np.nan)])
+    # A 1e-9 row whose gain sits at the 1e6 clamp from sample 284 meets an inf
+    # at sample 400: clamped first, then NaN. And a NaN at the last sample
+    # before the freeze, which makes only the frozen gain NaN.
+    @example(shape=(2,), length=700, scales=(1e-9, 1.0, 0.3, 3.0, 0.0, 1e4), seed=0,
+             specials=[(0, 400, np.inf)])
+    @example(shape=(2,), length=600, scales=(1.0, 0.3, 3.0, 0.0, 1e-9, 1e4), seed=0,
+             specials=[(0, AGC_FREEZE_SAMPLES - 1, np.nan)])
     def test_fast_and_clamped_rows_in_one_call(self, shape, length, scales, seed, specials):
         # Noise rows at scale 0.3 to 3 keep their gains within the bounds and
-        # take the unclamped recursion; the zero and 1e-9 rows (their gains
-        # reach 1e6 after about 280 samples) and the 1e4 row (its first update
-        # falls below 1e-6) are redone by the clamped loop, and so is a row
-        # with an inf or NaN sample before the freeze. Signed zeros test the
-        # zero signs of the gain-times-sample product. Compared as bytes.
+        # take the unclamped recursion alone; the zero and 1e-9 rows (their
+        # gains reach 1e6 after about 280 samples) and the 1e4 row (its first
+        # update falls below 1e-6) are computed again with the clamp, and so
+        # is a row with an inf or NaN sample before the freeze, whose gain is
+        # NaN from the next sample on. Signed zeros test the zero signs of the
+        # gain-times-sample product. Compared as bytes.
         rows = int(np.prod(shape))
         rng = np.random.default_rng(seed)
         noise = rng.normal(size=(rows, length)) + 1j * rng.normal(size=(rows, length))
