@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -64,7 +65,9 @@ def _config_from_args(cls, args: argparse.Namespace):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built at the first call; treat it as read-only."""
     parser = argparse.ArgumentParser(
         prog="burstlink",
         description="Burst-mode QAM link simulator with configurable pilot density",
@@ -246,8 +249,7 @@ def _cmd_validate_sigmf(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except (ValueError, OSError) as exc:

@@ -21,10 +21,11 @@ from .waveform import PulseShapeConfig
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines into a string dict; a key may appear once."""
+    """Parse ``key = value`` lines, each ended by ``"\\n"``, into a string dict;
+    a key may appear once."""
     out: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

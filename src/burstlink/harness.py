@@ -283,25 +283,24 @@ EVENT_COLUMNS = _TRIAL_COLUMNS + _EVENT_FIELDS
 _TRIAL_KEY = ("profile_index", "modulation", "pilot_reps", "trial")  # names a trial
 
 
-def _parse_bool(text: str) -> bool:
-    if text not in ("0", "1"):
-        raise ValueError(f"expected 0 or 1, got {text!r}")
-    return text == "1"
+class _CellTable(dict):
+    """Cell text -> value; any other text raises ``ValueError``: ``fault``, then its repr."""
+
+    def __init__(self, values: dict, fault: str) -> None:
+        super().__init__(values)
+        self.fault = fault
+
+    def __missing__(self, text: str):
+        raise ValueError(f"{self.fault} {text!r}")
 
 
-def _parse_failure(text: str) -> str:
-    if text and text not in FAILURE_KINDS:
-        raise ValueError(f"unknown failure kind {text!r}")
-    return text
-
-
+_BITS = _CellTable({"0": False, "1": True}, "expected 0 or 1, got")
+_FAILURES = _CellTable({k: k for k in ("",) + FAILURE_KINDS}, "unknown failure kind")
+# Each event column's cell parser: int, float or a table lookup (``failure``
+# is the one text column).
 _FIELD_PARSERS = {"tuple[int, ...]": int, "tuple[float, ...]": float,
-                  "tuple[str, ...]": str, "tuple[bool, ...]": _parse_bool}
-_COLUMN_PARSERS = {
-    **SNAPSHOT_COLUMNS,
-    **{f.name: _FIELD_PARSERS[f.type] for f in fields(FrameEvents)},
-    "failure": _parse_failure,
-}
+                  "tuple[bool, ...]": _BITS.__getitem__, "tuple[str, ...]": _FAILURES.__getitem__}
+_EVENT_PARSERS = tuple(_FIELD_PARSERS[f.type] for f in fields(FrameEvents))
 
 
 def _cell_text(value) -> str:
@@ -323,7 +322,7 @@ def _result_cell(result: TrialResult, column: str):
 def results_to_csv(results: list[TrialResult]) -> str:
     lines = [",".join(RESULT_COLUMNS)]
     for result in results:
-        lines.append(",".join(_cell_text(_result_cell(result, c)) for c in RESULT_COLUMNS))
+        lines.append(",".join([_cell_text(_result_cell(result, c)) for c in RESULT_COLUMNS]))
     return "\n".join(lines) + "\n"
 
 
@@ -354,8 +353,8 @@ def read_events_csv(path: str) -> list[TrialRun]:
     contradict each other or whose trial columns differ from its trial's first
     row raises ``ValueError`` naming the first such line (and the column, for a
     cell); a trial whose frame indices are not ``range(frames)`` names the
-    trial and its first missing or repeated frame."""
-    lines = read_text(path).splitlines()
+    trial and its first missing or repeated frame. Lines end at ``"\\n"`` alone."""
+    lines = read_text(path).split("\n")
     start = next((n for n, line in enumerate(lines, 1) if line), None)
     if start is None:
         raise ValueError(f"{path} line 1: empty event log, expected a header")
@@ -407,9 +406,14 @@ def _read_trials(lines) -> list[tuple[dict, FrameEvents]]:
             if len(cells := text.split(",")) != len(_TRIAL_COLUMNS):
                 raise ValueError(f": {len(cells) + len(rows[0]) - 1} cells, header has "
                                  f"{len(EVENT_COLUMNS)}")
-            values = _parse_columns(_TRIAL_COLUMNS, zip(cells))
-            runs[text] = [{c: v for c, (v,) in zip(_TRIAL_COLUMNS, values)}]
-        runs[text].append(tuple(_parse_columns(_EVENT_FIELDS, islice(zip(*rows), 1, None))))
+            snapshot = {}
+            for (column, parse), cell in zip(SNAPSHOT_COLUMNS.items(), cells):
+                try:
+                    snapshot[column] = parse(cell)
+                except ValueError as exc:
+                    raise ValueError(f", column {column}: {exc}") from None
+            runs[text] = [snapshot]
+        runs[text].append(tuple(_parse_columns(islice(zip(*rows), 1, None))))
     trials = []
     for snapshot, *parts in runs.values():
         columns = parts[0] if len(parts) == 1 else map(chain.from_iterable, zip(*parts))
@@ -426,14 +430,11 @@ def _read_trials(lines) -> list[tuple[dict, FrameEvents]]:
     return trials
 
 
-def _parse_columns(names: tuple[str, ...], columns):
-    """Parse each column of cells with its column's parser; a fault names the
-    column. A parser other than int or float runs once per distinct cell."""
-    for name, cells in zip(names, columns):
-        parse = _COLUMN_PARSERS[name]
+def _parse_columns(columns):
+    """Parse each event column of cells with its column's parser; a fault
+    names the column."""
+    for name, parse, cells in zip(_EVENT_FIELDS, _EVENT_PARSERS, columns):
         try:
-            if parse is not int and parse is not float:
-                parse = {text: parse(text) for text in set(cells)}.__getitem__
             yield tuple(map(parse, cells))
         except ValueError as exc:
             raise ValueError(f", column {name}: {exc}") from None

@@ -23,7 +23,9 @@ def sinr_from_energies(sig: float, err: float) -> float:
     """Decision-aided SINR in dB from the decisions' energy and the error
     energy about them; NaN when ``sig`` is 0, +inf when ``err`` is 0."""
     if sig > 0:
-        return math.inf if err == 0 else 10.0 * math.log10(sig / err)
+        ratio = sig / err if err else math.inf
+        # A ratio that underflows to 0, or has an infinite ``err``, takes the logs apart.
+        return 10.0 * (math.log10(ratio) if ratio > 0 else math.log10(sig) - math.log10(err))
     return math.nan
 
 
@@ -118,7 +120,8 @@ def aggregate_events(events: FrameEvents, config: dict) -> TrialResult:
         through = throughput(detected, config["data_symbols"], config["bits_per_symbol"], duration)
 
     phases = [p for p, d in zip(events.residual_phase_deg, events.detected) if d]
-    mean_phase = float(np.mean(phases)) if phases else math.nan
+    # np.mean's own pairwise sum and division, without its Python wrapper.
+    mean_phase = float(np.add.reduce(np.array(phases)) / len(phases)) if phases else math.nan
 
     return TrialResult(
         frames_sent=frames_sent,

@@ -218,6 +218,19 @@ def test_bad_flags_exit_two():
     assert exc.value.code == 2
 
 
+def test_one_parser_serves_every_call(capsys):
+    # The parser is built once per process; no call's flags reach the next.
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["sim", "--frames", "2", "--snr-db", "5"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "--frames", "2", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert main(["sim", "--frames", "2"]) == 0
+    header, first, _, last = capsys.readouterr().out.splitlines()
+    snr_db = header.split(",").index("snr_db")
+    assert (first.split(",")[snr_db], last.split(",")[snr_db]) == ("5.0", "inf")
+
+
 def test_bad_modulation_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["sim", "--mod", "banana"])
@@ -606,6 +619,26 @@ def test_report_on_unparseable_event_cell_is_an_error(tmp_path, capsys):
         row = dict(valid, **cells)
         err = _report_error(tmp_path, capsys, header + ",".join(row.values()) + "\n")
         assert f"line 2, column {column}: {message}" in err
+
+
+@pytest.mark.parametrize("char", "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+def test_report_error_lines_count_newlines_only(tmp_path, capsys, char):
+    # str.splitlines() also ends a line at each of these characters.
+    header, *rows = _sim_log(tmp_path, "sim.csv")
+    row = dict(zip(EVENT_COLUMNS, rows[1].split(",")))
+    rows[1] = ",".join(dict(row, failure=char).values())
+    err = _report_error(tmp_path, capsys, "\n".join([header] + rows) + "\n")
+    assert f"line 3, column failure: unknown failure kind {char!r}" in err
+
+
+def test_report_error_after_a_form_feed_names_the_file_line(tmp_path, capsys):
+    # The form feed ends line 2's last cell, which float() reads past.
+    header, *rows = _sim_log(tmp_path, "sim.csv")
+    rows[0] += "\x0c"
+    row = dict(zip(EVENT_COLUMNS, rows[2].split(",")))
+    rows[2] = ",".join(dict(row, err_energy_tx="abc").values())
+    err = _report_error(tmp_path, capsys, "\n".join([header] + rows) + "\n")
+    assert "line 4, column err_energy_tx: could not convert string to float: 'abc'" in err
 
 
 @pytest.mark.parametrize(

@@ -48,6 +48,12 @@ class TestKvText:
             sweep_spec_from_text(text)
         assert str(exc.value).startswith(message)
 
+    @pytest.mark.parametrize("char", "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+    def test_line_numbers_count_newlines_only(self, char):
+        # str.splitlines() also ends a line at each of these characters.
+        with pytest.raises(ValueError, match="^line 2: expected 'key = value', got 'bogus'$"):
+            parse_kv_text(f"snr_db = 1{char}\nbogus\n")
+
     def test_format_lists(self):
         assert sweep_spec_from_text("lambda_list = 1, 2,4\n").lambda_list == (1, 2, 4)
 

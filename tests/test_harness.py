@@ -28,6 +28,7 @@ from burstlink.harness import (
     RESULT_COLUMNS,
     SNAPSHOT_COLUMNS,
     _FAILURE_COLUMNS,
+    TrialRun,
     emit_sigmf,
     events_to_csv,
     generate_payload,
@@ -46,7 +47,8 @@ from burstlink.harness import (
     write_results_csv,
     write_sigmf,
 )
-from burstlink.metrics import TrialResult, aggregate_events
+from burstlink.metrics import FrameEvents, TrialResult, aggregate_events
+from burstlink.sync import OUTCOMES
 from burstlink.waveform import PulseShapeConfig, shape_and_upsample
 
 
@@ -496,6 +498,50 @@ class TestPersistence:
         assert str(err.value) == (
             f"{path} line 3: detected 1, crc_ok 1 and failure 'crc-fail' contradict each other"
         )
+
+    # Float cells: the values repr() writes in odd forms, and any float.
+    # Energies are sums of squares, so their cells are never negative.
+    _ODD = [0.0, -0.0, math.inf, math.nan, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, 0.1]
+    _ENERGIES = st.sampled_from(_ODD) | st.floats(min_value=0.0)
+    _FLOATS = st.sampled_from(_ODD + [-math.inf, -1.5]) | st.floats()
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_event_log_round_trips_every_field(self, data):
+        base = self._logged_snapshot()
+        live = []
+        for trial in range(data.draw(st.integers(1, 4), label="trials")):
+            n = data.draw(st.integers(1, 60), label="frames")
+
+            def column(cells):
+                return tuple(data.draw(st.lists(cells, min_size=n, max_size=n)))
+
+            outcomes = column(st.sampled_from(sorted(OUTCOMES)))
+            events = FrameEvents(
+                tuple(range(n)), *zip(*outcomes), *(column(self._ENERGIES) for _ in range(4)),
+                column(st.integers(0, 2**31)), column(self._FLOATS), column(self._FLOATS),
+            )
+            snapshot = dict(base, trial=trial, frames=n)
+            with np.errstate(over="ignore", invalid="ignore"):  # the phase sum may overflow
+                live.append(TrialRun(aggregate_events(events, snapshot), events))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "events.csv")
+            write_events_csv(live, path)
+            with np.errstate(over="ignore", invalid="ignore"):
+                replayed = read_events_csv(path)
+        # repr() keeps the sign of -0.0 and writes every NaN as nan.
+        def as_text(runs):
+            return [[tuple(map(repr, col)) for col in vars(r.events).values()] for r in runs]
+
+        assert as_text(replayed) == as_text(live)
+        live_csv = results_to_csv([r.result for r in live])
+        assert results_to_csv(results_from_event_rows(replayed)) == live_csv
+
+    @staticmethod
+    @lru_cache(maxsize=1)
+    def _logged_snapshot():
+        """A live trial snapshot of ``_runs``."""
+        return TestPersistence()._runs()[0].result.config
 
     def test_results_file_round_trip(self, tmp_path):
         runs = self._runs()

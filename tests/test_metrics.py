@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burstlink.metrics import (
     FrameEvents,
@@ -50,6 +53,12 @@ class TestSinr:
 
     def test_no_decision_energy_is_nan(self):
         assert math.isnan(sinr_from_energies(0.0, 0.0))
+
+    def test_ratio_that_reaches_zero_is_no_domain_error(self):
+        # sig / err is 0 for an infinite err, or when it underflows; the dB
+        # value is then the difference of the two logs.
+        assert sinr_from_energies(1.0, math.inf) == -math.inf
+        assert sinr_from_energies(5e-324, 1e10) == pytest.approx(-3333.06, abs=0.01)
 
     def test_awgn_construction(self):
         rng = np.random.default_rng(1)
@@ -176,3 +185,29 @@ class TestAggregation:
         rates = dict(evm_percent=0, evm_decision_percent=0, sinr_db=0, mean_residual_phase_deg=0)
         with pytest.raises(ValueError, match="goodput cannot exceed throughput"):
             TrialResult(**counts, **rates, goodput_bps=2.0, throughput_bps=1.0, duration_s=1.0)
+
+
+# Lengths about numpy's 8-way unrolled sum and its 128-element pairwise block.
+_EDGE_LENGTHS = [1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 300]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from(_EDGE_LENGTHS) | st.integers(1, 300),
+    special=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mean_phase_is_np_mean_bit_for_bit(n, special, seed):
+    # Magnitudes from subnormal to 1e307, so the order of the additions
+    # shows in the last bits; with ``special``, some cells are inf or NaN.
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(-180, 180, n) * 10.0 ** rng.integers(-325, 306, n)
+    if special:
+        phases[rng.integers(0, n, rng.integers(1, 4))] = rng.choice([np.inf, -np.inf, np.nan])
+    phases = phases.tolist()
+    events = make_events(*(dict(phase=p) for p in phases))
+    # A sum may overflow, or meet inf and -inf: numpy warns for either.
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = aggregate_events(events, SNAPSHOT).mean_residual_phase_deg
+        want = float(np.mean(phases))
+    assert struct.pack("<d", got) == struct.pack("<d", want)
