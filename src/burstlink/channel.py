@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -179,33 +180,48 @@ def apply_block_fading(
     return samples * np.repeat(gains, lengths), gains
 
 
+def noise_draw(seed: int) -> Callable[..., np.ndarray]:
+    """The draw of the noise under ``seed``: ``noise_draw(seed)(out=block)``
+    fills a (2, n) float64 block with the standard normals ``apply_awgn``
+    scales into an n-sample stream's noise, and returns it; one (2, n) draw is
+    the same stream as two n-sample draws. Building the generator holds the
+    GIL; numpy releases it for the whole fill, so a caller can run the
+    returned draw on a helper thread."""
+    return _rng(seed, _STREAM_NOISE).standard_normal
+
+
 def apply_awgn(
     samples: np.ndarray,
     snr_db: float,
     seed: int,
     occupied: slice | None = None,
+    noise: np.ndarray | None = None,
 ) -> np.ndarray:
     """Add circular complex Gaussian noise at the requested SNR.
 
     Signal power is measured from the samples themselves, over ``occupied`` when
     given (so trailing filter tails do not skew the calibration). An
-    infinite SNR is the identity.
+    infinite SNR is the identity. ``noise``, when given, is the block
+    ``noise_draw(seed)`` filled for this stream, taken in place of drawing it
+    here.
     """
     if len(samples) == 0:
         raise ValueError("cannot add noise to an empty stream")
     if math.isinf(snr_db):
         return samples
+    if noise is not None and noise.shape != (2, len(samples)):
+        raise ValueError(f"noise block has shape {noise.shape}, expected {(2, len(samples))}")
     region = samples[occupied] if occupied is not None else samples
     signal_power = float(np.mean(np.abs(region) ** 2))
     noise_power = signal_power / (10.0 ** (snr_db / 10.0))
-    # One (2, n) draw is the same stream as two n-sample draws; the noise is
-    # built in its own array and the signal added in place, with no complex
-    # temporaries.
-    z = _rng(seed, _STREAM_NOISE).standard_normal((2, len(samples)))
+    if noise is None:
+        noise = noise_draw(seed)(out=np.empty((2, len(samples))))
+    # The noise is built in its own array and the signal added in place, with
+    # no complex temporaries.
     scale = np.sqrt(noise_power / 2.0)
     noisy = np.empty(len(samples), dtype=complex)
-    np.multiply(scale, z[0], out=noisy.real)
-    np.multiply(scale, z[1], out=noisy.imag)
+    np.multiply(scale, noise[0], out=noisy.real)
+    np.multiply(scale, noise[1], out=noisy.imag)
     noisy += samples
     return noisy
 
@@ -216,16 +232,18 @@ def apply_channel(
     sample_period: float,
     samples_per_symbol: int = 1,
     occupied: slice | None = None,
+    noise: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full impairment chain: block fading, oscillator rotation, then noise.
 
     Returns the impaired samples and the ground-truth fading gains (empty
-    when fading is off). Fully deterministic for a given profile.
+    when fading is off). Fully deterministic for a given profile; ``noise``
+    is passed to ``apply_awgn``.
     """
     gains = np.empty(0, dtype=complex)
     out = samples
     if profile.fading != "none":
         out, gains = apply_block_fading(out, profile, samples_per_symbol)
     out = apply_cfo_phase(out, profile, sample_period, samples_per_symbol)
-    out = apply_awgn(out, profile.snr_db, profile.seed, occupied)
+    out = apply_awgn(out, profile.snr_db, profile.seed, occupied, noise)
     return out, gains

@@ -13,7 +13,8 @@ import ctypes
 import functools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import chain, groupby, islice
 from operator import itemgetter
@@ -21,7 +22,7 @@ from operator import itemgetter
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import ChannelProfile, apply_channel
+from .channel import ChannelProfile, apply_channel, noise_draw
 from .config import SweepSpec, channel_profile_to_kv, config_keys, read_text
 from .framing import FrameConfig, assemble_frames, block_indices, crc_attach
 from .metrics import FrameEvents, TrialResult, aggregate_events
@@ -129,24 +130,37 @@ def run_trial_events(
         raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0.0 < symbol_period_s < math.inf:
         raise ValueError(f"symbol_period_s must be finite and positive, got {symbol_period_s}")
-    payloads = [
-        generate_payload(cfg.payload_bytes, [seed, _PAYLOAD_STREAM, k])
-        for k in range(frames)
-    ]
-    frame_syms = assemble_frames([crc_attach(p) for p in payloads], cfg)
-    tx = transmit_burst(frame_syms, pulse)
+    trial_profile = replace(profile, seed=_derive_seed([profile.seed, seed]))
+    n_signal = frames * cfg.total_symbols * pulse.interpolation
+    # The noise depends only on the seed, so outside pool workers (whose every
+    # core already runs a trial) it is drawn on a helper thread while this
+    # one builds and shapes the burst, into a block allocated here. The helper
+    # runs only the fill, for which numpy releases the GIL.
+    noise = drawn = None
+    with ThreadPoolExecutor(1) as helper:  # starts a thread only on submit; joins it on exit
+        if not math.isinf(profile.snr_db) and multiprocessing.parent_process() is None:
+            noise = np.empty((2, n_signal + pulse.tap_count - 1))  # the TX stream's length
+            drawn = helper.submit(noise_draw(trial_profile.seed), out=noise)
+        payloads = [
+            generate_payload(cfg.payload_bytes, [seed, _PAYLOAD_STREAM, k])
+            for k in range(frames)
+        ]
+        frame_syms = assemble_frames([crc_attach(p) for p in payloads], cfg)
+        tx = transmit_burst(frame_syms, pulse)
+        if drawn is not None:
+            drawn.result()  # raises the draw's exception, if any
 
-    n_signal = frame_syms.size * pulse.interpolation
     half_delay = (pulse.tap_count - 1) // 2
     occupied = slice(half_delay, half_delay + n_signal)
-    trial_profile = replace(profile, seed=_derive_seed([profile.seed, seed]))
     rx, _ = apply_channel(
         tx,
         trial_profile,
         symbol_period_s / pulse.interpolation,
         samples_per_symbol=pulse.interpolation,
         occupied=occupied,
+        noise=noise,
     )
+    del noise, drawn  # free the block before the receive stage, the trial's memory peak
 
     # Window k is rx[k*span : (k+1)*span + tail], overlapping the next by the
     # filter tail; the stream holds exactly frames*span + tail samples.
@@ -301,6 +315,7 @@ _FAILURES = _CellTable({k: k for k in ("",) + FAILURE_KINDS}, "unknown failure k
 _FIELD_PARSERS = {"tuple[int, ...]": int, "tuple[float, ...]": float,
                   "tuple[bool, ...]": _BITS.__getitem__, "tuple[str, ...]": _FAILURES.__getitem__}
 _EVENT_PARSERS = tuple(_FIELD_PARSERS[f.type] for f in fields(FrameEvents))
+_ENERGY_FIELDS = {"err_energy_tx", "ref_energy_tx", "err_energy_dec", "sig_energy_dec"}
 
 
 def _cell_text(value) -> str:
@@ -349,11 +364,12 @@ def read_events_csv(path: str) -> list[TrialRun]:
     """Replay an event log as one ``TrialRun`` per trial, in first-appearance
     order, each trial's frames in index order and its result aggregated from
     them; a replayed run has no ``rx_stream``. A missing header, a row with the
-    wrong cell count, a cell that does not parse, or a row whose outcome cells
-    contradict each other or whose trial columns differ from its trial's first
-    row raises ``ValueError`` naming the first such line (and the column, for a
-    cell); a trial whose frame indices are not ``range(frames)`` names the
-    trial and its first missing or repeated frame. Lines end at ``"\\n"`` alone."""
+    wrong cell count, a cell that does not parse or an energy below 0, or a row
+    whose outcome cells contradict each other or whose trial columns differ
+    from its trial's first row raises ``ValueError`` naming the first such line
+    (and the column, for a cell); a trial whose frame indices are not
+    ``range(frames)`` names the trial and its first missing or repeated frame.
+    Lines end at ``"\\n"`` alone."""
     lines = read_text(path).split("\n")
     start = next((n for n, line in enumerate(lines, 1) if line), None)
     if start is None:
@@ -431,13 +447,17 @@ def _read_trials(lines) -> list[tuple[dict, FrameEvents]]:
 
 
 def _parse_columns(columns):
-    """Parse each event column of cells with its column's parser; a fault
-    names the column."""
+    """Parse each event column of cells with its column's parser; a fault,
+    a negative energy included, names the column."""
     for name, parse, cells in zip(_EVENT_FIELDS, _EVENT_PARSERS, columns):
         try:
-            yield tuple(map(parse, cells))
+            values = tuple(map(parse, cells))
+            if name in _ENERGY_FIELDS and "-" in "".join(cells):  # a negative cell has a "-"
+                if negative := [c for c, v in zip(cells, values) if v < 0]:
+                    raise ValueError(f"expected an energy >= 0, got {negative[0]!r}")
         except ValueError as exc:
             raise ValueError(f", column {name}: {exc}") from None
+        yield values
 
 
 def results_from_event_rows(runs: list[TrialRun]) -> list[TrialResult]:

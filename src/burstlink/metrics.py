@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -119,9 +120,17 @@ def aggregate_events(events: FrameEvents, config: dict) -> TrialResult:
         good = goodput(passed, config["data_bytes_per_frame"], duration)
         through = throughput(detected, config["data_symbols"], config["bits_per_symbol"], duration)
 
-    phases = [p for p, d in zip(events.residual_phase_deg, events.detected) if d]
-    # np.mean's own pairwise sum and division, without its Python wrapper.
-    mean_phase = float(np.add.reduce(np.array(phases)) / len(phases)) if phases else math.nan
+    phases = list(compress(events.residual_phase_deg, events.detected))
+    mean_phase = math.nan
+    if phases:
+        # np.mean's own pairwise sum and division (one double division either
+        # way), without its Python wrapper; where a sum of finite phases
+        # overflows, the sum of each over the count.
+        x = np.array(phases)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean_phase = float(np.add.reduce(x)) / len(phases)
+            if not math.isfinite(mean_phase) and np.isfinite(x).all():
+                mean_phase = float(np.add.reduce(x / len(phases)))
 
     return TrialResult(
         frames_sent=frames_sent,

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from burstlink.channel import (
+    _STREAM_NOISE,
     ChannelProfile,
+    _rng,
     apply_awgn,
     apply_block_fading,
     apply_cfo_phase,
     apply_channel,
+    noise_draw,
     oscillator_rotation,
 )
 from burstlink.config import load_sweep_config
@@ -201,6 +204,25 @@ class TestAwgn:
         out = apply_awgn(samples, 0.0, seed=5, occupied=slice(0, 5000))
         noise_power = np.mean(np.abs(out - samples) ** 2)
         assert noise_power == pytest.approx(4.0, rel=0.05)
+
+    @pytest.mark.parametrize("n", [1, 7, 89_728])
+    def test_drawn_block_is_the_seeded_draw(self, n):
+        block = np.empty((2, n))
+        assert noise_draw(9)(out=block) is block
+        want = _rng(9, _STREAM_NOISE).standard_normal((2, n))
+        assert block.tobytes() == want.tobytes()
+
+    def test_a_drawn_block_gives_the_same_bits(self):
+        buf = unit_tone(3001)
+        block = noise_draw(6)(out=np.empty((2, len(buf))))
+        want = apply_awgn(buf, 12.0, seed=6, occupied=slice(10, 2990))
+        got = apply_awgn(buf, 12.0, seed=6, occupied=slice(10, 2990), noise=block)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 99), (2, 101), (1, 100), (100,)])
+    def test_a_block_of_another_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"noise block has shape .*, expected \(2, 100\)"):
+            apply_awgn(unit_tone(100), 10.0, seed=1, noise=np.zeros(shape))
 
 
 class TestCompositeChannel:

@@ -7,9 +7,14 @@ import importlib.util
 import json
 import math
 import os
+import pickle
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
@@ -18,8 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burstlink import sync
-from burstlink.channel import ChannelProfile
+from burstlink import harness, sync
+from burstlink.channel import _STREAM_NOISE, ChannelProfile, _rng
 from burstlink.cli import main
 from burstlink.config import SweepSpec, load_sweep_config
 from burstlink.framing import FrameConfig, assemble_frames, crc_attach
@@ -255,6 +260,129 @@ class TestRunTrial:
             FrameConfig(pilot_reps=6, modulation=64), profile, frames=20, seed=8
         ).result
         assert dense.goodput_bps > sparse.goodput_bps
+
+
+IMPAIRED = ChannelProfile(snr_db=20.0, delta_f_hz=1500.0, drift_hz_per_s=100.0,
+                          coherence_symbols=128, fading="block-rician", seed=4)
+CELL = FrameConfig(pilot_reps=4, modulation=16)
+
+
+@contextmanager
+def thread_starts():
+    """Collect the name of each thread started inside the block."""
+    starts, real = [], threading.Thread.start
+
+    def counting(thread):
+        starts.append(thread.name)
+        real(thread)
+
+    threading.Thread.start = counting
+    try:
+        yield starts
+    finally:
+        threading.Thread.start = real
+
+
+def trial_and_thread_starts(*args, **kwargs):
+    """``run_trial_events(*args, **kwargs)`` and the number of threads it started."""
+    with thread_starts() as starts:
+        return run_trial_events(*args, **kwargs), len(starts)
+
+
+_FORK_PROBE = """
+import sys
+from burstlink.channel import ChannelProfile
+from burstlink.config import SweepSpec
+from burstlink.framing import FrameConfig
+from burstlink.harness import events_to_csv, run_sweep, run_trial_events
+profile = ChannelProfile(snr_db=15.0, delta_f_hz=900.0, seed=3)
+run_trial_events(FrameConfig(pilot_reps=4, modulation=16), profile, 3, 1)
+spec = SweepSpec(lambda_list=(1, 4), modulations=(16,), profiles=(profile,),
+                 frames_per_trial=3, trials_per_cell=1, master_seed=5)
+sys.stdout.write(events_to_csv(run_sweep(spec, workers=2)))
+sys.stdout.write(events_to_csv(run_sweep(spec, workers=1)))
+"""
+
+
+class TestNoiseHelper:
+    """Outside pool workers a trial draws its noise on one helper thread that it
+    joins before it returns; the outputs are those of drawing it inline."""
+
+    def test_the_helper_block_is_the_seeded_draw(self, monkeypatch):
+        drawn_on, blocks = [], []
+        real_draw, real_channel = harness.noise_draw, harness.apply_channel
+
+        def drawing(seed):
+            def draw(out):
+                drawn_on.append(threading.get_ident())
+                return real_draw(seed)(out=out)
+
+            return draw
+
+        def channel(samples, profile, *args, **kwargs):
+            blocks.append((profile.seed, len(samples), kwargs["noise"]))
+            return real_channel(samples, profile, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "noise_draw", drawing)
+        monkeypatch.setattr(harness, "apply_channel", channel)
+        before = threading.active_count()
+        _, started = trial_and_thread_starts(CELL, IMPAIRED, frames=3, seed=7)
+        assert threading.active_count() == before
+        assert started == len(drawn_on) == 1
+        assert drawn_on != [threading.get_ident()]
+        [(seed, n, block)] = blocks
+        assert block.tobytes() == _rng(seed, _STREAM_NOISE).standard_normal((2, n)).tobytes()
+
+    def test_a_failed_draw_raises_from_the_trial(self, monkeypatch):
+        def failing(seed):
+            def draw(out):
+                raise FloatingPointError(f"no draw for seed {seed}")
+
+            return draw
+
+        monkeypatch.setattr(harness, "noise_draw", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="no draw for seed"):
+            run_trial_events(CELL, IMPAIRED, frames=3, seed=7)
+        assert threading.active_count() == before
+
+    def test_no_thread_without_a_draw(self):
+        # A rejected call draws nothing, and an infinite SNR has no noise.
+        with thread_starts() as starts:
+            with pytest.raises(ValueError, match="frames must be >= 1"):
+                run_trial_events(CELL, IMPAIRED, frames=0, seed=7)
+            run_trial_events(CELL, CLEAN, frames=2, seed=7)
+        assert starts == []
+
+    def test_a_pool_worker_gives_the_in_process_trial(self):
+        # Pool workers draw inline, starting no thread; the pickled run, stream
+        # included, is the same.
+        local, local_starts = trial_and_thread_starts(CELL, IMPAIRED, 5, 11, capture_stream=True)
+        with ProcessPoolExecutor(1) as pool:
+            job = pool.submit(trial_and_thread_starts, CELL, IMPAIRED, 5, 11, capture_stream=True)
+            remote, remote_starts = job.result(timeout=120)
+        assert (local_starts, remote_starts) == (1, 0)
+        assert pickle.dumps(remote) == pickle.dumps(local)
+
+    def test_sweep_workers_fork_after_an_in_process_trial(self):
+        # A helper thread or executor left behind by the in-process trial would
+        # be inherited by the forked workers; a hang fails here at the timeout.
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _FORK_PROBE], env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the pool workers too
+            proc.communicate()
+            pytest.fail("sweep at 2 workers hung after an in-process trial")
+        assert proc.returncode == 0, err
+        header = events_to_csv([]).strip()
+        _, pooled, serial = out.split(header)
+        assert pooled.count("\n") == 1 + 2 * 3
+        assert pooled == serial
 
 
 _FAULT_PROBE = """
@@ -497,6 +625,28 @@ class TestPersistence:
             read_events_csv(str(path))
         assert str(err.value) == (
             f"{path} line 3: detected 1, crc_ok 1 and failure 'crc-fail' contradict each other"
+        )
+
+    @pytest.mark.parametrize("column", ["err_energy_tx", "ref_energy_tx", "err_energy_dec",
+                                        "sig_energy_dec"])
+    @pytest.mark.parametrize("cell", ["-1e9", "-5e-324", "-inf"])
+    def test_report_rejects_a_negative_energy(self, tmp_path, column, cell):
+        # An energy is a sum of squares, so NaN and inf are valid cells and a
+        # negative one is a fault, even after a NaN on an earlier row.
+        _, header, trials = self._logged()
+        rows = [dict(zip(EVENT_COLUMNS, line.split(","))) for line in sum(trials, ())]
+        path = tmp_path / "events.csv"
+
+        def read_with(line2, line4):
+            rows[0][column], rows[2][column] = line2, line4
+            path.write_text("\n".join([header, *(",".join(r.values()) for r in rows)]) + "\n")
+            return read_events_csv(str(path))
+
+        assert len(read_with("nan", "inf")) == len(trials)
+        with pytest.raises(ValueError) as err:
+            read_with("nan", cell)
+        assert str(err.value) == (
+            f"{path} line 4, column {column}: expected an energy >= 0, got {cell!r}"
         )
 
     # Float cells: the values repr() writes in odd forms, and any float.

@@ -3,10 +3,11 @@
 import dataclasses
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burstlink.metrics import (
@@ -195,19 +196,29 @@ _EDGE_LENGTHS = [1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 300]
 @given(
     n=st.sampled_from(_EDGE_LENGTHS) | st.integers(1, 300),
     special=st.booleans(),
+    huge=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_mean_phase_is_np_mean_bit_for_bit(n, special, seed):
+@example(n=2, special=False, huge=True, seed=0)  # 1e308 + 1e308 overflows
+def test_mean_phase_is_np_mean_bit_for_bit(n, special, huge, seed):
     # Magnitudes from subnormal to 1e307, so the order of the additions
-    # shows in the last bits; with ``special``, some cells are inf or NaN.
+    # shows in the last bits; with ``special``, some cells are inf or NaN; with
+    # ``huge``, up to two cells are 1e308, so a sum of finite cells may overflow.
     rng = np.random.default_rng(seed)
     phases = rng.uniform(-180, 180, n) * 10.0 ** rng.integers(-325, 306, n)
+    if huge:
+        phases[:2] = 1e308
     if special:
         phases[rng.integers(0, n, rng.integers(1, 4))] = rng.choice([np.inf, -np.inf, np.nan])
-    phases = phases.tolist()
-    events = make_events(*(dict(phase=p) for p in phases))
-    # A sum may overflow, or meet inf and -inf: numpy warns for either.
-    with np.errstate(over="ignore", invalid="ignore"):
+    events = make_events(*(dict(phase=p) for p in phases.tolist()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning, whatever the cells
         got = aggregate_events(events, SNAPSHOT).mean_residual_phase_deg
+    # A sum may overflow, or meet inf and -inf: numpy warns for either. Where a
+    # sum of finite cells overflows, the mean is the sum of each over n.
+    with np.errstate(over="ignore", invalid="ignore"):
         want = float(np.mean(phases))
+        if not math.isfinite(want) and np.isfinite(phases).all():
+            want = float(np.sum(phases / n))
+            assert math.isfinite(want)
     assert struct.pack("<d", got) == struct.pack("<d", want)
