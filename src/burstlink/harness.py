@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import chain, groupby, islice
 from operator import itemgetter
+from typing import get_args, get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -250,8 +251,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[TrialRun]:
 
 
 # ---------------------------------------------------------------------------
-# CSV persistence. Column orders are frozen; floats use repr() so identical
-# results serialize to identical bytes.
+# CSV persistence. Column orders are frozen; a cell's text follows its column's
+# declared type and floats use repr(), so equal results serialize to equal bytes.
 # ---------------------------------------------------------------------------
 
 _FAILURE_COLUMNS = {
@@ -282,13 +283,10 @@ RESULT_COLUMNS = (
     "evm_decision_percent",
     "sinr_db",
     "mean_residual_phase_deg",
-    "snr_db",
-    "cfo_hz",
-    "drift_hz_per_s",
-    "coherence_symbols",
-    "fading",
-    "rician_k",
-    "freq_walk_std_hz",
+    *(key for key in config_keys(ChannelProfile) if key not in (
+        "channel_seed",  # each trial replaces it with one derived from it and the trial seed
+        "theta_in_rad",  # a new column moves the CSV's bytes: it waits for a digest re-record
+    )),
 )
 
 _EVENT_FIELDS = tuple(f.name for f in fields(FrameEvents))
@@ -310,35 +308,32 @@ class _CellTable(dict):
 
 _BITS = _CellTable({"0": False, "1": True}, "expected 0 or 1, got")
 _FAILURES = _CellTable({k: k for k in ("",) + FAILURE_KINDS}, "unknown failure kind")
-# Each event column's cell parser: int, float or a table lookup (``failure``
-# is the one text column).
-_FIELD_PARSERS = {"tuple[int, ...]": int, "tuple[float, ...]": float,
-                  "tuple[bool, ...]": _BITS.__getitem__, "tuple[str, ...]": _FAILURES.__getitem__}
-_EVENT_PARSERS = tuple(_FIELD_PARSERS[f.type] for f in fields(FrameEvents))
+# Each cell type's text form and parser. A float cell is the repr() of the value
+# as a float, so a numpy scalar is written as the number it holds. ``str`` parses
+# as a failure kind; the snapshot's ``fading`` keeps its ``SNAPSHOT_COLUMNS`` parser.
+_CODECS = {int: (str, int), float: (lambda value: repr(float(value)), float),
+           bool: ({False: "0", True: "1"}.__getitem__, _BITS.__getitem__),
+           str: (str, _FAILURES.__getitem__)}
+_EVENT_TEXTS, _EVENT_PARSERS = zip(
+    *(_CODECS[get_args(hint)[0]] for hint in get_type_hints(FrameEvents).values()))
+_TRIAL_TEXTS = {column: _CODECS[kind][0] for column, kind in SNAPSHOT_COLUMNS.items()}
+_RESULT_TYPES = {**dict.fromkeys(_FAILURE_COLUMNS, int), **SNAPSHOT_COLUMNS,
+                 **get_type_hints(TrialResult)}
+_RESULT_TEXTS = {column: _CODECS[_RESULT_TYPES[column]][0] for column in RESULT_COLUMNS}
 _ENERGY_FIELDS = {"err_energy_tx", "ref_energy_tx", "err_energy_dec", "sig_energy_dec"}
-
-
-def _cell_text(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _result_cell(result: TrialResult, column: str):
     if column in _FAILURE_COLUMNS:
         return result.failure_counts.get(_FAILURE_COLUMNS[column], 0)
-    if column in result.config:
+    if column in SNAPSHOT_COLUMNS:
         return result.config[column]
     return getattr(result, column)
 
 
 def results_to_csv(results: list[TrialResult]) -> str:
-    lines = [",".join(RESULT_COLUMNS)]
-    for result in results:
-        lines.append(",".join([_cell_text(_result_cell(result, c)) for c in RESULT_COLUMNS]))
-    return "\n".join(lines) + "\n"
+    rows = ([text(_result_cell(r, c)) for c, text in _RESULT_TEXTS.items()] for r in results)
+    return "\n".join([",".join(RESULT_COLUMNS), *map(",".join, rows)]) + "\n"
 
 
 def write_results_csv(results: list[TrialResult], path: str) -> None:
@@ -349,8 +344,8 @@ def write_results_csv(results: list[TrialResult], path: str) -> None:
 def events_to_csv(runs: list[TrialRun]) -> str:
     lines = [",".join(EVENT_COLUMNS)]
     for run in runs:
-        prefix = "".join(_cell_text(run.result.config[c]) + "," for c in _TRIAL_COLUMNS)
-        columns = (map(_cell_text, getattr(run.events, name)) for name in _EVENT_FIELDS)
+        prefix = "".join(text(run.result.config[c]) + "," for c, text in _TRIAL_TEXTS.items())
+        columns = map(map, _EVENT_TEXTS, vars(run.events).values())  # each column's cell texts
         lines.extend(prefix + ",".join(cells) for cells in zip(*columns))
     return "\n".join(lines) + "\n"
 

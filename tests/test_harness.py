@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burstlink import harness, sync
-from burstlink.channel import _STREAM_NOISE, ChannelProfile, _rng
+from burstlink.channel import _STREAM_NOISE, FADING_MODES, ChannelProfile, _rng
 from burstlink.cli import main
 from burstlink.config import SweepSpec, load_sweep_config
 from burstlink.framing import FrameConfig, assemble_frames, crc_attach
@@ -496,6 +496,40 @@ FROZEN_EVENT_COLUMNS = (
 )
 
 
+def _runtime_type_cell_text(value) -> str:
+    """A cell's text as the writers chose it from the value's runtime type before
+    each column's text followed its declared type; kept as their byte reference."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _runtime_type_results_csv(results):
+    def cell(result, column):
+        if column in _FAILURE_COLUMNS:
+            return result.failure_counts.get(_FAILURE_COLUMNS[column], 0)
+        if column in result.config:
+            return result.config[column]
+        return getattr(result, column)
+
+    rows = (",".join(_runtime_type_cell_text(cell(r, c)) for c in FROZEN_RESULT_COLUMNS)
+            for r in results)
+    return "\n".join([",".join(FROZEN_RESULT_COLUMNS), *rows]) + "\n"
+
+
+def _runtime_type_events_csv(runs):
+    trial_columns = FROZEN_EVENT_COLUMNS[: len(SNAPSHOT_COLUMNS)]
+    lines = [",".join(FROZEN_EVENT_COLUMNS)]
+    for run in runs:
+        prefix = "".join(_runtime_type_cell_text(run.result.config[c]) + "," for c in trial_columns)
+        columns = (map(_runtime_type_cell_text, getattr(run.events, f.name))
+                   for f in dataclasses.fields(FrameEvents))
+        lines.extend(prefix + ",".join(cells) for cells in zip(*columns))
+    return "\n".join(lines) + "\n"
+
+
 class TestPersistence:
     def _runs(self):
         spec = SweepSpec(
@@ -659,7 +693,7 @@ class TestPersistence:
     @given(data=st.data())
     def test_event_log_round_trips_every_field(self, data):
         base = self._logged_snapshot()
-        live = []
+        live, live_np = [], []
         for trial in range(data.draw(st.integers(1, 4), label="trials")):
             n = data.draw(st.integers(1, 60), label="frames")
 
@@ -672,26 +706,84 @@ class TestPersistence:
                 column(st.integers(0, 2**31)), column(self._FLOATS), column(self._FLOATS),
             )
             snapshot = dict(base, trial=trial, frames=n)
+            # The same trial with every cell a numpy scalar: np.int64, np.bool_,
+            # np.str_ and np.float64 (a float subclass whose repr() is not a number).
+            np_events = FrameEvents(*(tuple(np.array(column)) for column in vars(events).values()))
+            np_snapshot = {key: np.array(value)[()] for key, value in snapshot.items()}
             with np.errstate(over="ignore", invalid="ignore"):  # the phase sum may overflow
                 live.append(TrialRun(aggregate_events(events, snapshot), events))
+                live_np.append(TrialRun(aggregate_events(np_events, np_snapshot), np_events))
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "events.csv")
+            path, np_path = os.path.join(tmp, "events.csv"), os.path.join(tmp, "np_events.csv")
             write_events_csv(live, path)
+            write_events_csv(live_np, np_path)
             with np.errstate(over="ignore", invalid="ignore"):
                 replayed = read_events_csv(path)
+                replayed_np = read_events_csv(np_path)
         # repr() keeps the sign of -0.0 and writes every NaN as nan.
         def as_text(runs):
             return [[tuple(map(repr, col)) for col in vars(r.events).values()] for r in runs]
 
-        assert as_text(replayed) == as_text(live)
+        assert as_text(replayed) == as_text(replayed_np) == as_text(live)
         live_csv = results_to_csv([r.result for r in live])
         assert results_to_csv(results_from_event_rows(replayed)) == live_csv
+        assert results_to_csv(results_from_event_rows(replayed_np)) == live_csv
+        assert results_to_csv([r.result for r in live_np]) == live_csv
+        # A result whose float fields are np.float64 writes the numbers they hold.
+        floats = [f.name for f in dataclasses.fields(TrialResult) if f.type == "float"]
+        np_results = [dataclasses.replace(r.result, **{name: np.float64(getattr(r.result, name))
+                                                       for name in floats}) for r in live]
+        assert results_to_csv(np_results) == live_csv
 
     @staticmethod
     @lru_cache(maxsize=1)
     def _logged_snapshot():
         """A live trial snapshot of ``_runs``."""
-        return TestPersistence()._runs()[0].result.config
+        return TestPersistence._live_runs()[0].result.config
+
+    @staticmethod
+    @lru_cache(maxsize=1)
+    def _live_runs():
+        """The live runs of ``_runs``."""
+        return tuple(TestPersistence()._runs())
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_writers_keep_the_bytes_of_the_runtime_type_writer(self, data):
+        # Each cell's text now follows its column's declared type; on every
+        # value type a live or replayed trial holds, both CSVs keep the bytes
+        # of the writer that chose each cell's text by its runtime type.
+        def snapshot():
+            kinds = {int: st.integers(), float: self._FLOATS,
+                     str: st.sampled_from(FADING_MODES)}
+            return {key: data.draw(kinds[kind], label=key) for key, kind in SNAPSHOT_COLUMNS.items()}
+
+        def result():
+            crc, detected, sent = sorted(data.draw(st.lists(st.integers(0), min_size=3,
+                                                            max_size=3)))
+            good, through, *rest = data.draw(st.lists(self._FLOATS, min_size=7, max_size=7))
+            if good > through + 1e-9:
+                good, through = through, good
+            counts = data.draw(st.dictionaries(st.sampled_from(sync.FAILURE_KINDS),
+                                               st.integers(0)))
+            return TrialResult(sent, detected, crc, good, through, *rest,
+                               failure_counts=counts, config=snapshot())
+
+        def events():
+            n = data.draw(st.integers(1, 5), label="frames")
+
+            def column(cells):
+                return tuple(data.draw(st.lists(cells, min_size=n, max_size=n)))
+            outcomes = column(st.sampled_from(sorted(OUTCOMES)))
+            return FrameEvents(column(st.integers()), *zip(*outcomes),
+                               *(column(self._FLOATS) for _ in range(4)),
+                               column(st.integers()), column(self._FLOATS), column(self._FLOATS))
+
+        drawn = [TrialRun(result(), events()) for _ in range(data.draw(st.integers(0, 3)))]
+        runs = [*self._live_runs(), *drawn]
+        results = [run.result for run in runs]
+        assert results_to_csv(results) == _runtime_type_results_csv(results)
+        assert events_to_csv(runs) == _runtime_type_events_csv(runs)
 
     def test_results_file_round_trip(self, tmp_path):
         runs = self._runs()
