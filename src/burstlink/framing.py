@@ -144,7 +144,9 @@ def block_indices(cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     segment = base + (np.arange(cfg.pilot_reps) < rem)
     pilot_end = cfg.payload_start + np.cumsum(segment + cfg.pilot_block_len) - segment
     pilots = pilot_end[:, None] + np.arange(-cfg.pilot_block_len, 0)
-    data = np.setdiff1d(np.arange(cfg.payload_start, cfg.total_symbols), pilots)
+    is_data = np.arange(cfg.total_symbols) >= cfg.payload_start
+    is_data[pilots] = False
+    data = np.flatnonzero(is_data)  # np.setdiff1d's values and dtype, without numpy.ma
     block = np.repeat(np.arange(cfg.pilot_reps), segment)
     return read_only(pilots), read_only(data), read_only(block)
 

@@ -13,8 +13,8 @@ import ctypes
 import functools
 import json
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import sys
+import threading
 from dataclasses import dataclass, fields, replace
 from itertools import chain, groupby, islice
 from operator import itemgetter
@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ChannelProfile, apply_channel, noise_draw
 from .config import SweepSpec, channel_profile_to_kv, config_keys, read_text
-from .framing import FrameConfig, assemble_frames, block_indices, crc_attach
+from .framing import CRC_BYTES, FrameConfig, assemble_frames, block_indices, crc_attach
 from .metrics import FrameEvents, TrialResult, aggregate_events
 from .sync import FAILURE_KINDS, OUTCOMES, DetectorConfig, receive_frames
 from .waveform import PulseShapeConfig, shape_and_upsample
@@ -66,6 +66,14 @@ def _keep_freed_memory() -> None:
         return
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+def _fill(draw, out: np.ndarray, raised: list) -> None:
+    """``draw(out=out)`` on the noise helper, keeping its exception in ``raised``."""
+    try:
+        draw(out=out)
+    except BaseException as exc:
+        raised.append(exc)
 
 
 def transmit_burst(frames_symbols: np.ndarray, pulse: PulseShapeConfig) -> np.ndarray:
@@ -136,20 +144,28 @@ def run_trial_events(
     # The noise depends only on the seed, so outside pool workers (whose every
     # core already runs a trial) it is drawn on a helper thread while this
     # one builds and shapes the burst, into a block allocated here. The helper
-    # runs only the fill, for which numpy releases the GIL.
-    noise = drawn = None
-    with ThreadPoolExecutor(1) as helper:  # starts a thread only on submit; joins it on exit
-        if not math.isinf(profile.snr_db) and multiprocessing.parent_process() is None:
-            noise = np.empty((2, n_signal + pulse.tap_count - 1))  # the TX stream's length
-            drawn = helper.submit(noise_draw(trial_profile.seed), out=noise)
+    # runs only the fill, for which numpy releases the GIL. Every process that
+    # multiprocessing starts has it loaded, so a process without it is no worker.
+    mp = sys.modules.get("multiprocessing")
+    noise = helper = None
+    raised: list[BaseException] = []  # the draw's exception, raised here after the join
+    if not math.isinf(profile.snr_db) and (mp is None or mp.parent_process() is None):
+        noise = np.empty((2, n_signal + pulse.tap_count - 1))  # the TX stream's length
+        draw = noise_draw(trial_profile.seed)
+        helper = threading.Thread(target=_fill, args=(draw, noise, raised))
+        helper.start()
+    try:
         payloads = [
             generate_payload(cfg.payload_bytes, [seed, _PAYLOAD_STREAM, k])
             for k in range(frames)
         ]
         frame_syms = assemble_frames([crc_attach(p) for p in payloads], cfg)
         tx = transmit_burst(frame_syms, pulse)
-        if drawn is not None:
-            drawn.result()  # raises the draw's exception, if any
+    finally:
+        if helper is not None:
+            helper.join()
+    if raised:
+        raise raised[0]
 
     half_delay = (pulse.tap_count - 1) // 2
     occupied = slice(half_delay, half_delay + n_signal)
@@ -161,7 +177,7 @@ def run_trial_events(
         occupied=occupied,
         noise=noise,
     )
-    del noise, drawn  # free the block before the receive stage, the trial's memory peak
+    del noise  # free the block before the receive stage, the trial's memory peak
 
     # Window k is rx[k*span : (k+1)*span + tail], overlapping the next by the
     # filter tail; the stream holds exactly frames*span + tail samples.
@@ -246,6 +262,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[TrialRun]:
     workers = min(workers, len(jobs))  # a pool forks all its workers at the first submit
     if workers <= 1:
         return [_run_job(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: pools only
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_job, jobs))
 
@@ -264,7 +282,7 @@ _FAILURE_COLUMNS = {
 }
 
 # Each results column is a failure count (``_FAILURE_COLUMNS``), a snapshot key
-# or a TrialResult field; ``_result_cell`` looks it up in that order.
+# or a TrialResult field, and never two of them (``_result_cells``).
 RESULT_COLUMNS = (
     "profile_index",
     "modulation",
@@ -323,16 +341,15 @@ _RESULT_TEXTS = {column: _CODECS[_RESULT_TYPES[column]][0] for column in RESULT_
 _ENERGY_FIELDS = {"err_energy_tx", "ref_energy_tx", "err_energy_dec", "sig_energy_dec"}
 
 
-def _result_cell(result: TrialResult, column: str):
-    if column in _FAILURE_COLUMNS:
-        return result.failure_counts.get(_FAILURE_COLUMNS[column], 0)
-    if column in SNAPSHOT_COLUMNS:
-        return result.config[column]
-    return getattr(result, column)
+def _result_cells(result: TrialResult) -> dict:
+    """Each results column's value, by name; the three sources share no name."""
+    failures = {c: result.failure_counts.get(kind, 0) for c, kind in _FAILURE_COLUMNS.items()}
+    return {**result.config, **vars(result), **failures}
 
 
 def results_to_csv(results: list[TrialResult]) -> str:
-    rows = ([text(_result_cell(r, c)) for c, text in _RESULT_TEXTS.items()] for r in results)
+    rows = ([text(cells[c]) for c, text in _RESULT_TEXTS.items()]
+            for cells in map(_result_cells, results))
     return "\n".join([",".join(RESULT_COLUMNS), *map(",".join, rows)]) + "\n"
 
 
@@ -364,6 +381,7 @@ def read_events_csv(path: str) -> list[TrialRun]:
     from its trial's first row raises ``ValueError`` naming the first such line
     (and the column, for a cell); a trial whose frame indices are not
     ``range(frames)`` names the trial and its first missing or repeated frame.
+    A trial no run logs (``_read_trials``) names the first line at fault and the column.
     Lines end at ``"\\n"`` alone."""
     lines = read_text(path).split("\n")
     start = next((n for n, line in enumerate(lines, 1) if line), None)
@@ -374,21 +392,22 @@ def read_events_csv(path: str) -> list[TrialRun]:
     try:
         trials = _read_trials(filter(None, lines[start:]))
     except ValueError:
-        # Some row is at fault: read the rows one at a time to name the first.
+        # Some row is at fault: read the rows one at a time to name the first. A row's
+        # cells must parse, then its trial columns match its trial's first row, and
+        # then its trial must be one that a run logs.
         first_rows: dict[tuple, tuple[int, list[str]]] = {}
         for lineno, line in filter(itemgetter(1), enumerate(lines[start:], start + 1)):
             try:
-                [(snapshot, _)] = _read_trials([line])
+                [(snapshot, _)] = _read_trials([line], check=False)
+                key, cells = tuple(snapshot[c] for c in _TRIAL_KEY), line.split(",")
+                first, was = first_rows.setdefault(key, (lineno, cells))
+                for column, a, b in zip(_TRIAL_COLUMNS, was, cells):
+                    if a != b:
+                        raise ValueError(f", column {column}: {b!r} differs from {a!r} "
+                                         f"on line {first}, a row of the same trial")
+                _read_trials([line])
             except ValueError as exc:
                 raise ValueError(f"{path} line {lineno}{exc}") from None
-            key, cells = tuple(snapshot[c] for c in _TRIAL_KEY), line.split(",")
-            first, was = first_rows.setdefault(key, (lineno, cells))
-            for column, a, b in zip(_TRIAL_COLUMNS, was, cells):
-                if a != b:
-                    raise ValueError(
-                        f"{path} line {lineno}, column {column}: {b!r} differs from {a!r} "
-                        f"on line {first}, a row of the same trial"
-                    ) from None
         raise
     for snapshot, events in trials:
         if events.frame_index != tuple(range(frames := snapshot["frames"])):
@@ -407,10 +426,13 @@ def read_events_csv(path: str) -> list[TrialRun]:
     return [TrialRun(aggregate_events(events, snapshot), events) for snapshot, events in trials]
 
 
-def _read_trials(lines) -> list[tuple[dict, FrameEvents]]:
+def _read_trials(lines, check: bool = True) -> list[tuple[dict, FrameEvents]]:
     """Split each line once and parse each run of a trial's rows as it is read, the trial
-    text at its first run. A fault raises ``ValueError`` with the text after a line number."""
-    runs: dict[str, list] = {}  # trial text -> [snapshot, each run's event columns, ...]
+    text at its first run, where ``check`` also rejects a trial no run logs: channel
+    cells that build no ChannelProfile, frame cells ``_check_frame`` rejects, or an
+    ``n_symbols`` other than 0 or ``data_symbols``. A fault raises ``ValueError`` with
+    the text after a line number."""
+    runs: dict[str, list] = {}  # trial text -> [snapshot, parsers, each run's columns, ...]
     for text, group in groupby((r.rsplit(",", len(_EVENT_FIELDS)) for r in lines), itemgetter(0)):
         rows = list(group)  # a short row's trial text has no comma: one count checks all
         if text not in runs:
@@ -423,10 +445,15 @@ def _read_trials(lines) -> list[tuple[dict, FrameEvents]]:
                     snapshot[column] = parse(cell)
                 except ValueError as exc:
                     raise ValueError(f", column {column}: {exc}") from None
-            runs[text] = [snapshot]
-        runs[text].append(tuple(_parse_columns(islice(zip(*rows), 1, None))))
+            parsers = _EVENT_PARSERS
+            if check:  # each check keeps its verdict for each distinct set of cells
+                _check_channel(_CHANNEL_CELLS(snapshot))
+                _check_frame(_FRAME_CELLS(snapshot))
+                parsers = _event_parsers(snapshot["data_symbols"])
+            runs[text] = [snapshot, parsers]
+        runs[text].append(tuple(_parse_columns(islice(zip(*rows), 1, None), runs[text][1])))
     trials = []
-    for snapshot, *parts in runs.values():
+    for snapshot, _, *parts in runs.values():
         columns = parts[0] if len(parts) == 1 else map(chain.from_iterable, zip(*parts))
         events = FrameEvents(*map(tuple, columns))
         if outcomes := set(zip(events.detected, events.crc_ok, events.failure)) - OUTCOMES:
@@ -441,10 +468,87 @@ def _read_trials(lines) -> list[tuple[dict, FrameEvents]]:
     return trials
 
 
-def _parse_columns(columns):
+# The snapshot columns that build a trial's ChannelProfile (all but ``channel_seed``)
+# and its FrameConfig, each with its field, and the frame columns checked together.
+_CHANNEL_FIELDS = {k: name for k, (name, _) in config_keys(ChannelProfile).items()
+                   if k in SNAPSHOT_COLUMNS}
+_FRAME_FIELDS = {"pilot_reps": "pilot_reps", "modulation": "modulation"}
+_FRAME_COLUMNS = (*_FRAME_FIELDS, "symbol_period_s", "data_bytes_per_frame", "data_symbols",
+                  "bits_per_symbol", "frame_airtime_s")
+_CHANNEL_CELLS, _FRAME_CELLS = itemgetter(*_CHANNEL_FIELDS), itemgetter(*_FRAME_COLUMNS)
+
+
+def _built(cls, columns: dict[str, str], values: dict, **base):
+    """``cls`` built from the value of each column (column -> field). Each rule of
+    ChannelProfile and FrameConfig reads one field, so a fault names the first column
+    that gives it alone, built on ``base``."""
+    try:
+        return cls(**{name: values[c] for c, name in columns.items()})
+    except ValueError as exc:
+        fault = f": {exc}"
+    for column, name in columns.items():
+        try:
+            cls(**{**base, name: values[column]})
+        except ValueError as exc:
+            fault = f", column {column}: {exc}"
+            break
+    raise ValueError(fault)
+
+
+# Each check is a pure function of its cells, so its verdict is kept for the next
+# trial with the same cells.
+@functools.lru_cache(maxsize=64)
+def _check_channel(cells: tuple) -> None:
+    _built(ChannelProfile, _CHANNEL_FIELDS, dict(zip(_CHANNEL_FIELDS, cells)))
+
+
+@functools.lru_cache(maxsize=64)
+def _check_frame(cells: tuple) -> None:
+    """The frame columns must be those of FrameConfig(pilot_reps, modulation) with the
+    logged data field, whole bytes that hold the CRC and more. The log carries no frame
+    geometry, so the airtime must only be a whole number of symbol periods, more than
+    the data symbols."""
+    values = dict(zip(_FRAME_COLUMNS, cells))
+    bps = _built(FrameConfig, _FRAME_FIELDS, values, pilot_reps=1, modulation=4).bits_per_symbol
+    data, period, airtime = (values[c] for c in ("data_symbols", "symbol_period_s",
+                                                   "frame_airtime_s"))
+    if (data * bps) % 8 or data * bps // 8 <= CRC_BYTES:
+        raise ValueError(f", column data_symbols: {data} symbols of {bps} bits are not whole "
+                         "bytes that hold the CRC and more")
+    for column, value in (("bits_per_symbol", bps),
+                          ("data_bytes_per_frame", data * bps // 8 - CRC_BYTES)):
+        if values[column] != value:
+            raise ValueError(f", column {column}: expected {value}, got {values[column]}")
+    if not 0.0 < period < math.inf:
+        raise ValueError(f", column symbol_period_s: expected a finite period > 0, got {period!r}")
+    if not (data < (periods := airtime / period) < math.inf and round(periods) * period == airtime):
+        raise ValueError(f", column frame_airtime_s: expected a whole number of symbol periods "
+                         f"above data_symbols, got {airtime!r}")
+
+
+class _SymbolCounts(_CellTable):
+    """``n_symbols`` cell text -> its count, which must be 0 or the trial's ``data_symbols``;
+    the canonical texts are looked up, any other is read by ``int``."""
+
+    def __missing__(self, text: str) -> int:
+        if (value := int(text)) in self.values():
+            return value
+        return super().__missing__(text)
+
+
+@functools.lru_cache(maxsize=64)
+def _event_parsers(data_symbols: int) -> tuple:
+    """``_EVENT_PARSERS`` for a trial of ``data_symbols``, ``n_symbols`` checked."""
+    counts = _SymbolCounts({"0": 0, str(data_symbols): data_symbols},
+                           f"expected 0 or {data_symbols}, got")
+    return tuple(counts.__getitem__ if name == "n_symbols" else parse
+                 for name, parse in zip(_EVENT_FIELDS, _EVENT_PARSERS))
+
+
+def _parse_columns(columns, parsers):
     """Parse each event column of cells with its column's parser; a fault,
     a negative energy included, names the column."""
-    for name, parse, cells in zip(_EVENT_FIELDS, _EVENT_PARSERS, columns):
+    for name, parse, cells in zip(_EVENT_FIELDS, parsers, columns):
         try:
             values = tuple(map(parse, cells))
             if name in _ENERGY_FIELDS and "-" in "".join(cells):  # a negative cell has a "-"

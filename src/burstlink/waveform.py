@@ -136,11 +136,18 @@ def _slice_axis(x: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return index, np.minimum(x - edges[index], edges[index + 1] - x)
 
 
+def _levels(x: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a NaN-free ``x``, bit for bit ``np.unique(x)``,
+    which imports all of ``numpy.ma`` at its first call."""
+    x = np.sort(x)
+    return np.concatenate((x[:1], x[1:][x[1:] != x[:-1]]))
+
+
 def _slice_grid(s: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each symbol's point index sliced per axis, and a mask of the symbols
     whose slice is not provably nearest: all of them unless ``points`` is a
     row-major grid of its distinct I and Q levels."""
-    li, lq = np.unique(points.real), np.unique(points.imag)
+    li, lq = _levels(points.real), _levels(points.imag)
     if not np.array_equal(points, (li[:, None] + 1j * lq).ravel()):
         return np.zeros(len(s), dtype=np.intp), np.ones(len(s), dtype=bool)
     spacing = min(np.diff(li).min(initial=np.inf), np.diff(lq).min(initial=np.inf))

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import concurrent.futures
 import importlib
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from burstlink import cli, harness
+from burstlink import cli
 from burstlink.cli import main
 from burstlink.harness import EVENT_COLUMNS, RESULT_COLUMNS
 
@@ -124,7 +125,8 @@ def pool_sizes(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    # run_sweep imports the pool class from concurrent.futures when it opens a pool.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return sizes
 
 
@@ -266,6 +268,32 @@ def test_module_entry_runs_in_a_fresh_interpreter():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == ",".join(RESULT_COLUMNS)
+
+
+# A 3-frame trial on the README's impaired profile, then ``report`` on its log.
+_COLD_START = """
+import os, sys, tempfile
+from burstlink.cli import main
+with tempfile.TemporaryDirectory() as tmp:
+    events, out = os.path.join(tmp, "events.csv"), os.path.join(tmp, "results.csv")
+    assert main(["sim", "--mod", "64qam", "--pilot-reps", "6", "--snr-db", "20",
+                 "--cfo-hz", "1500", "--drift-hz-per-s", "100", "--fading", "block-rician",
+                 "--rician-k", "10", "--coherence-symbols", "128", "--frames", "3",
+                 "--out", out, "--events-out", events]) == 0
+    assert main(["report", events, "--out", out]) == 0
+print(*(m for m in ("multiprocessing", "concurrent.futures.process", "numpy.ma")
+        if m in sys.modules))
+"""
+
+
+def test_a_fresh_trial_and_report_load_no_pool_and_no_masked_arrays():
+    # Only run_sweep's pool needs multiprocessing, and nothing on the trial
+    # or report path needs numpy.ma, so a fresh interpreter loads neither.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _COLD_START],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_every_module_qualified_name_in_the_readme_resolves():
@@ -601,9 +629,12 @@ def test_report_on_short_event_row_is_an_error(tmp_path, capsys):
 
 def test_report_on_unparseable_event_cell_is_an_error(tmp_path, capsys):
     # Each case edits one cell of a row that parses: the one frame of a
-    # trial, lost to no-training.
+    # trial, lost to no-training, of 4QAM at lambda=1 behind a static channel.
     valid = dict.fromkeys(EVENT_COLUMNS, "0")
-    valid.update(fading="none", failure="no-training", frames="1")
+    valid.update(fading="none", failure="no-training", frames="1", modulation="4",
+                 pilot_reps="1", symbol_period_s="1e-06", data_bytes_per_frame="56",
+                 data_symbols="240", bits_per_symbol="2", frame_airtime_s=repr(448 * 1e-06),
+                 coherence_symbols="inf")
     header = ",".join(EVENT_COLUMNS) + "\n"
     (tmp_path / "valid.csv").write_text(header + ",".join(valid.values()) + "\n")
     assert main(["report", str(tmp_path / "valid.csv")]) == 0
@@ -676,6 +707,78 @@ def test_report_on_trial_cells_that_differ_within_a_trial_is_an_error(tmp_path, 
     lines[2] = ",".join(dict(row, data_bytes_per_frame="999").values())
     err = _report_error(tmp_path, capsys, "\n".join(lines) + "\n")
     assert "line 3, column data_bytes_per_frame: '999' differs from '92' on line 2" in err
+
+
+def _edited_log(tmp_path, column, cell, rows=None):
+    """A ``sim --mod 4 --pilot-reps 1 --frames 2 --seed 1`` log with ``cell`` in
+    ``column`` of each data row, or of the rows numbered in ``rows`` (0 first)."""
+    header, *lines = _sim_log(tmp_path, "sim.csv", "--mod", "4", "--pilot-reps", "1",
+                              "--frames", "2", "--seed", "1")
+    for k in range(len(lines)) if rows is None else rows:
+        row = dict(zip(EVENT_COLUMNS, lines[k].split(",")))
+        lines[k] = ",".join(dict(row, **{column: cell}).values())
+    return "\n".join([header, *lines]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "column, cell, message",
+    [
+        ("fading", "bogus", "fading must be one of ('none', 'block-rayleigh', 'block-rician'), "
+                            "got 'bogus'"),
+        ("snr_db", "nan", "snr_db must be inf or within +/-3000, got nan"),
+        ("rician_k", "-1.0", "rician_k must be >= 0, got -1.0"),
+        ("cfo_hz", "inf", "cfo_hz must be finite, got inf"),
+        ("coherence_symbols", "0.5", "coherence_symbols must be >= 1"),
+        ("n_symbols", "5", "expected 0 or 240, got '5'"),
+        ("data_symbols", "7", "7 symbols of 2 bits are not whole bytes that hold the CRC"),
+        ("data_symbols", "16", "16 symbols of 2 bits are not whole bytes that hold the CRC"),
+        ("bits_per_symbol", "4", "expected 2, got 4"),
+        ("data_bytes_per_frame", "57", "expected 56, got 57"),
+        ("modulation", "5", "unsupported modulation order 5"),
+        ("pilot_reps", "3", "pilot_reps must be one of (1, 2, 4, 6, 8), got 3"),
+        ("symbol_period_s", "0.0", "expected a finite period > 0, got 0.0"),
+        ("frame_airtime_s", "nan", "expected a whole number of symbol periods above "
+                                   "data_symbols, got nan"),
+        ("frame_airtime_s", "0.0002", "expected a whole number of symbol periods above "
+                                      "data_symbols, got 0.0002"),
+        ("frame_airtime_s", "4.485e-04", "expected a whole number of symbol periods above "
+                                         "data_symbols, got 0.0004485"),
+    ],
+)
+def test_report_on_a_trial_no_run_logs_is_an_error(tmp_path, capsys, column, cell, message):
+    # Each cell parses, but no run logs it with the row's other cells.
+    err = _report_error(tmp_path, capsys, _edited_log(tmp_path, column, cell))
+    assert f"line 2, column {column}: {message}" in err
+
+
+def test_report_names_the_first_row_whose_n_symbols_no_run_logs(tmp_path, capsys):
+    err = _report_error(tmp_path, capsys, _edited_log(tmp_path, "n_symbols", "239", rows=[1]))
+    assert "line 3, column n_symbols: expected 0 or 240, got '239'" in err
+
+
+def test_report_reads_n_symbols_as_int_does(tmp_path, capsys):
+    # The check looks the written texts up, and reads any other as int() does.
+    text = _edited_log(tmp_path, "n_symbols", "+2_40", rows=[0])
+    reference = tmp_path / "r.csv"
+    (tmp_path / "edited.csv").write_text(text)
+    assert main(["report", str(tmp_path / "edited.csv"), "--out", str(tmp_path / "e.csv")]) == 0
+    assert (tmp_path / "e.csv").read_bytes() == reference.read_bytes()
+
+
+def test_report_reads_back_a_sweep_of_another_frame_geometry(tmp_path):
+    # The log carries no frame geometry: shorter training, preamble and pilot
+    # blocks, and a longer payload, give other frame cells that still read.
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "lambda_list = 2,6\nmodulations = 4,64\nframes_per_trial = 3\ntrials_per_cell = 1\n"
+        "payload_symbols = 260\npilot_block_len = 12\ntraining_rep_len = 16\n"
+        "training_reps = 3\ngolay_len = 32\nsnr_db = 20\nsymbol_period_s = 2.5e-07\n"
+    )
+    out, events, rep = tmp_path / "r.csv", tmp_path / "events.csv", tmp_path / "rep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--events-out", str(events)]) == 0
+    assert main(["report", str(events), "--out", str(rep)]) == 0
+    assert rep.read_bytes() == out.read_bytes()
 
 
 def test_report_on_concatenated_logs_of_two_seeds_is_an_error(tmp_path, capsys):

@@ -124,6 +124,30 @@ class TestLayout:
         assert np.array_equal(np.diff(data) > 1, np.diff(block) > 0)
         assert (data > pilots[block, -1]).all()
 
+    @pytest.mark.parametrize(
+        "geometry",
+        [{}, {"payload_symbols": 128, "pilot_block_len": 8},
+         {"payload_symbols": 260, "pilot_block_len": 12, "training_rep_len": 16,
+          "training_reps": 3, "golay_len": 32}],
+        ids=["default", "short", "uneven"],
+    )
+    def test_data_indices_are_the_frame_less_its_pilots(self, geometry):
+        # The data indices are np.setdiff1d's, in dtype and values, for every
+        # buildable (pilot_reps, modulation) of each geometry.
+        built = 0
+        for reps in SUPPORTED_PILOT_REPS:
+            for mod in BITS_PER_SYMBOL:
+                try:
+                    cfg = FrameConfig(pilot_reps=reps, modulation=mod, **geometry)
+                except ValueError:  # a data field that is not whole bytes
+                    continue
+                pilots, data, _ = block_indices(cfg)
+                want = np.setdiff1d(np.arange(cfg.payload_start, cfg.total_symbols), pilots)
+                assert data.dtype == want.dtype
+                assert np.array_equal(data, want)
+                built += 1
+        assert built >= len(SUPPORTED_PILOT_REPS) * 2
+
     def test_pilot_span_count_and_length(self):
         cfg = FrameConfig(pilot_reps=4, modulation=16)
         pilots, _, _ = block_indices(cfg)

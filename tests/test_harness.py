@@ -703,7 +703,8 @@ class TestPersistence:
             outcomes = column(st.sampled_from(sorted(OUTCOMES)))
             events = FrameEvents(
                 tuple(range(n)), *zip(*outcomes), *(column(self._ENERGIES) for _ in range(4)),
-                column(st.integers(0, 2**31)), column(self._FLOATS), column(self._FLOATS),
+                column(st.sampled_from([0, base["data_symbols"]])), column(self._FLOATS),
+                column(self._FLOATS),
             )
             snapshot = dict(base, trial=trial, frames=n)
             # The same trial with every cell a numpy scalar: np.int64, np.bool_,

@@ -25,7 +25,7 @@ from burstlink.waveform import (
     matched_filter_downsample,
     shape_and_upsample,
 )
-from burstlink.waveform import _slice_grid
+from burstlink.waveform import _levels, _slice_grid
 
 ORDERS = (4, 8, 16, 64)
 # SHA-256 of the bytes of points, bit_labels and point_bits for each order.
@@ -226,6 +226,21 @@ class TestMapDemap:
         angle = rng.uniform(0, 2 * np.pi, len(exponents))
         symbols = 10.0 ** np.array(exponents) * np.exp(1j * angle)
         assert demap_outcome(demap_symbols, symbols, c) == demap_outcome(full_search, symbols, c)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_slicer_levels_are_the_unique_levels(self, order):
+        points = build_constellation(order).points
+        for axis in (points.real, points.imag):
+            got, want = _levels(axis), np.unique(axis)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]) | st.floats(allow_nan=False),
+                    max_size=40))
+    def test_levels_are_np_unique_of_any_nan_free_array(self, values):
+        x = np.array(values, dtype=float)
+        assert _levels(x).tobytes() == np.unique(x).tobytes()
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_midpoints_and_their_neighbours_match_the_full_search(self, order):
